@@ -21,6 +21,10 @@ from .models import (
 )
 
 DEFAULT_PLANE_NODES = 256
+# Cap on the (request, node) pairs of one plane-average block: about 0.8 MB
+# per (pairs, 3) array, so a search's peak memory does not grow with its grid.
+BLOCK_PAIRS = 2**15
+MIN_MC_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -47,21 +51,30 @@ class PlaneAverageSpec:
             raise ValueError("quadrature_order must be at least 4")
 
 
-def _pair_correlator_arrays(params: ModelParams, a: np.ndarray, b: np.ndarray):
+def _pair_correlator_arrays(models, a: np.ndarray, b: np.ndarray, which=slice(None)):
     """Correlator (hidden variables already averaged out) for row-paired
-    settings; accepts (3,) or (n, 3) arrays."""
+    settings ``a``, ``b`` that broadcast to shape (n, ..., 3).
+
+    ``models`` holds models of one family; row i uses ``models[which[i]]``
+    (by default ``models[i]``, or the only model for every row).
+    """
     ab = np.sum(a * b, axis=-1)
-    fam = params.family
+    fam = models[0].family
+
+    def column(get, *tail):
+        values = np.array([get(m) for m in models], dtype=float)[which]
+        return values.reshape((-1,) + (1,) * (ab.ndim - 1) + tail)
+
     if fam is ModelFamily.QM:
         return -ab
     if fam is ModelFamily.FHV:
-        return -ab / (1.0 + params.eta)
+        return -ab / (1.0 + column(lambda m: m.eta))
     if fam is ModelFamily.SHV:
-        pbar = params.p_mean()
+        pbar = column(ModelParams.p_mean, 3)
         cross_term = np.sum(np.cross(a, b) * pbar, axis=-1)
-        return -(ab + cross_term) / math.sqrt(1.0 + params.p_m**2)
+        return -(ab + cross_term) / np.sqrt(1.0 + column(lambda m: m.p_m) ** 2)
     if fam is ModelFamily.THV:
-        z = params.zeta
+        z = column(lambda m: m.zeta)
         return -(1.0 - 3.0 * z / 35.0) * ab + (2.0 * z / 35.0) * ab**3
     raise InvalidModelError(f"no analytic correlator for family {fam.value}")
 
@@ -74,7 +87,7 @@ def analytic_correlator(params: ModelParams, s: Settings) -> float:
         THV  -(1 - 3*zeta/35) a.b + (2*zeta/35) (a.b)^3
         QM   -a.b
     """
-    return float(_pair_correlator_arrays(params, s.a.arr, s.b.arr))
+    return float(_pair_correlator_arrays((params,), s.a.arr[None], s.b.arr[None])[0])
 
 
 def scalar_correlator(params: ModelParams, ab: float) -> float:
@@ -119,8 +132,8 @@ def mc_correlator(
     Work is split over ``shards`` deterministic substreams; the result is
     bit-reproducible for a fixed (seed, shards) pair.
     """
-    if n < 100:
-        raise ValueError("n must be at least 100")
+    if n < MIN_MC_SAMPLES:
+        raise ValueError(f"n must be at least {MIN_MC_SAMPLES}")
     if shards < 1:
         raise ValueError("shards must be positive")
     streams = np.random.SeedSequence(seed).spawn(shards)
@@ -144,6 +157,34 @@ def mc_correlator(
     return MCEstimate(mean=mean, stderr=stderr, n=count, seed=seed)
 
 
+def _plane_avg_block(
+    models, which: np.ndarray, e1: np.ndarray, e2: np.ndarray, phi: np.ndarray,
+    order: int, theta0: float = 0.0,
+) -> np.ndarray:
+    """In-plane orientation averages for n independent requests at once:
+    request i averages the correlator of ``models[which[i]]`` over setting
+    pairs at relative angle ``phi[i]`` in the plane spanned by ``e1[i]``,
+    ``e2[i]`` ((n, 3) arrays).
+
+    The (request, node) grid is evaluated in blocks of at most
+    ``BLOCK_PAIRS`` pairs, so memory stays bounded whatever n is.  Every
+    request is reduced on its own row, so its value does not depend on which
+    other requests share the call.
+    """
+    theta = theta0 + np.arange(order) * (2.0 * math.pi / order)
+    cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    out = np.empty(len(phi))
+    step = max(1, BLOCK_PAIRS // order)
+    for start in range(0, len(phi), step):
+        rows = slice(start, start + step)
+        u1, u2 = e1[rows, None, :], e2[rows, None, :]
+        a = cos_t * u1 + sin_t * u2
+        tb = theta + phi[rows, None]
+        b = np.cos(tb)[..., None] * u1 + np.sin(tb)[..., None] * u2
+        out[rows] = np.mean(_pair_correlator_arrays(models, a, b, which[rows]), axis=-1)
+    return out
+
+
 def plane_avg_correlator(
     params: ModelParams, spec: PlaneAverageSpec, theta0: float = 0.0
 ) -> float:
@@ -155,14 +196,11 @@ def plane_avg_correlator(
     analytic correlators produce; ``theta0`` shifts the node phase and must
     not change the result.
     """
-    m = spec.quadrature_order
-    theta = theta0 + np.arange(m) * (2.0 * math.pi / m)
-    e1 = spec.plane.e1.arr
-    e2 = spec.plane.e2.arr
-    a = np.outer(np.cos(theta), e1) + np.outer(np.sin(theta), e2)
-    tb = theta + spec.phi
-    b = np.outer(np.cos(tb), e1) + np.outer(np.sin(tb), e2)
-    return float(np.mean(_pair_correlator_arrays(params, a, b)))
+    one = np.zeros(1, dtype=int)
+    return float(_plane_avg_block(
+        (params,), one, spec.plane.e1.arr[None], spec.plane.e2.arr[None],
+        np.array([spec.phi]), spec.quadrature_order, theta0,
+    )[0])
 
 
 def sphere_moment_oracle(a: UnitVector3, b: UnitVector3, order: int = 24) -> float:

@@ -37,6 +37,7 @@ from .models import (
     sample_hidden,
 )
 from .correlators import (
+    MIN_MC_SAMPLES,
     analytic_correlator,
     mc_correlator,
     sphere_moment_oracle,
@@ -50,19 +51,22 @@ from .inequalities import (
     ETA_MAX_BRANCIARD_FHV,
     ETA_MAX_CHSH_FHV,
     ETA_MAX_LEGGETT_FHV,
+    INEQUALITIES,
     LEGGETT_QM_ARGMAX_PHI,
     LEGGETT_QM_MAX_MARGIN,
+    PHI_DOMAINS,
     PM_MAX_CHSH_SHV,
+    SCAN_VARIABLES,
     ZETA_MAX_BRANCIARD_THV,
     ZETA_MAX_LEGGETT_THV,
     ZETA_ROOT_CHSH_THV_DERIVED,
     ZETA_ROOT_CHSH_THV_QUOTED,
-    _with_variable,
     bhv_chsh_search,
     branciard_fhv_argmax_sin,
     branciard_fhv_window_center_quoted,
     branciard_fhv_window_sin_derived,
     branciard_value,
+    check_phi,
     chsh_value,
     correlator_fn,
     leggett_fhv_window_sin,
@@ -71,6 +75,7 @@ from .inequalities import (
     lhv_leggett_search,
     margin,
     max_violation,
+    scan_values,
     threshold,
     violation_window,
 )
@@ -81,6 +86,14 @@ SCAN_CSV_HEADER = "variable,value_of_variable,inequality,value,bound,margin,viol
 
 TASKS = ("prob", "correlator", "chsh", "leggett", "branciard", "scan", "verify")
 
+# The one family whose model each scan variable rebinds; other families
+# ignore it, so scanning it there would print identical rows.
+SCAN_VARIABLE_FAMILY = {
+    "eta": ModelFamily.FHV,
+    "zeta": ModelFamily.THV,
+    "p_m": ModelFamily.SHV,
+}
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
@@ -89,30 +102,46 @@ class ConfigError(ValueError):
 # ------------------------------ config parsing ------------------------------
 
 
+def parse_number(value, what: str) -> float:
+    """A finite float from a JSON number or numeric string."""
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
+def parse_integer(value, what: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    number = parse_number(value, what)
+    if number != int(number):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(number)
+
+
 def parse_angle(value) -> float:
     """Angles are radians by default; strings may carry a 'deg' or 'rad'
     suffix to make the unit explicit."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
     if isinstance(value, str):
         text = value.strip().lower()
-        try:
-            if text.endswith("deg"):
-                return math.radians(float(text[:-3]))
-            if text.endswith("rad"):
-                return float(text[:-3])
-            return float(text)
-        except ValueError:
-            pass
-    raise ConfigError(f"cannot parse angle {value!r}")
+        if text.endswith("deg"):
+            return math.radians(parse_number(text[:-3], "angle"))
+        if text.endswith("rad"):
+            return parse_number(text[:-3], "angle")
+    return parse_number(value, "angle")
 
 
 def parse_unit_vector(value) -> UnitVector3:
     if not (isinstance(value, (list, tuple)) and len(value) == 3):
         raise ConfigError(f"expected a 3-component vector, got {value!r}")
     try:
-        return UnitVector3.from_array([float(c) for c in value])
-    except (TypeError, ValueError) as exc:
+        return UnitVector3.from_array([parse_number(c, "vector component") for c in value])
+    except ValueError as exc:
         raise ConfigError(f"bad vector {value!r}: {exc}") from exc
 
 
@@ -122,7 +151,8 @@ def _parse_f(block: dict) -> FSpec:
         raise ConfigError(f"unknown f keys: {sorted(extra)}")
     try:
         return FSpec(
-            coeff=float(block.get("coeff", 0.5)), power=int(block.get("power", 1))
+            coeff=parse_number(block.get("coeff", 0.5), "f coeff"),
+            power=parse_integer(block.get("power", 1), "f power"),
         )
     except InvalidModelError as exc:
         raise ConfigError(str(exc)) from exc
@@ -136,7 +166,7 @@ def _parse_p(block: dict):
         p0 = block.get("p0", [0.0, 0.0, 0.5])
         if not (isinstance(p0, (list, tuple)) and len(p0) == 3):
             raise ConfigError(f"p0 must be a 3-component vector, got {p0!r}")
-        return ConstantP(tuple(float(c) for c in p0))
+        return ConstantP(tuple(parse_number(c, "p0 component") for c in p0))
     if kind == "cap":
         if extra := set(block) - {"kind", "axis", "half_angle", "pm"}:
             raise ConfigError(f"unknown p keys: {sorted(extra)}")
@@ -144,7 +174,7 @@ def _parse_p(block: dict):
             return CapP(
                 axis=parse_unit_vector(block.get("axis", [0.0, 0.0, 1.0])),
                 half_angle=parse_angle(block.get("half_angle", PI / 6)),
-                magnitude=float(block.get("pm", 0.5)),
+                magnitude=parse_number(block.get("pm", 0.5), "cap pm"),
             )
         except InvalidModelError as exc:
             raise ConfigError(str(exc)) from exc
@@ -168,14 +198,21 @@ def parse_model(block: dict) -> ModelParams:
     try:
         return ModelParams(
             family=family,
-            eta=float(block.get("eta", 0.0)),
-            zeta=float(block.get("zeta", 0.0)),
+            eta=parse_number(block.get("eta", 0.0), "eta"),
+            zeta=parse_number(block.get("zeta", 0.0), "zeta"),
             f_spec=_parse_f(block.get("f", {})),
             f_spec_b=_parse_f(block["f_b"]) if "f_b" in block else None,
             p_spec=_parse_p(block.get("p", {})),
         )
     except InvalidModelError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _check_phi_config(inequality: str, phi) -> None:
+    try:
+        check_phi(inequality, phi)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -187,14 +224,16 @@ class ScanSpec:
     steps: int
 
     def __post_init__(self) -> None:
-        if self.inequality not in ("chsh", "leggett", "branciard"):
+        if self.inequality not in INEQUALITIES:
             raise ConfigError(f"unknown inequality {self.inequality!r}")
-        if self.variable not in ("phi", "eta", "zeta", "p_m"):
+        if self.variable not in SCAN_VARIABLES:
             raise ConfigError(f"unknown scan variable {self.variable!r}")
         if self.steps < 2:
             raise ConfigError("scan needs at least 2 steps")
-        if self.inequality == "chsh" and self.variable == "phi":
-            raise ConfigError("chsh has no phi dependence")
+        if self.variable == "phi":
+            if self.inequality == "chsh":
+                raise ConfigError("chsh has no phi dependence")
+            _check_phi_config(self.inequality, (self.start, self.stop))
 
 
 @dataclass(frozen=True)
@@ -207,6 +246,14 @@ class VerifySpec:
     mc_trial_n: int = 100_000
     trials: int = 100
     cases: int = 10_000
+
+    def __post_init__(self) -> None:
+        if self.sigma < 0.0:
+            raise ConfigError("verify sigma must be nonnegative")
+        if self.mc_trial_n < MIN_MC_SAMPLES:
+            raise ConfigError(f"verify mc_trial_n must be at least {MIN_MC_SAMPLES}")
+        if min(self.mc_n, self.trials, self.cases) < 1:
+            raise ConfigError("verify mc_n, trials and cases must be positive")
 
 
 @dataclass(frozen=True)
@@ -230,14 +277,30 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}")
-        if self.n is not None and self.n < 1:
-            raise ConfigError("n must be positive")
+        if self.n is not None and self.n < MIN_MC_SAMPLES:
+            raise ConfigError(f"n must be at least {MIN_MC_SAMPLES}")
         if self.shards < 1:
             raise ConfigError("shards must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.task == "scan" and self.scan is None:
             raise ConfigError("scan task requires a scan block")
-        if self.task in ("leggett", "branciard") and self.phi is None:
+        if self.task in PHI_DOMAINS and self.phi is None:
             raise ConfigError(f"{self.task} task requires phi")
+        if self.task == "scan":
+            family = SCAN_VARIABLE_FAMILY.get(self.scan.variable)
+            if family is not None and self.params.family is not family:
+                raise ConfigError(
+                    f"scan variable {self.scan.variable!r} is a {family.value} "
+                    f"parameter; the {self.params.family.value} model ignores it"
+                )
+        if self.phi is not None:
+            inequality = self.scan.inequality if self.task == "scan" else self.task
+            if self.task == "scan" and self.scan.variable == "phi":
+                raise ConfigError("phi is the scan variable; a fixed phi would be ignored")
+            if inequality not in PHI_DOMAINS:
+                raise ConfigError(f"phi is not used by {inequality}")
+            _check_phi_config(inequality, self.phi)
 
 
 def parse_config(doc: dict, task: str | None = None) -> RunConfig:
@@ -273,7 +336,7 @@ def parse_config(doc: dict, task: str | None = None) -> RunConfig:
                 variable=str(block["variable"]),
                 start=parse_angle(block["start"]),
                 stop=parse_angle(block["stop"]),
-                steps=int(block["steps"]),
+                steps=parse_integer(block["steps"], "scan steps"),
             )
         except KeyError as exc:
             raise ConfigError(f"scan block missing {exc.args[0]!r}") from exc
@@ -283,11 +346,11 @@ def parse_config(doc: dict, task: str | None = None) -> RunConfig:
     if extra := set(verify_block) - known_verify:
         raise ConfigError(f"unknown verify keys: {sorted(extra)}")
     verify = VerifySpec(
-        sigma=float(verify_block.get("sigma", 4.0)),
-        mc_n=int(verify_block.get("mc_n", 1_000_000)),
-        mc_trial_n=int(verify_block.get("mc_trial_n", 100_000)),
-        trials=int(verify_block.get("trials", 100)),
-        cases=int(verify_block.get("cases", 10_000)),
+        sigma=parse_number(verify_block.get("sigma", 4.0), "verify sigma"),
+        mc_n=parse_integer(verify_block.get("mc_n", 1_000_000), "verify mc_n"),
+        mc_trial_n=parse_integer(verify_block.get("mc_trial_n", 100_000), "verify mc_trial_n"),
+        trials=parse_integer(verify_block.get("trials", 100), "verify trials"),
+        cases=parse_integer(verify_block.get("cases", 10_000), "verify cases"),
     )
 
     output = doc.get("output", {})
@@ -306,9 +369,9 @@ def parse_config(doc: dict, task: str | None = None) -> RunConfig:
         b_prime=vec("b_prime"),
         hidden=doc.get("hidden"),
         phi=parse_angle(doc["phi"]) if "phi" in doc else None,
-        n=int(sampling["n"]) if "n" in sampling else None,
-        seed=int(sampling.get("seed", 0)),
-        shards=int(sampling.get("shards", 1)),
+        n=parse_integer(sampling["n"], "n") if "n" in sampling else None,
+        seed=parse_integer(sampling.get("seed", 0), "seed"),
+        shards=parse_integer(sampling.get("shards", 1), "shards"),
         scan=scan,
         out=output.get("path"),
         fmt=output.get("format"),
@@ -367,7 +430,7 @@ def _resolve_hidden(config: RunConfig) -> tuple[HiddenState | None, str]:
             p = block["p"]
             if not (isinstance(p, (list, tuple)) and len(p) == 3):
                 raise ConfigError(f"hidden p must be a 3-component vector, got {p!r}")
-            return HiddenState.carrier([float(c) for c in p]), "config"
+            return HiddenState.carrier([parse_number(c, "hidden p component") for c in p]), "config"
     return sample_hidden(config.params, make_rng(config.seed)), "sampled"
 
 
@@ -451,30 +514,21 @@ def run_scan(config: RunConfig) -> list[dict]:
     spec = config.scan
     if spec is None:
         raise ConfigError("scan task requires a scan block")
-    params = config.params
+    xs = np.linspace(spec.start, spec.stop, spec.steps)
+    values, bounds = scan_values(spec.inequality, config.params, spec.variable, xs,
+                                 phi=config.phi)
     rows = []
-    for value in np.linspace(spec.start, spec.stop, spec.steps):
-        value = float(value)
-        if spec.variable == "phi":
-            rep = margin(spec.inequality, params, phi=value)
-        else:
-            p2 = _with_variable(params, spec.variable, value)
-            if spec.inequality == "chsh":
-                rep = margin("chsh", p2)
-            elif config.phi is not None:
-                rep = margin(spec.inequality, p2, phi=config.phi)
-            else:
-                best_phi, _ = max_violation(spec.inequality, p2, "phi", (0.0, PI))
-                rep = margin(spec.inequality, p2, phi=best_phi)
+    for x, value, bound in zip(xs.tolist(), values.tolist(), bounds.tolist()):
+        m = value - bound
         rows.append(
             {
                 "variable": spec.variable,
-                "value_of_variable": value,
+                "value_of_variable": x,
                 "inequality": spec.inequality,
-                "value": rep.value,
-                "bound": rep.bound,
-                "margin": rep.margin,
-                "violated": rep.violated,
+                "value": value,
+                "bound": bound,
+                "margin": m,
+                "violated": m > 0.0,
             }
         )
     return rows

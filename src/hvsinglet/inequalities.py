@@ -28,9 +28,9 @@ from .geometry import (
 from .models import ModelFamily, ModelParams, Settings, lhv_feasible_c_range
 from .correlators import (
     DEFAULT_PLANE_NODES,
-    PlaneAverageSpec,
+    _pair_correlator_arrays,
+    _plane_avg_block,
     analytic_correlator,
-    plane_avg_correlator,
     scalar_correlator,
 )
 
@@ -171,6 +171,18 @@ class ThresholdResult:
 
 
 # ------------------------------ parameter values ----------------------------
+#
+# Values are computed for a whole batch of (model, phi) points per call:
+# ``_value_function`` returns a function (phi, which) -> values whose entry i
+# scores ``models[which[i]]`` at ``phi[i]``.  The scalar entry points below are
+# batches of one over that code.
+
+PHI_DOMAINS = {"leggett": (-PI, PI), "branciard": (0.0, PI)}
+
+# Orthogonal triad a_i (rows) of the Branciard construction and its cyclic
+# successors a_{i+1}.
+_TRIAD = np.eye(3)
+_TRIAD_NEXT = np.roll(_TRIAD, -1, axis=0)
 
 
 def chsh_value(
@@ -194,6 +206,96 @@ def chsh_bound() -> float:
     return 2.0
 
 
+def check_phi(name: str, phi) -> None:
+    """Raise ValueError unless every phi lies in the inequality's domain."""
+    lo, hi = PHI_DOMAINS[name]
+    phi = np.asarray(phi)
+    if not np.all((phi >= lo) & (phi <= hi)):
+        raise ValueError(f"{name} phi must lie in [{lo:.6g}, {hi:.6g}]")
+
+
+def _plane_basis(p: Plane) -> np.ndarray:
+    return np.array([p.e1.arr, p.e2.arr])
+
+
+def _leggett_planes(params: ModelParams) -> np.ndarray:
+    """Scoring planes of one model as an (orientations, 2, 2, 3) array: each
+    plane pair, each plane as its (e1, e2) basis.  A mean-carrying p-field
+    adds the flipped orientation of the normal-aligned pair, so the reported
+    F does not hinge on a sign convention for the cross term."""
+    p, q = default_leggett_planes(params)
+    pairs = [(p, q)]
+    if params.family is ModelFamily.SHV:
+        flipped = Plane.with_normal(-p.n)
+        pairs.append((flipped, orthogonal_plane(flipped)))
+    return np.array([[_plane_basis(x) for x in pair] for pair in pairs])
+
+
+def _value_function(
+    name: str, models, order: int = DEFAULT_PLANE_NODES,
+    planes: np.ndarray | None = None, settings=None,
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Inequality value of a batch of points: the returned function maps
+    (phi, which) to values whose entry i scores ``models[which[i]]`` at
+    ``phi[i]``.  ``models`` share one family.
+
+    Leggett averages over ``planes`` ((models, orientations, 2, 2, 3); by
+    default each model's scoring planes) by quadrature and keeps the best
+    orientation.  Branciard sums over the triad.  CHSH uses ``settings`` (by
+    default the optimal ones) and ignores phi.
+    """
+    if name == "chsh":
+        if settings is None:
+            settings = chsh_optimal_settings()
+        a, b, ap, bp = (v.arr for v in settings)
+        left, right = np.array([a, a, ap, ap]), np.array([b, bp, b, bp])
+
+        def value(phi, which):
+            rows = np.broadcast_to(right, (len(which), 4, 3))
+            c = _pair_correlator_arrays(models, left, rows, which)
+            return np.abs(c[:, 0] + c[:, 1] + c[:, 2] - c[:, 3])
+
+    elif name == "leggett":
+        if planes is None:
+            planes = np.array([_leggett_planes(m) for m in models])
+        k = planes.shape[1] * 2  # planes per point
+        flat = planes.reshape(-1, 2, 3)
+        owner = np.repeat(np.arange(len(planes)), k)
+        zero = _plane_avg_block(models, owner, flat[:, 0], flat[:, 1],
+                                np.zeros(len(flat)), order).reshape(len(planes), -1, 2)
+
+        def value(phi, which):
+            rows = (which[:, None] * k + np.arange(k)).ravel()
+            c = _plane_avg_block(models, owner[rows], flat[rows, 0], flat[rows, 1],
+                                 np.repeat(phi, k), order).reshape(len(phi), -1, 2)
+            return np.max(np.sum(np.abs(c + zero[which]), axis=-1), axis=-1)
+
+    elif name == "branciard":
+
+        def value(phi, which):
+            check_phi("branciard", phi)
+            half = phi[:, None, None] / 2.0
+            c, s = np.cos(half), np.sin(half)
+            v = np.stack([c * _TRIAD + s * _TRIAD_NEXT, c * _TRIAD - s * _TRIAD_NEXT], axis=1)
+            b = v / np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+            corr = _pair_correlator_arrays(models, _TRIAD, b, which)
+            return np.sum(np.abs(corr[:, 0] + corr[:, 1]), axis=-1) / 3.0
+
+    else:
+        raise ValueError(f"unknown inequality {name!r}")
+    return value
+
+
+def _bound(name: str, phi: np.ndarray) -> np.ndarray:
+    if name == "chsh":
+        return np.full(len(phi), chsh_bound())
+    return leggett_bound(phi) if name == "leggett" else branciard_bound(phi)
+
+
+def _one(value: Callable[[np.ndarray, np.ndarray], np.ndarray], phi: float) -> float:
+    return float(value(np.array([float(phi)]), np.zeros(1, dtype=int))[0])
+
+
 def leggett_value(
     params: ModelParams,
     p: Plane,
@@ -205,19 +307,15 @@ def leggett_value(
     correlators over two orthogonal planes."""
     if abs(dot(p.n, p_prime.n)) > 1e-10:
         raise ValueError("plane normals must be orthogonal")
-    total = 0.0
-    for plane in (p, p_prime):
-        c_phi = plane_avg_correlator(params, PlaneAverageSpec(plane, phi, order))
-        c_zero = plane_avg_correlator(params, PlaneAverageSpec(plane, 0.0, order))
-        total += abs(c_phi + c_zero)
-    return total
+    planes = np.array([[[_plane_basis(p), _plane_basis(p_prime)]]])
+    return _one(_value_function("leggett", (params,), order, planes), phi)
 
 
-def leggett_bound(phi: float) -> float:
-    """Classical bound 4 - (4/pi) sin|phi/2| for Malus-marginal models."""
-    if not -PI <= phi <= PI:
-        raise ValueError("phi must lie in [-pi, pi]")
-    return 4.0 - (4.0 / PI) * math.sin(abs(phi) / 2.0)
+def leggett_bound(phi):
+    """Classical bound 4 - (4/pi) sin|phi/2| for Malus-marginal models
+    (elementwise for an array of phi)."""
+    check_phi("leggett", phi)
+    return 4.0 - (4.0 / PI) * np.sin(np.abs(phi) / 2.0)
 
 
 def default_leggett_planes(params: ModelParams) -> tuple[Plane, Plane]:
@@ -240,25 +338,13 @@ def leggett_value_best(
     """F(phi) on the default plane pair.  Both orientations of the
     normal-aligned plane are evaluated and the larger F is reported, so the
     result does not hinge on a sign convention for the cross term."""
-    p, p_prime = default_leggett_planes(params)
-    best = leggett_value(params, p, p_prime, phi, order)
-    if params.family is ModelFamily.SHV:
-        flipped = Plane.with_normal(-p.n)
-        best = max(best, leggett_value(params, flipped, orthogonal_plane(flipped), phi, order))
-    return best
+    return _one(_value_function("leggett", (params,), order), phi)
 
 
 def branciard_value(params: ModelParams, phi: float) -> float:
     """G(phi) = (1/3) sum_i |C(a_i, b_i) + C(a_i, b'_i)| on the explicit
     orthogonal-triad construction."""
-    triad, bs, bps = branciard_settings(phi)
-    total = 0.0
-    for ai, bi, bpi in zip(triad.axes, bs, bps):
-        total += abs(
-            analytic_correlator(params, Settings(ai, bi))
-            + analytic_correlator(params, Settings(ai, bpi))
-        )
-    return total / 3.0
+    return _one(_value_function("branciard", (params,)), phi)
 
 
 def branciard_value_from_scalar(params: ModelParams, phi: float) -> float:
@@ -267,11 +353,11 @@ def branciard_value_from_scalar(params: ModelParams, phi: float) -> float:
     return 2.0 * abs(scalar_correlator(params, math.cos(phi / 2.0)))
 
 
-def branciard_bound(phi: float) -> float:
-    """Classical bound 2 - (2/3) sin|phi/2| for Malus-marginal models."""
-    if not -PI <= phi <= PI:
-        raise ValueError("phi must lie in [-pi, pi]")
-    return 2.0 - (2.0 / 3.0) * math.sin(abs(phi) / 2.0)
+def branciard_bound(phi):
+    """Classical bound 2 - (2/3) sin(phi/2) for Malus-marginal models
+    (elementwise for an array of phi), on the triad's domain [0, pi]."""
+    check_phi("branciard", phi)
+    return 2.0 - (2.0 / 3.0) * np.sin(np.abs(phi) / 2.0)
 
 
 # ------------------------------- margins -----------------------------------
@@ -291,27 +377,19 @@ def margin(
 ) -> InequalityReport:
     """Assemble value, bound, margin, and violation flag for one inequality."""
     if name == "chsh":
-        a, b, ap, bp = settings if settings is not None else chsh_optimal_settings()
-        value = chsh_value(correlator_fn(params), a, b, ap, bp)
-        bound = chsh_bound()
         config = {
             "family": params.family.value,
             "settings": "optimal" if settings is None else "custom",
         }
-    elif name == "leggett":
+    elif name in PHI_DOMAINS:
         if phi is None:
-            raise ValueError("leggett margin requires phi")
-        value = leggett_value_best(params, phi, order)
-        bound = leggett_bound(phi)
-        config = {"family": params.family.value, "phi": phi}
-    elif name == "branciard":
-        if phi is None:
-            raise ValueError("branciard margin requires phi")
-        value = branciard_value(params, phi)
-        bound = branciard_bound(phi)
+            raise ValueError(f"{name} margin requires phi")
         config = {"family": params.family.value, "phi": phi}
     else:
         raise ValueError(f"unknown inequality {name!r}")
+    at = 0.0 if phi is None else float(phi)
+    value = _one(_value_function(name, (params,), order, settings=settings), at)
+    bound = float(_bound(name, np.array([at]))[0])
     m = value - bound
     return InequalityReport(name, value, bound, m, m > 0.0, config)
 
@@ -326,6 +404,41 @@ def _with_variable(params: ModelParams, variable: str, value: float) -> ModelPar
     raise ValueError(f"cannot rebind model variable {variable!r}")
 
 
+def _scan(
+    name: str, params: ModelParams, variable: str, *,
+    phi: float | None, order: int, nodes: int, tol: float,
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Values and bounds of one inequality along a grid of one scan variable,
+    as a function of the grid.
+
+    For phi the model is held fixed.  For a model parameter, CHSH is scored
+    at the optimal settings; the angle-dependent inequalities are scored at
+    the given phi when provided, otherwise at the maximizing phi of each grid
+    value, all maximized in lockstep (seed grid of ``nodes``, tolerance
+    ``tol``).  Every grid value is validated as a model of its own.
+    """
+    if variable not in SCAN_VARIABLES:
+        raise ValueError(f"unknown scan variable {variable!r}")
+    if variable == "phi":
+        if name == "chsh":
+            raise ValueError("chsh has no phi dependence")
+        value = _value_function(name, (params,), order)
+        return lambda xs: (value(xs, np.zeros(len(xs), dtype=int)), _bound(name, xs))
+
+    def evaluate(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        models = [_with_variable(params, variable, x) for x in xs.tolist()]
+        which = np.arange(len(models))
+        value = _value_function(name, models, order)
+        if name == "chsh" or phi is not None:
+            at = np.full(len(models), 0.0 if phi is None else float(phi))
+        else:
+            at, _ = _maximize(lambda x, i: value(x, i) - _bound(name, x),
+                              len(models), (0.0, PI), nodes, tol)
+        return value(at, which), _bound(name, at)
+
+    return evaluate
+
+
 def margin_function(
     name: str,
     params: ModelParams,
@@ -333,49 +446,60 @@ def margin_function(
     *,
     phi: float | None = None,
     order: int = DEFAULT_PLANE_NODES,
-) -> Callable[[float], float]:
-    """Margin as a function of one scan variable.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Margin as a function of one scan variable: a 1-d array of its values
+    in, the array of margins out, scored as in ``_scan``."""
+    # only the max VALUE matters here, and it is flat in phi near the
+    # maximizer, so a coarse seed grid and loose tolerance lose nothing
+    evaluate = _scan(name, params, variable, phi=phi, order=order, nodes=64, tol=1e-5)
 
-    For phi the model is held fixed.  For a model parameter, CHSH is scored
-    at the optimal settings; the angle-dependent inequalities are scored at
-    the given phi when provided, otherwise at their maximizing phi.
-    """
-    if variable not in SCAN_VARIABLES:
-        raise ValueError(f"unknown scan variable {variable!r}")
-    if variable == "phi":
-        if name == "chsh":
-            raise ValueError("chsh has no phi dependence")
-        return lambda v: margin(name, params, phi=v, order=order).margin
-
-    def f(value: float) -> float:
-        p = _with_variable(params, variable, value)
-        if name == "chsh":
-            return margin("chsh", p).margin
-        if phi is not None:
-            return margin(name, p, phi=phi, order=order).margin
-        # only the max VALUE matters here, and it is flat in phi near the
-        # maximizer, so a coarse seed grid and loose tolerance lose nothing
-        return max_violation(name, p, "phi", (0.0, PI), tol=1e-5,
-                             nodes=64, order=order)[1]
+    def f(xs: np.ndarray) -> np.ndarray:
+        value, bound = evaluate(np.asarray(xs, dtype=float))
+        return value - bound
 
     return f
 
 
+def scan_values(
+    name: str,
+    params: ModelParams,
+    variable: str,
+    xs: np.ndarray,
+    *,
+    phi: float | None = None,
+    order: int = DEFAULT_PLANE_NODES,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Value and classical bound at each grid value of one scan variable.
+    Without a fixed phi, the angle-dependent inequalities are scored at the
+    maximizing phi of each grid value, searched as in ``max_violation``."""
+    evaluate = _scan(name, params, variable, phi=phi, order=order,
+                     nodes=MAX_SEED_NODES, tol=1e-10)
+    return evaluate(np.asarray(xs, dtype=float))
+
+
 # --------------------------- search machinery ------------------------------
+#
+# Each helper runs independent problems in lockstep: ``f(x, i)`` scores the
+# points ``x`` of the problems ``i`` in one batched call, and a per-problem
+# mask stops each problem when its own test says so, so every problem takes
+# exactly the iterates it would take alone.
 
 
 def _bisect_boundary(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> float:
-    """Boundary of {x : f(x) > 0} inside [lo, hi], assuming the predicate
-    differs at the endpoints."""
-    positive_lo = f(lo) > 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if (f(mid) > 0.0) == positive_lo:
-            lo = mid
-        else:
-            hi = mid
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, tol: float
+) -> np.ndarray:
+    """Boundary of {x : f(x) > 0} inside each bracket [lo[i], hi[i]],
+    assuming the predicate differs at the bracket's ends."""
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    positive_lo = f(lo, np.arange(lo.size)) > 0.0
+    active = np.flatnonzero(hi - lo > tol)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        same = (f(mid, active) > 0.0) == positive_lo[active]
+        lo[active[same]] = mid[same]
+        hi[active[~same]] = mid[~same]
+        active = active[hi[active] - lo[active] > tol]
     return 0.5 * (lo + hi)
 
 
@@ -396,60 +520,92 @@ def violation_window(
     f = margin_function(name, params, variable, phi=phi, order=order)
     lo, hi = domain
     xs = np.linspace(lo, hi, nodes)
-    fs = np.array([f(x) for x in xs])
-    pos = np.flatnonzero(fs > 0.0)
+    pos = np.flatnonzero(f(xs) > 0.0)
     if pos.size == 0:
         return ViolationWindow(variable, math.nan, math.nan, True)
     i0, i1 = int(pos[0]), int(pos[-1])
-    lower = xs[i0] if i0 == 0 else _bisect_boundary(f, xs[i0 - 1], xs[i0], tol)
-    upper = xs[i1] if i1 == nodes - 1 else _bisect_boundary(f, xs[i1], xs[i1 + 1], tol)
-    return ViolationWindow(variable, float(lower), float(upper), False)
+    # both ends are bisected together; an end on the domain edge stays put
+    ends = np.array([xs[i0], xs[i1]])
+    brackets = np.array([[xs[max(i0 - 1, 0)], xs[i0]],
+                         [xs[i1], xs[min(i1 + 1, nodes - 1)]]])
+    inner = np.flatnonzero([i0 > 0, i1 < nodes - 1])
+    if inner.size:
+        ends[inner] = _bisect_boundary(lambda x, i: f(x), brackets[inner, 0],
+                                       brackets[inner, 1], tol)
+    return ViolationWindow(variable, float(ends[0]), float(ends[1]), False)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _golden_max(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, float]:
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    every = np.arange(lo.size)
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
+    f1, f2 = np.split(f(np.concatenate([x1, x2]), np.tile(every, 2)), 2)
+    active = np.flatnonzero(hi - lo > tol)
+    while active.size:
+        up = f1[active] < f2[active]
+        r, l = active[up], active[~up]
+        lo[r], x1[r], f1[r] = x1[r], x2[r], f2[r]
+        x2[r] = lo[r] + _GOLDEN * (hi[r] - lo[r])
+        hi[l], x2[l], f2[l] = x2[l], x1[l], f1[l]
+        x1[l] = hi[l] - _GOLDEN * (hi[l] - lo[l])
+        probe = f(np.where(up, x2[active], x1[active]), active)
+        f2[r], f1[l] = probe[up], probe[~up]
+        active = active[hi[active] - lo[active] > tol]
     x = 0.5 * (lo + hi)
-    return x, f(x)
+    return x, f(x, every)
 
 
 def _parabolic_vertex(
-    f: Callable[[float], float], x: float, h: float,
-    lo: float, hi: float,
-) -> tuple[float, float] | None:
-    """Vertex of the parabola through (x - h, x, x + h).
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    x: np.ndarray, fx: np.ndarray, h: float, lo: float, hi: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex of the parabola through (x - h, x, x + h) and its value, or
+    (x, fx) where the fit does not apply.
 
     Near a smooth interior maximum the margin is locally quadratic and so
     flat that golden-section alone localizes the maximizer only to about the
     square root of the evaluation noise; one parabola fit at a spacing well
     above the noise floor recovers the lost digits.
     """
-    if x - h <= lo or x + h >= hi:
-        return None
-    f_minus, f_mid, f_plus = f(x - h), f(x), f(x + h)
-    curvature = f_minus - 2.0 * f_mid + f_plus
-    if curvature >= 0.0:
-        return None
-    shift = 0.5 * h * (f_minus - f_plus) / curvature
-    if abs(shift) > h:
-        return None
-    vertex = x + shift
-    return vertex, f(vertex)
+    vertex, value = x.copy(), fx.copy()
+    i = np.flatnonzero((x - h > lo) & (x + h < hi))
+    if i.size == 0:
+        return vertex, value
+    f_minus, f_plus = np.split(f(np.concatenate([x[i] - h, x[i] + h]), np.tile(i, 2)), 2)
+    curvature = f_minus - 2.0 * fx[i] + f_plus
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = 0.5 * h * (f_minus - f_plus) / curvature
+    fit = (curvature < 0.0) & (np.abs(shift) <= h)
+    i = i[fit]
+    if i.size:
+        vertex[i] = x[i] + shift[fit]
+        value[i] = f(vertex[i], i)
+    return vertex, value
+
+
+def _maximize(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int,
+    domain: tuple[float, float], nodes: int, tol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximizers and maxima of n problems over one domain: grid scan to
+    seed a bracket, golden-section refinement, then a parabolic vertex fit."""
+    lo, hi = domain
+    xs = np.linspace(lo, hi, nodes)
+    every = np.arange(n)
+    k = np.argmax(f(np.tile(xs, n), np.repeat(every, nodes)).reshape(n, nodes), axis=1)
+    x, fx = _golden_max(f, xs[np.maximum(k - 1, 0)], xs[np.minimum(k + 1, nodes - 1)],
+                        max(tol, 1e-6))
+    vertex, value = _parabolic_vertex(f, x, fx, 3e-5, lo, hi)
+    # the fit can land a hair below the golden value by noise; prefer
+    # the vertex location but report the better of the two values
+    return vertex, np.maximum(value, fx)
 
 
 def max_violation(
@@ -465,21 +621,8 @@ def max_violation(
     """Maximizer and value of the margin over the domain: grid scan to seed a
     bracket, golden-section refinement, then a parabolic vertex fit."""
     f = margin_function(name, params, variable, order=order)
-    lo, hi = domain
-    xs = np.linspace(lo, hi, nodes)
-    fs = np.array([f(x) for x in xs])
-    k = int(np.argmax(fs))
-    blo = xs[max(0, k - 1)]
-    bhi = xs[min(nodes - 1, k + 1)]
-    x, fx = _golden_max(f, blo, bhi, max(tol, 1e-6))
-    refined = _parabolic_vertex(f, x, 3e-5, lo, hi)
-    if refined is not None and refined[1] >= fx:
-        return refined
-    if refined is not None:
-        # the fit can land a hair below the golden value by noise; prefer
-        # the vertex location but report the better of the two values
-        return refined[0], max(refined[1], fx)
-    return x, fx
+    x, fx = _maximize(lambda x, i: f(x), 1, domain, nodes, tol)
+    return float(x[0]), float(fx[0])
 
 
 def threshold(
@@ -504,17 +647,16 @@ def threshold(
     f = margin_function(name, params, variable, phi=phi, order=order)
     lo, hi = domain
     xs = np.linspace(lo, hi, nodes)
-    fs = np.array([f(x) for x in xs])
-    signs = fs > 0.0
+    signs = f(xs) > 0.0
     flips = np.flatnonzero(signs[:-1] != signs[1:])
     if not signs[0] or flips.size == 0:
         return ThresholdResult(name, variable, False, None, closed_form, None)
     if flips.size > 1:
         raise ValueError("margin changes sign more than once on the scan grid")
     k = int(flips[0])
-    root = _bisect_boundary(f, xs[k], xs[k + 1], tol)
+    root = float(_bisect_boundary(lambda x, i: f(x), [xs[k]], [xs[k + 1]], tol)[0])
     diff = abs(root - closed_form) if closed_form is not None else None
-    return ThresholdResult(name, variable, True, float(root), closed_form, diff)
+    return ThresholdResult(name, variable, True, root, closed_form, diff)
 
 
 # ------------------------------ bound audits --------------------------------

@@ -116,8 +116,8 @@ class CapP:
     magnitude: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.magnitude < 0.0:
-            raise InvalidModelError("cap magnitude must be nonnegative")
+        if not (math.isfinite(self.magnitude) and self.magnitude >= 0.0):
+            raise InvalidModelError("cap magnitude must be finite and nonnegative")
         if not 0.0 <= self.half_angle <= math.pi:
             raise InvalidModelError("cap half-angle must lie in [0, pi]")
 
@@ -244,8 +244,8 @@ class ModelParams:
 
     def with_pm(self, p_m: float) -> "ModelParams":
         """Rescale the p-field to the given sup norm, keeping its shape."""
-        if p_m < 0.0:
-            raise InvalidModelError("p_m must be nonnegative")
+        if not (math.isfinite(p_m) and p_m >= 0.0):
+            raise InvalidModelError("p_m must be finite and nonnegative")
         if isinstance(self.p_spec, ConstantP):
             cur = self.p_spec.p_sup()
             direction = (
@@ -263,16 +263,15 @@ class HiddenState:
     u: UnitVector3 | None = None
     v: UnitVector3 | None = None
     p: tuple[float, float, float] | None = None
-    lambda_id: int = 0
 
     @classmethod
     def uv(cls, u: UnitVector3, v: UnitVector3) -> "HiddenState":
         return cls(u=u, v=v)
 
     @classmethod
-    def carrier(cls, p, lambda_id: int = 0) -> "HiddenState":
+    def carrier(cls, p) -> "HiddenState":
         px, py, pz = (float(c) for c in p)
-        return cls(p=(px, py, pz), lambda_id=lambda_id)
+        return cls(p=(px, py, pz))
 
     @property
     def p_arr(self) -> np.ndarray:
@@ -453,7 +452,7 @@ def sample_hidden(params: ModelParams, rng: np.random.Generator) -> HiddenState:
         return HiddenState.uv(u, -u)
     if params.family is ModelFamily.SHV:
         p = params.p_spec.sample(rng, 1)[0]
-        return HiddenState.carrier(p, lambda_id=int(rng.integers(0, 2**63)))
+        return HiddenState.carrier(p)
     raise InvalidModelError(f"family {params.family.value} has no hidden sampler")
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ from hvsinglet.harness import (
 from hvsinglet.models import ModelFamily
 
 FAST_VERIFY = {"trials": 3, "mc_trial_n": 2000, "cases": 500, "mc_n": 20_000}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestParsing:
@@ -285,6 +287,71 @@ class TestCli:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"] == pytest.approx(2 * math.cos(math.pi / 6), abs=1e-12)
+
+
+class TestInvalidInputExit2:
+    @pytest.mark.parametrize("argv", [
+        ["leggett", "--phi", "4"],
+        ["leggett", "--phi", "nan"],
+        ["leggett", "--phi=-200deg"],
+        ["branciard", "--phi=-0.5"],
+        ["branciard", "--phi", "inf"],
+        ["correlator", "--n", "50"],
+        ["correlator", "--model", "shv", "--pm", "nan"],
+        ["chsh", "--model", "fhv", "--eta", "nan"],
+        ["chsh", "--phi", "0.3"],
+        ["scan", "--config", str(CONFIGS / "chsh_eta_scan.json"), "--model", "thv"],
+        ["scan", "--config", str(CONFIGS / "chsh_eta_scan.json"), "--phi", "0.3"],
+        ["scan", "--config", str(CONFIGS / "leggett_phi_scan.json"), "--phi", "0.3"],
+    ])
+    def test_rejected_with_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc", [
+        {"model": {"family": "qm"}, "scan": {"inequality": "leggett", "variable": "eta",
+                                             "start": 0.0, "stop": 0.1, "steps": 3}},
+        {"model": {"family": "fhv"}, "scan": {"inequality": "chsh", "variable": "zeta",
+                                              "start": 0.0, "stop": 1.0, "steps": 3}},
+        {"model": {"family": "thv"}, "scan": {"inequality": "chsh", "variable": "p_m",
+                                              "start": 0.0, "stop": 1.0, "steps": 3}},
+        {"scan": {"inequality": "branciard", "variable": "phi",
+                  "start": -0.5, "stop": 1.0, "steps": 3}},
+        {"scan": {"inequality": "leggett", "variable": "phi",
+                  "start": 0.0, "stop": "190deg", "steps": 3}},
+        {"scan": {"inequality": "leggett", "variable": "phi",
+                  "start": 0.0, "stop": 1.0, "steps": "many"}},
+        {"model": {"family": "shv", "p": {"kind": "cap", "pm": "nan"}},
+         "scan": {"inequality": "chsh", "variable": "p_m",
+                  "start": 0.0, "stop": 1.0, "steps": 3}},
+        {"model": {"family": "fhv"}, "sampling": {"seed": 1.5},
+         "scan": {"inequality": "chsh", "variable": "eta",
+                  "start": 0.0, "stop": 1.0, "steps": 3}},
+    ])
+    def test_scan_config_rejected(self, doc, tmp_path, capsys):
+        assert main(["scan", "--config", _write_cfg(tmp_path, doc)]) == 2
+
+    def test_bad_verify_knobs_rejected(self, capsys):
+        with pytest.raises(ConfigError):
+            parse_config({"task": "verify", "verify": {"mc_trial_n": 50}})
+        with pytest.raises(ConfigError):
+            parse_config({"task": "verify", "verify": {"trials": "lots"}})
+
+    def test_fixed_phi_on_a_parameter_scan_is_used(self):
+        cfg = parse_config({
+            "task": "scan", "model": {"family": "thv"}, "phi": 1.2,
+            "scan": {"inequality": "branciard", "variable": "zeta",
+                     "start": 0.0, "stop": 1.0, "steps": 3},
+        })
+        assert {row["bound"] for row in run_scan(cfg)} == {
+            2.0 - (2.0 / 3.0) * math.sin(0.6)}
+
+    def test_domain_edges_accepted(self, capsys):
+        assert main(["leggett", "--phi=-180deg"]) == 0
+        assert main(["branciard", "--phi", "0"]) == 0
+        assert main(["branciard", "--phi", "180deg"]) == 0
 
 
 def _write_cfg(tmp_path, doc):

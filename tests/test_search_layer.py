@@ -1,0 +1,239 @@
+"""The array-first margin layer against scalar references, and the lockstep
+search helpers against one-problem-at-a-time runs."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hvsinglet import models as models_module
+from hvsinglet.correlators import BLOCK_PAIRS, _plane_avg_block, analytic_correlator
+from hvsinglet.geometry import (
+    UnitVector3,
+    branciard_settings,
+    orthogonal_plane,
+    vectors_in_plane,
+)
+from hvsinglet.inequalities import (
+    _bisect_boundary,
+    _golden_max,
+    _maximize,
+    branciard_bound,
+    default_leggett_planes,
+    leggett_bound,
+    margin,
+    margin_function,
+    threshold,
+)
+from hvsinglet.models import (
+    CapP,
+    ConstantP,
+    InvalidModelError,
+    ModelParams,
+    Settings,
+)
+
+PI = math.pi
+ORDER = 16
+
+unit = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: 0.1 < math.sqrt(sum(c * c for c in v))
+).map(lambda v: UnitVector3.normalized(*v))
+
+models = st.one_of(
+    st.just(ModelParams.qm()),
+    st.floats(0.0, 1.0).map(ModelParams.fhv),
+    st.floats(0.0, 1.8).map(ModelParams.thv),
+    st.builds(lambda d, m: ModelParams.shv(ConstantP(tuple(m * d.arr))),
+              unit, st.floats(0.0, 1.0)),
+    st.builds(lambda axis, half, m: ModelParams.shv(CapP(axis, half, m)),
+              unit, st.floats(0.0, PI / 2), st.floats(0.0, 1.0)),
+)
+phis = st.lists(st.floats(0.0, PI), min_size=1, max_size=12)
+
+
+def _reference_plane_avg(params, plane, phi, order=ORDER):
+    """Node-by-node scalar loop over the in-plane orientation."""
+    total = 0.0
+    for j in range(order):
+        a, b = vectors_in_plane(plane, j * 2.0 * PI / order, phi)
+        total += analytic_correlator(params, Settings(a, b))
+    return total / order
+
+
+def _reference_leggett_margin(params, phi):
+    p, q = default_leggett_planes(params)
+    pairs = [(p, q)]
+    if params.family.value == "shv":
+        flipped = type(p).with_normal(-p.n)
+        pairs.append((flipped, orthogonal_plane(flipped)))
+    best = max(
+        sum(abs(_reference_plane_avg(params, pl, phi) + _reference_plane_avg(params, pl, 0.0))
+            for pl in pair)
+        for pair in pairs
+    )
+    return best - leggett_bound(phi)
+
+
+def _reference_branciard_margin(params, phi):
+    triad, bs, bps = branciard_settings(phi)
+    total = sum(
+        abs(analytic_correlator(params, Settings(ai, bi))
+            + analytic_correlator(params, Settings(ai, bpi)))
+        for ai, bi, bpi in zip(triad.axes, bs, bps)
+    )
+    return total / 3.0 - branciard_bound(phi)
+
+
+class TestArrayMargins:
+    @settings(max_examples=40, deadline=None)
+    @given(params=models, xs=phis, name=st.sampled_from(["leggett", "branciard"]))
+    def test_phi_grid_matches_scalar_margin(self, params, xs, name):
+        got = margin_function(name, params, "phi", order=ORDER)(np.array(xs))
+        want = [margin(name, params, phi=x, order=ORDER).margin for x in xs]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(params=models, xs=st.lists(st.floats(0.0, PI), min_size=1, max_size=4))
+    def test_matches_node_by_node_reference(self, params, xs):
+        leggett = margin_function("leggett", params, "phi", order=ORDER)(np.array(xs))
+        branciard = margin_function("branciard", params, "phi")(np.array(xs))
+        for x, lg, br in zip(xs, leggett, branciard):
+            assert lg == pytest.approx(_reference_leggett_margin(params, x), abs=1e-12)
+            assert br == pytest.approx(_reference_branciard_margin(params, x), abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        case=st.sampled_from([
+            (ModelParams.qm(), "eta", 1.0),  # the singlet ignores eta
+            (ModelParams.fhv(0.0), "eta", 1.0),
+            (ModelParams.thv(0.0), "zeta", 1.8),
+            (ModelParams.shv(ConstantP((0.3, -0.2, 0.4))), "p_m", 1.5),
+            (ModelParams.shv(CapP(UnitVector3.normalized(1, 1, 0), 0.5, 0.5)), "p_m", 1.5),
+        ]),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+        name=st.sampled_from(["chsh", "leggett", "branciard"]),
+        phi=st.floats(0.0, PI),
+    )
+    def test_parameter_grid_matches_scalar_margin(self, case, fractions, name, phi):
+        base, variable, top = case
+        values = [f * top for f in fractions]
+        fixed = None if name == "chsh" else phi
+        got = margin_function(name, base, variable, phi=fixed, order=ORDER)(np.array(values))
+        rebind = {"eta": base.with_eta, "zeta": base.with_zeta, "p_m": base.with_pm}[variable]
+        want = [margin(name, rebind(v), phi=fixed, order=ORDER).margin for v in values]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_block_cap_splits_without_changing_values(self):
+        params = ModelParams.shv(ConstantP((0.1, 0.2, 0.3)))
+        order = 64
+        n = 3 * (BLOCK_PAIRS // order) + 5  # several full blocks and a partial one
+        rng = np.random.default_rng(3)
+        e1 = np.tile([1.0, 0.0, 0.0], (n, 1))
+        e2 = np.tile([0.0, 1.0, 0.0], (n, 1))
+        phi = rng.uniform(0.0, PI, n)
+        which = np.zeros(n, dtype=int)
+        whole = _plane_avg_block((params,), which, e1, e2, phi, order)
+        single = [_plane_avg_block((params,), which[:1], e1[:1], e2[:1], phi[i:i + 1], order)[0]
+                  for i in (0, n // 2, n - 1)]
+        assert list(whole[[0, n // 2, n - 1]]) == single
+
+
+def _recording(f):
+    calls = []
+
+    def g(x, i):
+        calls.extend(zip(i.tolist(), np.asarray(x).tolist()))
+        return f(x, i)
+
+    return g, calls
+
+
+def _per_problem(calls, k):
+    return [x for i, x in calls if i == k]
+
+
+def _solo(f, k):
+    """Problem k of a batch, as a batch of one."""
+    return lambda x, i: f(x, np.full(len(i), k))
+
+
+class TestLockstep:
+    @settings(max_examples=30, deadline=None)
+    @given(roots=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=8),
+           tol=st.sampled_from([1e-6, 1e-10, 1e-13]))
+    def test_bisection_matches_one_at_a_time(self, roots, tol):
+        roots = np.array(roots)
+        widths = 0.05 + 0.9 * ((roots * 7.3) % 1.0)
+
+        def f(x, i):
+            return np.sin(3.0 * (roots[i] - x))
+
+        lo, hi = roots - widths * 0.4, roots + widths * 0.6
+        g, calls = _recording(f)
+        batch = _bisect_boundary(g, lo, hi, tol)
+        for k in range(len(roots)):
+            gk, solo_calls = _recording(_solo(f, k))
+            alone = _bisect_boundary(gk, lo[k:k + 1], hi[k:k + 1], tol)
+            assert batch[k] == alone[0]
+            assert _per_problem(calls, k) == [pt for _, pt in solo_calls]
+
+    @settings(max_examples=30, deadline=None)
+    @given(peaks=st.lists(st.floats(0.1, 0.9), min_size=1, max_size=8),
+           tol=st.sampled_from([1e-6, 1e-9]))
+    def test_golden_matches_one_at_a_time(self, peaks, tol):
+        peaks = np.array(peaks)
+
+        def f(x, i):
+            return np.cos(2.0 * (x - peaks[i])) + 0.1 * (x - peaks[i]) ** 3
+
+        lo, hi = np.zeros_like(peaks), np.ones_like(peaks)
+        g, calls = _recording(f)
+        x, fx = _golden_max(g, lo, hi, tol)
+        for k in range(len(peaks)):
+            gk, solo_calls = _recording(_solo(f, k))
+            xk, fk = _golden_max(gk, lo[k:k + 1], hi[k:k + 1], tol)
+            assert (x[k], fx[k]) == (xk[0], fk[0])
+            assert _per_problem(calls, k) == [pt for _, pt in solo_calls]
+
+    def test_margin_maximization_matches_one_at_a_time(self):
+        family = [ModelParams.fhv(eta) for eta in (0.0, 0.004, 0.011, 0.02)]
+        functions = [margin_function("leggett", m, "phi", order=ORDER) for m in family]
+
+        def f(x, i):
+            out = np.empty(len(x))
+            for k in np.unique(i):
+                out[i == k] = functions[k](x[i == k])
+            return out
+
+        x, fx = _maximize(f, len(family), (0.0, PI), 64, 1e-10)
+        for k in range(len(family)):
+            xk, fk = _maximize(_solo(f, k), 1, (0.0, PI), 64, 1e-10)
+            assert (x[k], fx[k]) == (xk[0], fk[0])
+
+
+class TestPositivityAudit:
+    def test_batched_zeta_sweep_rejects_inadmissible_zeta(self):
+        f = margin_function("branciard", ModelParams.thv(0.0), "zeta", phi=1.0)
+        with pytest.raises(InvalidModelError, match="positivity"):
+            f(np.array([0.5, 1.0, 2.5]))
+
+    def test_every_evaluated_zeta_is_audited(self, monkeypatch):
+        audited = []
+        original = models_module.thv_positivity_margin
+
+        def record(zeta):
+            audited.append(zeta)
+            return original(zeta)
+
+        monkeypatch.setattr(models_module, "thv_positivity_margin", record)
+        zetas = [0.1, 0.7, 1.3]
+        margin_function("leggett", ModelParams.thv(0.0), "zeta", phi=0.4, order=ORDER)(
+            np.array(zetas))
+        assert audited == zetas
+        audited.clear()
+        threshold("branciard", ModelParams.thv(0.0), "zeta", (0.0, 1.0), 1e-6,
+                  phi=1.0, nodes=5)
+        assert audited[:4] == [0.25, 0.5, 0.75, 1.0]  # zeta = 0 needs no audit
