@@ -16,8 +16,10 @@ from .models import (
     ModelFamily,
     ModelParams,
     Settings,
-    _sample_cells,
-    _sample_sigma_tau,
+    coeffs,
+    draw_outcomes,
+    sample_hidden_batch,
+    table_cells,
 )
 
 DEFAULT_PLANE_NODES = 256
@@ -25,6 +27,10 @@ DEFAULT_PLANE_NODES = 256
 # per (pairs, 3) array, so a search's peak memory does not grow with its grid.
 BLOCK_PAIRS = 2**15
 MIN_MC_SAMPLES = 100
+# Largest Monte-Carlo chunk drawn at once from a shard's generator: about
+# 3 MB per (chunk, 3) array, so memory is O(MC_CHUNK) whatever n is.  Part
+# of the (seed, shards) contract once a shard holds more samples than this.
+MC_CHUNK = 2**17
 
 
 @dataclass(frozen=True)
@@ -92,18 +98,13 @@ def analytic_correlator(params: ModelParams, s: Settings) -> float:
 
 def scalar_correlator(params: ModelParams, ab: float) -> float:
     """Correlator as a function of a.b alone, for the families where that is
-    the only geometric dependence (everything except SHV)."""
+    the only geometric dependence (everything except SHV).  The closed forms
+    of these families read the settings only through a.b, so a batch of one
+    with a = (1, 0, 0), b = (ab, 0, 0) gives it exactly."""
     if params.family is ModelFamily.SHV:
         raise InvalidModelError("SHV correlator depends on the full geometry")
-    fam = params.family
-    if fam is ModelFamily.QM:
-        return -ab
-    if fam is ModelFamily.FHV:
-        return -ab / (1.0 + params.eta)
-    if fam is ModelFamily.THV:
-        z = params.zeta
-        return -(1.0 - 3.0 * z / 35.0) * ab + (2.0 * z / 35.0) * ab**3
-    raise InvalidModelError(f"no analytic correlator for family {fam.value}")
+    a, b = np.array([[1.0, 0.0, 0.0]]), np.array([[ab, 0.0, 0.0]])
+    return float(_pair_correlator_arrays((params,), a, b)[0])
 
 
 def _combine_moments(parts: list[tuple[int, float, float]]) -> tuple[int, float, float]:
@@ -129,8 +130,10 @@ def mc_correlator(
     """Empirical correlator: draw hidden states, form each joint table, draw
     outcomes, and average sigma*tau.
 
-    Work is split over ``shards`` deterministic substreams; the result is
-    bit-reproducible for a fixed (seed, shards) pair.
+    Work is split over ``shards`` deterministic substreams; each shard is
+    drawn from its own generator in chunks of at most ``MC_CHUNK`` samples
+    and reduced chunk by chunk, so the result is bit-reproducible for a
+    fixed (seed, shards) pair and memory does not grow with ``n``.
     """
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"n must be at least {MIN_MC_SAMPLES}")
@@ -138,15 +141,21 @@ def mc_correlator(
         raise ValueError("shards must be positive")
     streams = np.random.SeedSequence(seed).spawn(shards)
     base, extra = divmod(n, shards)
+    a, b = s.a.arr, s.b.arr
     parts = []
     for i, ss in enumerate(streams):
         m = base + (1 if i < extra else 0)
         if m == 0:
             continue
         rng = np.random.Generator(np.random.PCG64(ss))
-        cells = _sample_cells(params, s, m, rng)
-        st = _sample_sigma_tau(cells, rng)
-        parts.append((m, float(np.sum(st)), float(np.sum(st * st))))
+        same = 0
+        for start in range(0, m, MC_CHUNK):
+            k = min(MC_CHUNK, m - start)
+            hidden = sample_hidden_batch(params, k, rng)
+            cells = table_cells(*coeffs(params, hidden, a, b))
+            same += int(np.count_nonzero(draw_outcomes(cells, k, rng)[1]))
+        # sigma*tau is +-1, so the sum is 2*same - m and the sum of squares m
+        parts.append((m, float(2 * same - m), float(m)))
     count, total, total_sq = _combine_moments(parts)
     mean = total / count
     if count > 1:

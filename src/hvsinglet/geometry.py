@@ -186,11 +186,8 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def sample_unit_uniform(rng: np.random.Generator) -> UnitVector3:
-    """One draw from the uniform distribution on the sphere."""
-    z = rng.uniform(-1.0, 1.0)
-    az = rng.uniform(0.0, TWO_PI)
-    r = math.sqrt(max(0.0, 1.0 - z * z))
-    return UnitVector3.normalized(r * math.cos(az), r * math.sin(az), z)
+    """One draw from the uniform distribution on the sphere (a batch of one)."""
+    return UnitVector3.from_array(sample_unit_batch(rng, 1)[0])
 
 
 def sample_unit_batch(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -198,7 +195,11 @@ def sample_unit_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.uniform(-1.0, 1.0, n)
     az = rng.uniform(0.0, TWO_PI, n)
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([r * np.cos(az), r * np.sin(az), z])
+    out = np.empty((n, 3))
+    np.multiply(r, np.cos(az), out=out[:, 0])
+    np.multiply(r, np.sin(az), out=out[:, 1])
+    out[:, 2] = z
+    return out
 
 
 def sample_cap_batch(
@@ -212,8 +213,9 @@ def sample_cap_batch(
     z = rng.uniform(math.cos(half_angle), 1.0, n)
     az = rng.uniform(0.0, TWO_PI, n)
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return (
-        np.outer(r * np.cos(az), frame.e1.arr)
-        + np.outer(r * np.sin(az), frame.e2.arr)
-        + np.outer(z, axis.arr)
-    )
+    out = np.empty((n, 3))
+    e1, e2, e3 = frame.e1.arr, frame.e2.arr, axis.arr
+    x, y = r * np.cos(az), r * np.sin(az)
+    for k in range(3):
+        out[:, k] = x * e1[k] + y * e2[k] + z * e3[k]
+    return out

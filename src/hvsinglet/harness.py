@@ -30,11 +30,13 @@ from .models import (
     ModelFamily,
     ModelParams,
     Settings,
-    _cells_from_batch,
-    _sample_hidden_batch,
+    coeffs,
+    draw_outcomes,
     joint,
     outcome_dependence_witness,
     sample_hidden,
+    sample_hidden_batch,
+    table_cells,
 )
 from .correlators import (
     MIN_MC_SAMPLES,
@@ -680,12 +682,9 @@ def _quadrature_thv_chsh(zeta: float, order: int = 24) -> float:
 def _sigma_frequency(params: ModelParams, s: Settings, n: int,
                      rng: np.random.Generator) -> float:
     """Empirical frequency of sigma = +1 from full joint-outcome sampling."""
-    hidden = _sample_hidden_batch(params, n, rng)
-    cells = _cells_from_batch(params, hidden, s.a.arr, s.b.arr, n)
-    r = rng.random(n)
-    cum = np.cumsum(cells, axis=1)
-    idx = np.sum(r[:, None] >= cum[:, :3], axis=1)
-    return float(np.mean(idx < 2))
+    hidden = sample_hidden_batch(params, n, rng)
+    cells = table_cells(*coeffs(params, hidden, s.a.arr, s.b.arr))
+    return float(np.mean(draw_outcomes(cells, n, rng)[0]))
 
 
 def _mc_trial_failures(
@@ -716,20 +715,16 @@ def _property_extremes(family: ModelFamily, cases: int, rng: np.random.Generator
     b = sample_unit_batch(rng, cases)
     b2 = sample_unit_batch(rng, cases)
     a2 = sample_unit_batch(rng, cases)
-    hidden = _sample_hidden_batch(params, cases, rng)
-    cells = _cells_from_batch(params, hidden, a, b, cases)
-    norm_dev = float(np.max(np.abs(cells.sum(axis=1) - 1.0)))
-    min_entry = float(np.min(cells))
+    hidden = sample_hidden_batch(params, cases, rng)
+    pp, pm, mp, mm = table_cells(*coeffs(params, hidden, a, b))
+    norm_dev = float(np.max(np.abs(pp + pm + mp + mm - 1.0)))
+    min_entry = float(min(np.min(pp), np.min(pm), np.min(mp), np.min(mm)))
     # remote-setting swaps: marginal of A must ignore b, marginal of B ignore a
-    cells_b2 = _cells_from_batch(params, hidden, a, b2, cases)
-    cells_a2 = _cells_from_batch(params, hidden, a2, b, cases)
-    marg_a = cells[:, 0] + cells[:, 1]
-    marg_a_swap = cells_b2[:, 0] + cells_b2[:, 1]
-    marg_b = cells[:, 0] + cells[:, 2]
-    marg_b_swap = cells_a2[:, 0] + cells_a2[:, 2]
+    pp_b2, pm_b2, _, _ = table_cells(*coeffs(params, hidden, a, b2))
+    pp_a2, _, mp_a2, _ = table_cells(*coeffs(params, hidden, a2, b))
     signaling = max(
-        float(np.max(np.abs(marg_a - marg_a_swap))),
-        float(np.max(np.abs(marg_b - marg_b_swap))),
+        float(np.max(np.abs((pp + pm) - (pp_b2 + pm_b2)))),
+        float(np.max(np.abs((pp + mp) - (pp_a2 + mp_a2)))),
     )
     return norm_dev, min_entry, signaling
 
@@ -1084,7 +1079,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
         0.0, _bhv_conditional_shift(v.cases, rng()), 1e-12,
     ))
 
-    hidden = _sample_hidden_batch(ModelParams.thv(1.0), v.cases, rng())
+    hidden = sample_hidden_batch(ModelParams.thv(1.0), v.cases, rng())
     claims.append(_claim(
         "props.thv_support",
         "Cubic-family hidden pairs satisfy u + v = 0 exactly",

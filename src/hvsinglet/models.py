@@ -28,14 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (
-    UnitVector3,
-    cross,
-    dot,
-    sample_cap_batch,
-    sample_unit_batch,
-    sample_unit_uniform,
-)
+from .geometry import UnitVector3, dot, sample_cap_batch, sample_unit_batch
 
 TABLE_TOL = 1e-12
 CONDITIONAL_FLOOR = 1e-14
@@ -80,7 +73,7 @@ class FSpec:
             raise InvalidModelError("|f(x)| exceeds 1/2 on [-1, 1]")
 
     def __call__(self, x):
-        return self.coeff * x**self.power
+        return self.coeff * (x * x * x if self.power == 3 else x)
 
 
 @dataclass(frozen=True)
@@ -288,12 +281,12 @@ class Settings:
     b: UnitVector3
 
 
-def _clamped(value: float) -> float:
-    if value < 0.0:
-        if value < -TABLE_TOL:
-            raise InvalidModelError(f"negative probability {value!r}")
-        return 0.0
-    return value
+def _check_cells(*cells) -> None:
+    """The one negative-cell check for joint tables, scalar or batched: any
+    cell below -TABLE_TOL raises InvalidModelError."""
+    worst = min(float(c.min() if isinstance(c, np.ndarray) else c) for c in cells)
+    if worst < -TABLE_TOL:
+        raise InvalidModelError(f"negative probability {worst!r}")
 
 
 @dataclass(frozen=True)
@@ -309,20 +302,16 @@ class ProbabilityTable:
     mm: float
 
     def __post_init__(self) -> None:
+        _check_cells(self.pp, self.pm, self.mp, self.mm)
         for cell in ("pp", "pm", "mp", "mm"):
-            object.__setattr__(self, cell, _clamped(getattr(self, cell)))
+            object.__setattr__(self, cell, max(0.0, float(getattr(self, cell))))
         total = self.pp + self.pm + self.mp + self.mm
         if abs(total - 1.0) > TABLE_TOL:
             raise InvalidModelError(f"table sums to {total!r}, not 1")
 
     @classmethod
     def from_coeffs(cls, A: float, B: float, C: float) -> "ProbabilityTable":
-        return cls(
-            (1.0 + A + B + C) / 4.0,
-            (1.0 + A - B - C) / 4.0,
-            (1.0 - A + B - C) / 4.0,
-            (1.0 - A - B + C) / 4.0,
-        )
+        return cls(*table_cells(A, B, C))
 
     def prob(self, sigma: int, tau: int) -> float:
         key = ("p" if sigma > 0 else "m") + ("p" if tau > 0 else "m")
@@ -342,60 +331,109 @@ class ProbabilityTable:
 # --------------------------- joint probabilities ---------------------------
 
 
+def _dot3(x, y):
+    """Dot products over the last axis of 3-vectors or (n, 3) rows, summed
+    in component order."""
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
+
+
+def coeffs(params: ModelParams, hidden: dict[str, np.ndarray], a, b):
+    """Coefficients (A, B, C) of the family's table for rows of hidden state
+    and settings: the one kernel behind every table, sampler and witness.
+
+    ``hidden`` maps "u", "v" (FHV, THV) or "p" (SHV) to (n, 3) rows or single
+    3-vectors, and is empty for QM; ``a`` and ``b`` are fixed 3-vectors or
+    (n, 3) rows, and everything broadcasts over the rows.  Families with
+    flat marginals return A = B = 0.0 as scalars, so no array is formed for
+    them.  The cubic family reads only u, since its partner is v = -u.
+    """
+    fam = params.family
+    ab = _dot3(a, b)
+    if fam is ModelFamily.FHV:
+        eps = params.epsilon
+        A = eps * params.f_spec(_dot3(hidden["u"], a))
+        B = eps * params.f_b(_dot3(hidden["v"], b))
+        return A, B, -ab / (1.0 + params.eta)
+    if fam is ModelFamily.SHV:
+        cross_term = _dot3(np.cross(a, b), hidden["p"])
+        return 0.0, 0.0, -(ab + cross_term) / math.sqrt(1.0 + params.p_m**2)
+    if fam is ModelFamily.THV:
+        ua, ub = _dot3(hidden["u"], a), _dot3(hidden["u"], b)
+        return 0.0, 0.0, -(ab - params.zeta * (ua * ua * ua) * (ub * ub * ub))
+    if fam is ModelFamily.QM:
+        return 0.0, 0.0, -ab
+    raise InvalidModelError(f"no joint table for family {fam.value}")
+
+
+def table_cells(A, B, C):
+    """Cells (pp, pm, mp, mm) of [1 + sigma*A + tau*B + sigma*tau*C]/4 for
+    scalars or arrays, passed through `_check_cells`.
+
+    With A = B = 0 (flat marginals) only the two distinct cells are formed:
+    pp = mm and pm = mp, with the same bits as the general formula, since
+    adding or subtracting 0.0 is exact.
+    """
+    if np.ndim(A) == 0 and np.ndim(B) == 0 and A == 0.0 and B == 0.0:
+        pp, pm = (1.0 + C) / 4.0, (1.0 - C) / 4.0
+        _check_cells(pp, pm)
+        return pp, pm, pm, pp
+    cells = (
+        (1.0 + A + B + C) / 4.0,
+        (1.0 + A - B - C) / 4.0,
+        (1.0 - A + B - C) / 4.0,
+        (1.0 - A - B + C) / 4.0,
+    )
+    _check_cells(*cells)
+    return cells
+
+
+def _require(params: ModelParams, family: ModelFamily) -> None:
+    if params.family is not family:
+        raise InvalidModelError(f"params.family must be {family.name}")
+
+
 def fhv_joint(params: ModelParams, u: UnitVector3, v: UnitVector3,
               s: Settings) -> ProbabilityTable:
     """First-family table: a damped singlet correlation plus single-party
     biases eta*f through the hidden directions u, v."""
-    if params.family is not ModelFamily.FHV:
-        raise InvalidModelError("params.family must be FHV")
-    eps = params.epsilon
-    A = eps * params.f_spec(dot(u, s.a))
-    B = eps * params.f_b(dot(v, s.b))
-    C = -dot(s.a, s.b) / (1.0 + params.eta)
-    return ProbabilityTable.from_coeffs(A, B, C)
+    _require(params, ModelFamily.FHV)
+    return joint(params, HiddenState.uv(u, v), s)
 
 
 def shv_joint(params: ModelParams, h: HiddenState, s: Settings) -> ProbabilityTable:
     """Second-family table: correlation a.b + (a x b).p(lam), scaled by
     1/sqrt(1 + pm^2) so it stays a probability for every carrier."""
-    if params.family is not ModelFamily.SHV:
-        raise InvalidModelError("params.family must be SHV")
-    p = h.p_arr
-    p_m = params.p_m
-    if float(np.linalg.norm(p)) > p_m + 1e-12:
-        raise InvalidModelError("hidden state has |p| > p_m")
-    C = -(dot(s.a, s.b) + float(cross(s.a, s.b) @ p)) / math.sqrt(1.0 + p_m * p_m)
-    return ProbabilityTable.from_coeffs(0.0, 0.0, C)
+    _require(params, ModelFamily.SHV)
+    return joint(params, h, s)
 
 
 def thv_joint(params: ModelParams, u: UnitVector3, s: Settings) -> ProbabilityTable:
     """Third-family table: singlet correlation plus a cubic term
     zeta*(a.u)^3*(b.v)^3 with the partner vector locked to v = -u."""
-    if params.family is not ModelFamily.THV:
-        raise InvalidModelError("params.family must be THV")
-    v = -u
-    C = -(dot(s.a, s.b) + params.zeta * dot(s.a, u) ** 3 * dot(s.b, v) ** 3)
-    return ProbabilityTable.from_coeffs(0.0, 0.0, C)
+    _require(params, ModelFamily.THV)
+    return joint(params, HiddenState.uv(u, -u), s)
 
 
 def qm_joint(s: Settings) -> ProbabilityTable:
     """Singlet reference table (1 - sigma*tau*a.b)/4 with flat marginals."""
-    return ProbabilityTable.from_coeffs(0.0, 0.0, -dot(s.a, s.b))
+    return joint(ModelParams.qm(), None, s)
 
 
 def joint(params: ModelParams, h: HiddenState | None, s: Settings) -> ProbabilityTable:
-    """Dispatch to the family's table given one hidden draw (None for QM)."""
-    if params.family is ModelFamily.QM:
-        return qm_joint(s)
-    if h is None:
-        raise InvalidModelError(f"{params.family.value} requires a hidden state")
-    if params.family is ModelFamily.FHV:
-        return fhv_joint(params, h.u, h.v, s)
-    if params.family is ModelFamily.SHV:
-        return shv_joint(params, h, s)
-    if params.family is ModelFamily.THV:
-        return thv_joint(params, h.u, s)
-    raise InvalidModelError(f"no joint dispatch for family {params.family.value}")
+    """The family's table for one hidden draw (None for QM): `coeffs` on a
+    batch of one."""
+    fam = params.family
+    if fam is ModelFamily.QM:
+        hidden = {}
+    elif h is None:
+        raise InvalidModelError(f"{fam.value} requires a hidden state")
+    elif fam is ModelFamily.SHV:
+        hidden = {"p": h.p_arr}
+        if float(np.linalg.norm(hidden["p"])) > params.p_m + 1e-12:
+            raise InvalidModelError("hidden state has |p| > p_m")
+    else:
+        hidden = {k: getattr(h, k).arr for k in ("u", "v") if getattr(h, k) is not None}
+    return ProbabilityTable.from_coeffs(*coeffs(params, hidden, s.a.arr, s.b.arr))
 
 
 # ------------------------ marginals and conditionals -----------------------
@@ -442,30 +480,59 @@ def fhv_conditional_closed_form(
 # -------------------------------- sampling ---------------------------------
 
 
-def sample_hidden(params: ModelParams, rng: np.random.Generator) -> HiddenState:
-    """Draw one hidden state.  The signature takes no detector settings, so
-    the hidden distribution cannot depend on them."""
+def sample_hidden_batch(
+    params: ModelParams, n: int, rng: np.random.Generator
+) -> dict[str, np.ndarray]:
+    """n hidden states as (n, 3) rows keyed as `coeffs` reads them (empty
+    for QM).  Takes no detector settings, so the hidden distribution cannot
+    depend on them."""
     if params.family is ModelFamily.FHV:
-        return HiddenState.uv(sample_unit_uniform(rng), sample_unit_uniform(rng))
+        return {"u": sample_unit_batch(rng, n), "v": sample_unit_batch(rng, n)}
     if params.family is ModelFamily.THV:
-        u = sample_unit_uniform(rng)
-        return HiddenState.uv(u, -u)
+        u = sample_unit_batch(rng, n)
+        return {"u": u, "v": -u}
     if params.family is ModelFamily.SHV:
-        p = params.p_spec.sample(rng, 1)[0]
-        return HiddenState.carrier(p)
+        return {"p": params.p_spec.sample(rng, n)}
+    if params.family is ModelFamily.QM:
+        return {}
     raise InvalidModelError(f"family {params.family.value} has no hidden sampler")
 
 
+def _hidden_state(params: ModelParams, hidden: dict[str, np.ndarray],
+                  i: int) -> HiddenState:
+    """Row i of a hidden batch as a `HiddenState`."""
+    if "p" in hidden:
+        return HiddenState.carrier(hidden["p"][i])
+    if "u" in hidden:
+        return HiddenState.uv(UnitVector3.from_array(hidden["u"][i]),
+                              UnitVector3.from_array(hidden["v"][i]))
+    raise InvalidModelError(f"family {params.family.value} has no hidden sampler")
+
+
+def sample_hidden(params: ModelParams, rng: np.random.Generator) -> HiddenState:
+    """Draw one hidden state: `sample_hidden_batch` on a batch of one."""
+    return _hidden_state(params, sample_hidden_batch(params, 1, rng), 0)
+
+
+def draw_outcomes(cells, n: int, rng: np.random.Generator):
+    """One joint outcome per row of ``cells`` = (pp, pm, mp, mm), from a
+    single uniform r compared with the partial sums pp, pp+pm and
+    pp+pm+mp, added in that order.  Returns the boolean rows
+    (sigma == +1, sigma*tau == +1): sigma = +1 iff r < pp+pm, and
+    sigma*tau = +1 iff r < pp or r >= pp+pm+mp.
+    """
+    pp, pm, mp, _ = cells
+    r = rng.random(n)
+    s1 = pp + pm
+    return r < s1, (r < pp) | (r >= s1 + mp)
+
+
 def sample_outcomes(t: ProbabilityTable, rng: np.random.Generator) -> tuple[int, int]:
-    """One categorical draw (sigma, tau) from the joint table."""
-    r = rng.random()
-    if r < t.pp:
-        return (1, 1)
-    if r < t.pp + t.pm:
-        return (1, -1)
-    if r < t.pp + t.pm + t.mp:
-        return (-1, 1)
-    return (-1, -1)
+    """One categorical draw (sigma, tau) from the joint table: `draw_outcomes`
+    on a batch of one."""
+    plus, same = draw_outcomes((t.pp, t.pm, t.mp, t.mm), 1, rng)
+    sigma = 1 if plus[0] else -1
+    return (sigma, sigma if same[0] else -sigma)
 
 
 # -------------------------- comparison model classes ------------------------
@@ -559,109 +626,25 @@ def outcome_dependence_witness(
     params: ModelParams, rng: np.random.Generator, trials: int = 2000
 ) -> WitnessResult:
     """Search random (hidden, a, b) for a conditional that shifts with the
-    remote outcome: max |P(sigma=+1|tau=+1) - P(sigma=+1|tau=-1)|."""
-    best = WitnessResult(-1.0, {})
-    for _ in range(trials):
-        a = sample_unit_uniform(rng)
-        b = sample_unit_uniform(rng)
-        h = sample_hidden(params, rng)
-        t = joint(params, h, Settings(a, b))
-        try:
-            plus = conditional(t, 1)[0]
-            minus = conditional(t, -1)[0]
-        except UndefinedConditionalError:
-            continue
-        delta = abs(plus - minus)
-        if delta > best.delta:
-            best = WitnessResult(delta, {"a": a, "b": b, "hidden": h})
-    return best
+    remote outcome: max |P(sigma=+1|tau=+1) - P(sigma=+1|tau=-1)|.
 
-
-# --------------------------- vectorized internals --------------------------
-
-
-def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.sum(x * y, axis=-1)
-
-
-def _fhv_cells(params: ModelParams, u, v, a, b) -> np.ndarray:
-    eps = params.epsilon
-    A = eps * params.f_spec(_rowdot(u, a))
-    B = eps * params.f_b(_rowdot(v, b))
-    C = -_rowdot(a, b) / (1.0 + params.eta) * np.ones_like(A)
-    return _cells(A, B, C)
-
-
-def _shv_cells(params: ModelParams, p, a, b) -> np.ndarray:
-    axb = np.cross(a, b)
-    C = -(_rowdot(a, b) + _rowdot(axb, p)) / math.sqrt(1.0 + params.p_m**2)
-    return _cells(np.zeros_like(C), np.zeros_like(C), C)
-
-
-def _thv_cells(params: ModelParams, u, a, b) -> np.ndarray:
-    C = -(_rowdot(a, b) - params.zeta * _rowdot(u, a) ** 3 * _rowdot(u, b) ** 3)
-    return _cells(np.zeros_like(C), np.zeros_like(C), C)
-
-
-def _qm_cells(a, b, n: int | None = None) -> np.ndarray:
-    C = -_rowdot(a, b)
-    if np.ndim(C) == 0:
-        C = np.full(n if n is not None else 1, float(C))
-    return _cells(np.zeros_like(C), np.zeros_like(C), C)
-
-
-def _cells(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """(n, 4) joint probabilities in cell order (++, +-, -+, --)."""
-    return np.column_stack(
-        [
-            (1.0 + A + B + C) / 4.0,
-            (1.0 + A - B - C) / 4.0,
-            (1.0 - A + B - C) / 4.0,
-            (1.0 - A - B + C) / 4.0,
-        ]
-    )
-
-
-def _sample_hidden_batch(
-    params: ModelParams, n: int, rng: np.random.Generator
-) -> dict[str, np.ndarray]:
-    if params.family is ModelFamily.FHV:
-        return {"u": sample_unit_batch(rng, n), "v": sample_unit_batch(rng, n)}
-    if params.family is ModelFamily.THV:
-        u = sample_unit_batch(rng, n)
-        return {"u": u, "v": -u}
-    if params.family is ModelFamily.SHV:
-        return {"p": params.p_spec.sample(rng, n)}
-    if params.family is ModelFamily.QM:
-        return {}
-    raise InvalidModelError(f"family {params.family.value} has no hidden sampler")
-
-
-def _cells_from_batch(
-    params: ModelParams, hidden: dict[str, np.ndarray], a, b, n: int
-) -> np.ndarray:
-    if params.family is ModelFamily.FHV:
-        return _fhv_cells(params, hidden["u"], hidden["v"], a, b)
-    if params.family is ModelFamily.SHV:
-        return _shv_cells(params, hidden["p"], a, b)
-    if params.family is ModelFamily.THV:
-        return _thv_cells(params, hidden["u"], a, b)
-    if params.family is ModelFamily.QM:
-        return _qm_cells(a, b, n)
-    raise InvalidModelError(f"family {params.family.value} has no batch cells")
-
-
-def _sample_cells(
-    params: ModelParams, s: Settings, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(n, 4) per-draw joint tables at fixed settings."""
-    hidden = _sample_hidden_batch(params, n, rng)
-    return _cells_from_batch(params, hidden, s.a.arr, s.b.arr, n)
-
-
-def _sample_sigma_tau(cells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Per-row categorical outcome draws, returned as the product sigma*tau."""
-    r = rng.random(cells.shape[0])
-    cum = np.cumsum(cells, axis=1)
-    idx = np.sum(r[:, None] >= cum[:, :3], axis=1)
-    return np.array([1.0, -1.0, -1.0, 1.0])[idx]
+    All trials are one batch; rows where either conditioning outcome has
+    probability below CONDITIONAL_FLOOR are skipped, and the first row
+    attaining the maximum is returned.
+    """
+    a = sample_unit_batch(rng, trials)
+    b = sample_unit_batch(rng, trials)
+    hidden = sample_hidden_batch(params, trials, rng)
+    pp, pm, mp, mm = table_cells(*coeffs(params, hidden, a, b))
+    p_plus, p_minus = pp + mp, pm + mm
+    ok = (p_plus >= CONDITIONAL_FLOOR) & (p_minus >= CONDITIONAL_FLOOR)
+    if not np.any(ok):
+        return WitnessResult(-1.0, {})
+    delta = np.full(trials, -1.0)
+    delta[ok] = np.abs(pp[ok] / p_plus[ok] - pm[ok] / p_minus[ok])
+    i = int(np.argmax(delta))
+    return WitnessResult(float(delta[i]), {
+        "a": UnitVector3.from_array(a[i]),
+        "b": UnitVector3.from_array(b[i]),
+        "hidden": _hidden_state(params, hidden, i),
+    })

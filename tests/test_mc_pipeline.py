@@ -1,0 +1,239 @@
+"""The Monte-Carlo pipeline (hidden draw, `coeffs` table, partial-sum outcome
+draw, chunked per-shard reduction) against a reference written the way the
+scalar-twin implementation computed it, plus the kernel's table check, the
+batched witness and the chunked memory bound."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hvsinglet import models as models_module
+from hvsinglet.correlators import MC_CHUNK, mc_correlator
+from hvsinglet.geometry import Plane, UnitVector3, X, Y, Z, sample_unit_batch
+from hvsinglet.models import (
+    CapP,
+    ConstantP,
+    FSpec,
+    HiddenState,
+    InvalidModelError,
+    ModelFamily,
+    ModelParams,
+    Settings,
+    coeffs,
+    conditional,
+    joint,
+    outcome_dependence_witness,
+    sample_hidden_batch,
+    table_cells,
+)
+
+# ------------------------------ reference ----------------------------------
+# Column stacks, outer products, np.sum(x*y, axis=-1) dots, pow-based f, a
+# cumulative sum over the four cells and a fancy index: the arithmetic the
+# pipeline had before it became one kernel.
+
+
+def _ref_unit_batch(rng, n):
+    z = rng.uniform(-1.0, 1.0, n)
+    az = rng.uniform(0.0, 2.0 * math.pi, n)
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack([r * np.cos(az), r * np.sin(az), z])
+
+
+def _ref_p_batch(p_spec, rng, n):
+    if isinstance(p_spec, ConstantP):
+        return np.tile(np.asarray(p_spec.p0, dtype=float), (n, 1))
+    frame = Plane.with_normal(p_spec.axis)
+    z = rng.uniform(math.cos(p_spec.half_angle), 1.0, n)
+    az = rng.uniform(0.0, 2.0 * math.pi, n)
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    cap = (np.outer(r * np.cos(az), frame.e1.arr) + np.outer(r * np.sin(az), frame.e2.arr)
+           + np.outer(z, p_spec.axis.arr))
+    return p_spec.magnitude * cap
+
+
+def _rowdot(x, y):
+    return np.sum(x * y, axis=-1)
+
+
+def _ref_cells(params, rng, a, b, n):
+    fam = params.family
+    zero = np.zeros(n)
+    if fam is ModelFamily.FHV:
+        u, v = _ref_unit_batch(rng, n), _ref_unit_batch(rng, n)
+        f, g = params.f_spec, params.f_b
+        A = params.epsilon * (f.coeff * _rowdot(u, a) ** f.power)
+        B = params.epsilon * (g.coeff * _rowdot(v, b) ** g.power)
+        C = -_rowdot(a, b) / (1.0 + params.eta) * np.ones(n)
+    elif fam is ModelFamily.SHV:
+        p = _ref_p_batch(params.p_spec, rng, n)
+        C = -(_rowdot(a, b) + _rowdot(np.cross(a, b), p)) / math.sqrt(1.0 + params.p_m**2)
+        A = B = zero
+    elif fam is ModelFamily.THV:
+        u = _ref_unit_batch(rng, n)
+        C = -(_rowdot(a, b) - params.zeta * _rowdot(u, a) ** 3 * _rowdot(u, b) ** 3)
+        A = B = zero
+    else:
+        C, A, B = np.full(n, -float(_rowdot(a, b))), zero, zero
+    return np.column_stack([(1.0 + A + B + C) / 4.0, (1.0 + A - B - C) / 4.0,
+                            (1.0 - A + B - C) / 4.0, (1.0 - A - B + C) / 4.0])
+
+
+def _ref_mc(params, s, n, seed, shards):
+    """(mean, stderr, n) of the reference pipeline for n <= MC_CHUNK."""
+    base, extra = divmod(n, shards)
+    parts = []
+    for i, ss in enumerate(np.random.SeedSequence(seed).spawn(shards)):
+        m = base + (1 if i < extra else 0)
+        if m == 0:
+            continue
+        rng = np.random.Generator(np.random.PCG64(ss))
+        cells = _ref_cells(params, rng, s.a.arr, s.b.arr, m)
+        r = rng.random(m)
+        idx = np.sum(r[:, None] >= np.cumsum(cells, axis=1)[:, :3], axis=1)
+        st_ = np.array([1.0, -1.0, -1.0, 1.0])[idx]
+        parts.append((float(np.sum(st_)), float(np.sum(st_ * st_))))
+    total = sum(p[0] for p in parts)
+    total_sq = sum(p[1] for p in parts)
+    var = max(0.0, (total_sq - total * total / n) / (n - 1))
+    return total / n, math.sqrt(var / n), n
+
+
+# ------------------------------ strategies ---------------------------------
+
+unit = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda c: 0.1 < math.sqrt(sum(x * x for x in c))
+).map(lambda c: UnitVector3.normalized(*c))
+
+fspecs = st.builds(FSpec, st.floats(0.0, 0.5), st.sampled_from([1, 3]))
+p_specs = st.one_of(
+    st.builds(lambda d, m: ConstantP(tuple(m * d.arr)), unit, st.floats(0.0, 1.0)),
+    st.builds(CapP, unit, st.floats(0.0, math.pi), st.floats(0.0, 1.0)),
+)
+params_st = st.one_of(
+    st.builds(ModelParams.fhv, st.floats(0.0, 5.0), fspecs, st.one_of(st.none(), fspecs)),
+    st.builds(ModelParams.shv, p_specs),
+    st.builds(ModelParams.thv, st.floats(0.0, 1.8)),
+    st.just(ModelParams.qm()),
+)
+
+
+# -------------------------------- tests ------------------------------------
+
+
+class TestEquivalence:
+    @given(params_st, unit, unit, st.integers(0, 2**32 - 1), st.integers(1, 5),
+           st.integers(100, 4000))
+    @settings(max_examples=150, deadline=None)
+    def test_mc_matches_reference_bit_for_bit(self, params, a, b, seed, shards, n):
+        est = mc_correlator(params, Settings(a, b), n, seed, shards)
+        assert (est.mean, est.stderr, est.n) == _ref_mc(params, Settings(a, b), n, seed, shards)
+
+    @pytest.mark.parametrize("params", [
+        ModelParams.fhv(0.7, FSpec(0.4, 3)),
+        ModelParams.shv(ConstantP((0.2, -0.3, 0.4))),
+        ModelParams.shv(CapP(UnitVector3.normalized(0.0, 0.6, 0.8), 0.7, 0.7)),
+        ModelParams.thv(1.2),
+        ModelParams.qm(),
+    ], ids=["fhv", "shv-const", "shv-cap", "thv", "qm"])
+    def test_one_full_chunk_matches_reference(self, params):
+        s = Settings(UnitVector3.normalized(0.3, 0.4, 0.866), UnitVector3.normalized(0.9, -0.1, 0.2))
+        est = mc_correlator(params, s, MC_CHUNK, seed=4)
+        assert (est.mean, est.stderr, est.n) == _ref_mc(params, s, MC_CHUNK, 4, 1)
+
+    @given(params_st, st.integers(0, 2**32 - 1), st.integers(1, 50))
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_joint_is_row_of_batch(self, params, seed, n):
+        rng = np.random.default_rng(seed)
+        a, b = sample_unit_batch(rng, n), sample_unit_batch(rng, n)
+        hidden = sample_hidden_batch(params, n, rng)
+        cells = table_cells(*coeffs(params, hidden, a, b))
+        vec = lambda row: UnitVector3(*(float(c) for c in row))
+        for i in range(n):
+            if params.family is ModelFamily.QM:
+                h = None
+            elif params.family is ModelFamily.SHV:
+                h = HiddenState.carrier(hidden["p"][i])
+            else:
+                h = HiddenState.uv(vec(hidden["u"][i]), vec(hidden["v"][i]))
+            t = joint(params, h, Settings(vec(a[i]), vec(b[i])))
+            expected = [max(0.0, float(np.broadcast_to(c, (n,))[i])) for c in cells]
+            assert [t.pp, t.pm, t.mp, t.mm] == expected
+
+
+class TestTableCheck:
+    def test_negative_cell_raises_on_batch_path(self):
+        # |p| = 5 > p_m = 0.5: C = -5/sqrt(1.25) < -1, so pp < 0
+        params = ModelParams.shv()
+        hidden = {"p": np.array([[0.0, 0.0, 0.1], [0.0, 0.0, 5.0]])}
+        with pytest.raises(InvalidModelError, match="negative probability"):
+            table_cells(*coeffs(params, hidden, X.arr, Y.arr))
+
+    def test_in_range_batch_passes(self):
+        hidden = {"p": np.array([[0.0, 0.0, 0.5]])}
+        pp, pm, mp, mm = table_cells(*coeffs(ModelParams.shv(), hidden, X.arr, Y.arr))
+        assert float(np.min([pp, pm, mp, mm])) >= 0.0
+
+    def test_four_cell_check_catches_one_negative_cell(self):
+        with pytest.raises(InvalidModelError):
+            # mp = (1 - 0.9 - 0.9 - 0.5)/4 < 0 while the other three cells are positive
+            table_cells(np.array([0.9]), np.array([-0.9]), np.array([0.5]))
+
+
+class TestWitness:
+    @pytest.mark.parametrize("params", [
+        ModelParams.fhv(1.0), ModelParams.shv(), ModelParams.thv(1.0),
+    ], ids=["fhv", "shv", "thv"])
+    @pytest.mark.parametrize("seed", [0, 19, 2024])
+    def test_batched_witness_found(self, params, seed):
+        found = outcome_dependence_witness(params, np.random.default_rng(seed), trials=500)
+        assert found.delta > 0.1
+        cfg = found.config
+        t = joint(params, cfg["hidden"], Settings(cfg["a"], cfg["b"]))
+        delta = abs(conditional(t, 1)[0] - conditional(t, -1)[0])
+        assert delta == pytest.approx(found.delta, abs=1e-12)
+
+    def test_rows_below_conditional_floor_are_skipped(self, monkeypatch):
+        # row 0 has P(tau=+1) = 0; rows 1 and 2 have delta |C| = 0.3 and 0.5
+        fixed = (np.array([0.9, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]),
+                 np.array([-0.9, 0.3, -0.5]))
+        monkeypatch.setattr(models_module, "coeffs", lambda *args: fixed)
+        with np.errstate(all="raise"):
+            found = outcome_dependence_witness(ModelParams.fhv(1.0),
+                                               np.random.default_rng(0), trials=3)
+        assert found.delta == pytest.approx(0.5, abs=1e-15)
+
+    def test_all_rows_below_floor_gives_no_witness(self, monkeypatch):
+        fixed = (np.zeros(2), np.full(2, -1.0), np.zeros(2))
+        monkeypatch.setattr(models_module, "coeffs", lambda *args: fixed)
+        found = outcome_dependence_witness(ModelParams.fhv(1.0),
+                                           np.random.default_rng(0), trials=2)
+        assert (found.delta, found.config) == (-1.0, {})
+
+
+class TestChunking:
+    def test_chunked_reruns_are_identical(self):
+        s = Settings(X, UnitVector3.normalized(1.0, 1.0, 0.0))
+        n = 2 * MC_CHUNK + 7
+        first = mc_correlator(ModelParams.thv(1.0), s, n, seed=3, shards=2)
+        assert first == mc_correlator(ModelParams.thv(1.0), s, n, seed=3, shards=2)
+        assert first.n == n
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        params = ModelParams.fhv(0.5)
+        s = Settings(X, Z)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                mc_correlator(params, s, n, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2 * MC_CHUNK), peak(8 * MC_CHUNK)
+        assert large <= 1.5 * small

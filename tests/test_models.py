@@ -313,9 +313,9 @@ class TestSampleHidden:
         params = ModelParams.fhv(1.0)
         rng = make_rng(13)
         n = 200_000
-        from hvsinglet.models import _sample_hidden_batch
+        from hvsinglet.models import sample_hidden_batch
 
-        u = _sample_hidden_batch(params, n, rng)["u"]
+        u = sample_hidden_batch(params, n, rng)["u"]
         vals = params.f_spec(u @ Z.arr)
         stderr = float(np.std(vals, ddof=1)) / math.sqrt(n)
         assert abs(float(np.mean(vals))) <= 4.0 * stderr
