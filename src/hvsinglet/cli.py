@@ -14,9 +14,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
+    OUTPUT_FORMATS,
+    SCAN_CSV_HEADER,
+    TASKS,
     ConfigError,
     RunConfig,
-    SCAN_CSV_HEADER,
+    check_parameter_family,
     parse_config,
     report_to_json,
     run_scan,
@@ -25,8 +28,6 @@ from .harness import (
     scan_rows_to_csv,
 )
 from .models import InvalidModelError
-
-TASK_CHOICES = ("prob", "correlator", "chsh", "leggett", "branciard", "scan", "verify")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
             "inequality margins, parameter scans, and the verification suite."
         ),
     )
-    parser.add_argument("task", choices=TASK_CHOICES)
+    parser.add_argument("task", choices=TASKS)
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--model", help="model family: fhv, shv, thv, or qm")
     parser.add_argument("--eta", type=float, help="first-family damping parameter")
@@ -48,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="stream seed (default 0)")
     parser.add_argument("--shards", type=int, help="Monte-Carlo substream count")
     parser.add_argument("--out", help="output file path (default stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), dest="fmt")
+    parser.add_argument("--format", choices=OUTPUT_FORMATS, dest="fmt")
     return parser
 
 
@@ -96,10 +97,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
     config = parse_config(doc, task=args.task)
     if args.pm is not None:
-        try:
-            config = replace(config, params=config.params.with_pm(args.pm))
-        except InvalidModelError as exc:
-            raise ConfigError(str(exc)) from exc
+        check_parameter_family("p_m", config.params.family)
+        config = replace(config, params=config.params.with_pm(args.pm))
     return config
 
 

@@ -124,6 +124,23 @@ def _combine_moments(parts: list[tuple[int, float, float]]) -> tuple[int, float,
     return parts[0]
 
 
+def _shard_counts(
+    params: ModelParams, s: Settings, m: int, rng: np.random.Generator
+) -> tuple[int, int]:
+    """Draw one shard of ``m`` samples from ``rng`` in chunks of at most
+    ``MC_CHUNK``: hidden states, then each joint table, then the joint
+    outcome.  Returns the counts of sigma = +1 and of sigma*tau = +1."""
+    a, b = s.a.arr, s.b.arr
+    plus = same = 0
+    for start in range(0, m, MC_CHUNK):
+        k = min(MC_CHUNK, m - start)
+        hidden = sample_hidden_batch(params, k, rng)
+        sigma, product = draw_outcomes(table_cells(*coeffs(params, hidden, a, b)), k, rng)
+        plus += int(np.count_nonzero(sigma))
+        same += int(np.count_nonzero(product))
+    return plus, same
+
+
 def mc_correlator(
     params: ModelParams, s: Settings, n: int, seed: int, shards: int = 1
 ) -> MCEstimate:
@@ -141,19 +158,12 @@ def mc_correlator(
         raise ValueError("shards must be positive")
     streams = np.random.SeedSequence(seed).spawn(shards)
     base, extra = divmod(n, shards)
-    a, b = s.a.arr, s.b.arr
     parts = []
     for i, ss in enumerate(streams):
         m = base + (1 if i < extra else 0)
         if m == 0:
             continue
-        rng = np.random.Generator(np.random.PCG64(ss))
-        same = 0
-        for start in range(0, m, MC_CHUNK):
-            k = min(MC_CHUNK, m - start)
-            hidden = sample_hidden_batch(params, k, rng)
-            cells = table_cells(*coeffs(params, hidden, a, b))
-            same += int(np.count_nonzero(draw_outcomes(cells, k, rng)[1]))
+        _, same = _shard_counts(params, s, m, np.random.Generator(np.random.PCG64(ss)))
         # sigma*tau is +-1, so the sum is 2*same - m and the sum of squares m
         parts.append((m, float(2 * same - m), float(m)))
     count, total, total_sq = _combine_moments(parts)

@@ -31,7 +31,6 @@ from .models import (
     ModelParams,
     Settings,
     coeffs,
-    draw_outcomes,
     joint,
     outcome_dependence_witness,
     sample_hidden,
@@ -40,6 +39,7 @@ from .models import (
 )
 from .correlators import (
     MIN_MC_SAMPLES,
+    _shard_counts,
     analytic_correlator,
     mc_correlator,
     sphere_moment_oracle,
@@ -65,9 +65,9 @@ from .inequalities import (
     ZETA_ROOT_CHSH_THV_QUOTED,
     bhv_chsh_search,
     branciard_fhv_argmax_sin,
+    branciard_fhv_window_center_derived,
     branciard_fhv_window_center_quoted,
     branciard_fhv_window_sin_derived,
-    branciard_value,
     check_phi,
     chsh_value,
     correlator_fn,
@@ -88,17 +88,32 @@ SCAN_CSV_HEADER = "variable,value_of_variable,inequality,value,bound,margin,viol
 
 TASKS = ("prob", "correlator", "chsh", "leggett", "branciard", "scan", "verify")
 
-# The one family whose model each scan variable rebinds; other families
-# ignore it, so scanning it there would print identical rows.
-SCAN_VARIABLE_FAMILY = {
+# The one family that reads each model key or scan variable; other families
+# ignore it, so a run given it there would silently drop it (or a scan would
+# print identical rows).
+PARAMETER_FAMILY = {
     "eta": ModelFamily.FHV,
+    "f": ModelFamily.FHV,
+    "f_b": ModelFamily.FHV,
     "zeta": ModelFamily.THV,
+    "p": ModelFamily.SHV,
     "p_m": ModelFamily.SHV,
 }
+
+OUTPUT_FORMATS = ("json", "csv")
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
+
+
+def check_parameter_family(name: str, family: ModelFamily) -> None:
+    """Reject a model parameter the given family does not read."""
+    owner = PARAMETER_FAMILY.get(name)
+    if owner is not None and family is not owner:
+        raise ConfigError(
+            f"{name!r} is a {owner.value} parameter; the {family.value} model ignores it"
+        )
 
 
 # ------------------------------ config parsing ------------------------------
@@ -147,46 +162,43 @@ def parse_unit_vector(value) -> UnitVector3:
         raise ConfigError(f"bad vector {value!r}: {exc}") from exc
 
 
-def _parse_f(block: dict) -> FSpec:
-    known = {"coeff", "power"}
+def _object(block, what: str, known: set[str]) -> dict:
+    """A config object holding only ``known`` keys."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{what} must be an object, got {block!r}")
     if extra := set(block) - known:
-        raise ConfigError(f"unknown f keys: {sorted(extra)}")
-    try:
-        return FSpec(
-            coeff=parse_number(block.get("coeff", 0.5), "f coeff"),
-            power=parse_integer(block.get("power", 1), "f power"),
-        )
-    except InvalidModelError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
+    return block
 
 
-def _parse_p(block: dict):
-    kind = block.get("kind", "constant")
+def _parse_f(block, what: str) -> FSpec:
+    block = _object(block, what, {"coeff", "power"})
+    return FSpec(
+        coeff=parse_number(block.get("coeff", 0.5), f"{what} coeff"),
+        power=parse_integer(block.get("power", 1), f"{what} power"),
+    )
+
+
+def _parse_p(block):
+    kind = block.get("kind", "constant") if isinstance(block, dict) else "constant"
     if kind == "constant":
-        if extra := set(block) - {"kind", "p0"}:
-            raise ConfigError(f"unknown p keys: {sorted(extra)}")
+        block = _object(block, "p", {"kind", "p0"})
         p0 = block.get("p0", [0.0, 0.0, 0.5])
         if not (isinstance(p0, (list, tuple)) and len(p0) == 3):
             raise ConfigError(f"p0 must be a 3-component vector, got {p0!r}")
         return ConstantP(tuple(parse_number(c, "p0 component") for c in p0))
     if kind == "cap":
-        if extra := set(block) - {"kind", "axis", "half_angle", "pm"}:
-            raise ConfigError(f"unknown p keys: {sorted(extra)}")
-        try:
-            return CapP(
-                axis=parse_unit_vector(block.get("axis", [0.0, 0.0, 1.0])),
-                half_angle=parse_angle(block.get("half_angle", PI / 6)),
-                magnitude=parse_number(block.get("pm", 0.5), "cap pm"),
-            )
-        except InvalidModelError as exc:
-            raise ConfigError(str(exc)) from exc
+        block = _object(block, "p", {"kind", "axis", "half_angle", "pm"})
+        return CapP(
+            axis=parse_unit_vector(block.get("axis", [0.0, 0.0, 1.0])),
+            half_angle=parse_angle(block.get("half_angle", PI / 6)),
+            magnitude=parse_number(block.get("pm", 0.5), "cap pm"),
+        )
     raise ConfigError(f"unknown p kind {kind!r}")
 
 
 def parse_model(block: dict) -> ModelParams:
-    known = {"family", "eta", "zeta", "f", "f_b", "p"}
-    if extra := set(block) - known:
-        raise ConfigError(f"unknown model keys: {sorted(extra)}")
+    _object(block, "model", {"family", "eta", "zeta", "f", "f_b", "p"})
     family_name = str(block.get("family", "qm")).lower()
     try:
         family = ModelFamily(family_name)
@@ -197,13 +209,15 @@ def parse_model(block: dict) -> ModelParams:
             f"family {family_name!r} has no closed parameterization; "
             "use the library API"
         )
+    for key in block:
+        check_parameter_family(key, family)
     try:
         return ModelParams(
             family=family,
             eta=parse_number(block.get("eta", 0.0), "eta"),
             zeta=parse_number(block.get("zeta", 0.0), "zeta"),
-            f_spec=_parse_f(block.get("f", {})),
-            f_spec_b=_parse_f(block["f_b"]) if "f_b" in block else None,
+            f_spec=_parse_f(block.get("f", {}), "f"),
+            f_spec_b=_parse_f(block["f_b"], "f_b") if "f_b" in block else None,
             p_spec=_parse_p(block.get("p", {})),
         )
     except InvalidModelError as exc:
@@ -285,17 +299,16 @@ class RunConfig:
             raise ConfigError("shards must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.task == "scan" and self.scan is None:
-            raise ConfigError("scan task requires a scan block")
+        if self.task == "scan":
+            if self.scan is None:
+                raise ConfigError("scan task requires a scan block")
+            check_parameter_family(self.scan.variable, self.params.family)
         if self.task in PHI_DOMAINS and self.phi is None:
             raise ConfigError(f"{self.task} task requires phi")
-        if self.task == "scan":
-            family = SCAN_VARIABLE_FAMILY.get(self.scan.variable)
-            if family is not None and self.params.family is not family:
-                raise ConfigError(
-                    f"scan variable {self.scan.variable!r} is a {family.value} "
-                    f"parameter; the {self.params.family.value} model ignores it"
-                )
+        if self.fmt not in (None, *OUTPUT_FORMATS):
+            raise ConfigError(f"output format must be json or csv, got {self.fmt!r}")
+        if self.fmt == "csv" and self.task != "scan":
+            raise ConfigError(f"csv output is for scan only; {self.task} writes json")
         if self.phi is not None:
             inequality = self.scan.inequality if self.task == "scan" else self.task
             if self.task == "scan" and self.scan.variable == "phi":
@@ -319,19 +332,13 @@ def parse_config(doc: dict, task: str | None = None) -> RunConfig:
     if task is None:
         raise ConfigError("no task given")
 
-    settings = doc.get("settings", {})
-    if extra := set(settings) - {"a", "b", "a_prime", "b_prime"}:
-        raise ConfigError(f"unknown settings keys: {sorted(extra)}")
-
-    sampling = doc.get("sampling", {})
-    if extra := set(sampling) - {"n", "seed", "shards"}:
-        raise ConfigError(f"unknown sampling keys: {sorted(extra)}")
+    settings = _object(doc.get("settings", {}), "settings", {"a", "b", "a_prime", "b_prime"})
+    sampling = _object(doc.get("sampling", {}), "sampling", {"n", "seed", "shards"})
 
     scan = None
     if "scan" in doc:
-        block = doc["scan"]
-        if extra := set(block) - {"inequality", "variable", "start", "stop", "steps"}:
-            raise ConfigError(f"unknown scan keys: {sorted(extra)}")
+        block = _object(doc["scan"], "scan",
+                        {"inequality", "variable", "start", "stop", "steps"})
         try:
             scan = ScanSpec(
                 inequality=str(block["inequality"]),
@@ -343,10 +350,8 @@ def parse_config(doc: dict, task: str | None = None) -> RunConfig:
         except KeyError as exc:
             raise ConfigError(f"scan block missing {exc.args[0]!r}") from exc
 
-    verify_block = doc.get("verify", {})
-    known_verify = {"sigma", "mc_n", "mc_trial_n", "trials", "cases"}
-    if extra := set(verify_block) - known_verify:
-        raise ConfigError(f"unknown verify keys: {sorted(extra)}")
+    verify_block = _object(doc.get("verify", {}), "verify",
+                           {"sigma", "mc_n", "mc_trial_n", "trials", "cases"})
     verify = VerifySpec(
         sigma=parse_number(verify_block.get("sigma", 4.0), "verify sigma"),
         mc_n=parse_integer(verify_block.get("mc_n", 1_000_000), "verify mc_n"),
@@ -355,9 +360,8 @@ def parse_config(doc: dict, task: str | None = None) -> RunConfig:
         cases=parse_integer(verify_block.get("cases", 10_000), "verify cases"),
     )
 
-    output = doc.get("output", {})
-    if extra := set(output) - {"path", "format"}:
-        raise ConfigError(f"unknown output keys: {sorted(extra)}")
+    output = _object(doc.get("output", {}), "output", {"path", "format"})
+    hidden = _object(doc["hidden"], "hidden", {"u", "v", "p"}) if "hidden" in doc else None
 
     def vec(key):
         return parse_unit_vector(settings[key]) if key in settings else None
@@ -369,7 +373,7 @@ def parse_config(doc: dict, task: str | None = None) -> RunConfig:
         b=vec("b"),
         a_prime=vec("a_prime"),
         b_prime=vec("b_prime"),
-        hidden=doc.get("hidden"),
+        hidden=hidden,
         phi=parse_angle(doc["phi"]) if "phi" in doc else None,
         n=parse_integer(sampling["n"], "n") if "n" in sampling else None,
         seed=parse_integer(sampling.get("seed", 0), "seed"),
@@ -412,8 +416,6 @@ def _resolve_hidden(config: RunConfig) -> tuple[HiddenState | None, str]:
         return None, "none"
     block = config.hidden
     if block is not None:
-        if extra := set(block) - {"u", "v", "p"}:
-            raise ConfigError(f"unknown hidden keys: {sorted(extra)}")
         if family is ModelFamily.FHV:
             if "u" not in block or "v" not in block:
                 raise ConfigError("fhv hidden block needs u and v")
@@ -514,8 +516,6 @@ def run_single(config: RunConfig) -> dict:
 def run_scan(config: RunConfig) -> list[dict]:
     """Margin sweep over a grid of one variable; one row per node."""
     spec = config.scan
-    if spec is None:
-        raise ConfigError("scan task requires a scan block")
     xs = np.linspace(spec.start, spec.stop, spec.steps)
     values, bounds = scan_values(spec.inequality, config.params, spec.variable, xs,
                                  phi=config.phi)
@@ -668,23 +668,15 @@ def _random_settings(rng: np.random.Generator) -> Settings:
     return Settings(UnitVector3.from_array(pair[0]), UnitVector3.from_array(pair[1]))
 
 
-def _quadrature_thv_chsh(zeta: float, order: int = 24) -> float:
+def _quadrature_thv_chsh(zeta: float) -> float:
     """CHSH value of the cubic family at the optimal settings, with the
     hidden-vector average done by sphere quadrature instead of the
     closed-form correlator (independent route)."""
 
     def corr(a, b):
-        return -float(np.dot(a.arr, b.arr)) + zeta * sphere_moment_oracle(a, b, order)
+        return -float(np.dot(a.arr, b.arr)) + zeta * sphere_moment_oracle(a, b)
 
     return chsh_value(corr, *chsh_optimal_settings())
-
-
-def _sigma_frequency(params: ModelParams, s: Settings, n: int,
-                     rng: np.random.Generator) -> float:
-    """Empirical frequency of sigma = +1 from full joint-outcome sampling."""
-    hidden = sample_hidden_batch(params, n, rng)
-    cells = table_cells(*coeffs(params, hidden, s.a.arr, s.b.arr))
-    return float(np.mean(draw_outcomes(cells, n, rng)[0]))
 
 
 def _mc_trial_failures(
@@ -742,6 +734,16 @@ def _bhv_conditional_shift(cases: int, rng: np.random.Generator) -> float:
     return float(np.max(np.abs(given_plus - given_minus)))
 
 
+def _threshold_claim(
+    id: str, description: str, reference: float, tolerance: float,
+    name: str, params: ModelParams, variable: str, domain: tuple[float, float],
+    **search,
+) -> Claim:
+    """Claim on the threshold search's root (nan when no root is found)."""
+    res = threshold(name, params, variable, domain, 1e-10, **search)
+    return _claim(id, description, reference, res.root if res.found else math.nan, tolerance)
+
+
 def run_verify(config: RunConfig) -> VerificationReport:
     """Evaluate the full closed-form claim list.
 
@@ -769,12 +771,10 @@ def run_verify(config: RunConfig) -> VerificationReport:
         2.0 * math.sqrt(2.0), e_qm, 1e-12,
     ))
 
-    res = threshold("chsh", ModelParams.fhv(0.0), "eta", (0.0, 1.0), 1e-10,
-                    closed_form=ETA_MAX_CHSH_FHV)
-    claims.append(_claim(
+    claims.append(_threshold_claim(
         "chsh.fhv.eta_threshold",
         "Largest eta with a CHSH violation for the damped-correlation family",
-        ETA_MAX_CHSH_FHV, res.root if res.found else math.nan, 1e-9,
+        ETA_MAX_CHSH_FHV, 1e-9, "chsh", ModelParams.fhv(0.0), "eta", (0.0, 1.0),
     ))
 
     r = rng()
@@ -791,24 +791,19 @@ def run_verify(config: RunConfig) -> VerificationReport:
         0.0, worst, 1e-10,
     ))
 
-    res = threshold("chsh", ModelParams.shv(), "p_m", (0.0, 2.0), 1e-10,
-                    closed_form=PM_MAX_CHSH_SHV)
-    claims.append(_claim(
+    claims.append(_threshold_claim(
         "chsh.shv.pm_threshold",
         "CHSH violation persists exactly while pm^2 < 1",
-        PM_MAX_CHSH_SHV, res.root if res.found else math.nan, 1e-9,
+        PM_MAX_CHSH_SHV, 1e-9, "chsh", ModelParams.shv(), "p_m", (0.0, 2.0),
     ))
 
     # --- Leggett ------------------------------------------------------------
     phis = np.linspace(0.0, PI, 50)
-    worst = max(
-        abs(leggett_value_best(qm, float(p)) - 2.0 * (1.0 + math.cos(p)))
-        for p in phis
-    )
+    values, _ = scan_values("leggett", qm, "phi", phis)
     claims.append(_claim(
         "leggett.qm.plane_avg_grid",
         "Plane-averaged F(phi) equals 2(1+cos phi) on a 50-point grid",
-        0.0, worst, 1e-9,
+        0.0, np.max(np.abs(values - 2.0 * (1.0 + np.cos(phis)))), 1e-9,
     ))
 
     arg, best = max_violation("leggett", qm, "phi", (0.0, PI))
@@ -842,12 +837,11 @@ def run_verify(config: RunConfig) -> VerificationReport:
         0.0, worst, 1e-8,
     ))
 
-    res = threshold("leggett", ModelParams.fhv(0.0), "eta", (0.0, 0.1), 1e-10,
-                    closed_form=ETA_MAX_LEGGETT_FHV, order=32)
-    claims.append(_claim(
+    claims.append(_threshold_claim(
         "leggett.fhv.eta_threshold",
         "Largest eta with a Leggett violation: 2*pi^2 - 1 - 2*pi*sqrt(pi^2-1)",
-        ETA_MAX_LEGGETT_FHV, res.root if res.found else math.nan, 1e-8,
+        ETA_MAX_LEGGETT_FHV, 1e-8, "leggett", ModelParams.fhv(0.0), "eta", (0.0, 0.1),
+        order=32,
     ))
 
     r = rng()
@@ -867,25 +861,20 @@ def run_verify(config: RunConfig) -> VerificationReport:
         0.0, worst, 1e-9,
     ))
 
-    res = threshold("leggett", ModelParams.thv(0.0), "zeta", (0.0, 1.0), 1e-10,
-                    phi=LEGGETT_QM_ARGMAX_PHI, closed_form=ZETA_MAX_LEGGETT_THV,
-                    order=32)
-    claims.append(_claim(
+    claims.append(_threshold_claim(
         "leggett.thv.zeta_threshold",
         "Largest zeta with a Leggett violation at the singlet's maximizing "
         "angle: 70*pi^4/(40*pi^6 - 18*pi^4 + 6*pi^2 - 1)",
-        ZETA_MAX_LEGGETT_THV, res.root if res.found else math.nan, 1e-8,
+        ZETA_MAX_LEGGETT_THV, 1e-8, "leggett", ModelParams.thv(0.0), "zeta", (0.0, 1.0),
+        phi=LEGGETT_QM_ARGMAX_PHI, order=32,
     ))
 
     # --- Branciard ----------------------------------------------------------
-    worst = max(
-        abs(branciard_value(qm, float(p)) - 2.0 * abs(math.cos(p / 2.0)))
-        for p in np.linspace(0.0, PI, 50)
-    )
+    values, _ = scan_values("branciard", qm, "phi", phis)
     claims.append(_claim(
         "branciard.qm.triad_value",
         "Triad evaluation of G(phi) equals 2|cos(phi/2)| on a 50-point grid",
-        0.0, worst, 1e-10,
+        0.0, np.max(np.abs(values - 2.0 * np.abs(np.cos(phis / 2.0)))), 1e-10,
     ))
 
     win = violation_window("branciard", qm, "phi", (0.0, PI), tol=1e-10)
@@ -907,12 +896,10 @@ def run_verify(config: RunConfig) -> VerificationReport:
         BRANCIARD_QM_ARGMAX_SIN, math.sin(arg / 2.0), 1e-8,
     ))
 
-    res = threshold("branciard", ModelParams.fhv(0.0), "eta", (0.0, 0.2), 1e-10,
-                    closed_form=ETA_MAX_BRANCIARD_FHV)
-    claims.append(_claim(
+    claims.append(_threshold_claim(
         "branciard.fhv.eta_threshold",
         "Largest eta with a Branciard violation: 3/(2*sqrt(2)) - 1",
-        ETA_MAX_BRANCIARD_FHV, res.root if res.found else math.nan, 1e-8,
+        ETA_MAX_BRANCIARD_FHV, 1e-8, "branciard", ModelParams.fhv(0.0), "eta", (0.0, 0.2),
     ))
 
     r = rng()
@@ -951,20 +938,18 @@ def run_verify(config: RunConfig) -> VerificationReport:
         "Alternative printed window center (1+eta)^2/3 disagrees with the "
         "derived center; at eta=0 it implies endpoint 2/3 instead of 3/5",
         branciard_fhv_window_center_quoted(eta_probe),
-        3.0 * (1.0 + eta_probe) ** 2 / (9.0 + (1.0 + eta_probe) ** 2),
+        branciard_fhv_window_center_derived(eta_probe),
         0.0,
         flagged=True,
         note="derived center kept as the authority; quoted form recorded only",
     ))
 
-    res = threshold("branciard", ModelParams.thv(0.0), "zeta", (0.0, 1.0), 1e-10,
-                    phi=2.0 * math.asin(BRANCIARD_QM_ARGMAX_SIN),
-                    closed_form=ZETA_MAX_BRANCIARD_THV)
-    claims.append(_claim(
+    claims.append(_threshold_claim(
         "branciard.thv.zeta_threshold",
         "Largest zeta with a Branciard violation at sin(phi/2) = 1/sqrt(10): "
         "175*(10 - 3*sqrt(10))/216",
-        ZETA_MAX_BRANCIARD_THV, res.root if res.found else math.nan, 1e-8,
+        ZETA_MAX_BRANCIARD_THV, 1e-8, "branciard", ModelParams.thv(0.0), "zeta", (0.0, 1.0),
+        phi=2.0 * math.asin(BRANCIARD_QM_ARGMAX_SIN),
     ))
 
     # --- cubic-family CHSH coefficient (independent quadrature route) -------
@@ -1046,24 +1031,17 @@ def run_verify(config: RunConfig) -> VerificationReport:
         0.0, signaling_worst, 1e-12,
     ))
 
-    freq = _sigma_frequency(
-        ModelParams.fhv(1.0), _random_settings(rng()), v.mc_n, rng()
-    )
+    plus, _ = _shard_counts(ModelParams.fhv(1.0), _random_settings(rng()), v.mc_n, rng())
     claims.append(_claim(
         "props.fhv_marginal_zero_mean",
         "Zero-mean response keeps the first family's outcome frequency at "
         f"1/2 (n = {v.mc_n})",
-        0.5, freq, sigma * math.sqrt(0.25 / v.mc_n),
+        0.5, plus / v.mc_n, sigma * math.sqrt(0.25 / v.mc_n),
     ))
 
     r = rng()
     witness_hinge = 0.0
-    for family in (ModelFamily.FHV, ModelFamily.SHV, ModelFamily.THV):
-        params = (
-            ModelParams.fhv(1.0) if family is ModelFamily.FHV
-            else ModelParams.shv() if family is ModelFamily.SHV
-            else ModelParams.thv(1.0)
-        )
+    for params in (ModelParams.fhv(1.0), ModelParams.shv(), ModelParams.thv(1.0)):
         found = outcome_dependence_witness(params, r, trials=v.cases).delta
         witness_hinge = max(witness_hinge, max(0.0, 0.1 - found))
     claims.append(_claim(

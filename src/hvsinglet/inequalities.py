@@ -662,18 +662,21 @@ def threshold(
 # ------------------------------ bound audits --------------------------------
 
 
-def bhv_chsh_search(
-    rng: np.random.Generator, trials: int = 10_000, atoms: int = 8
-) -> float:
+# Hidden atoms per random mixture in the bound audits.
+BHV_ATOMS = 8
+LHV_ATOMS = 6
+
+
+def bhv_chsh_search(rng: np.random.Generator, trials: int = 10_000) -> float:
     """Max CHSH value over random mixtures of outcome-independent product
     strategies (random single-party expectations per hidden atom, random
     mixture weights, deterministic corner strategies included)."""
     best = 0.0
     for _ in range(trials):
-        vals = rng.uniform(-1.0, 1.0, size=(4, atoms))
+        vals = rng.uniform(-1.0, 1.0, size=(4, BHV_ATOMS))
         if rng.random() < 0.25:
             vals = np.sign(vals)  # deterministic strategies saturate the bound
-        w = rng.random(atoms)
+        w = rng.random(BHV_ATOMS)
         w /= w.sum()
         aa, ab, ba, bb = vals  # A(a), A(a'), B(b), B(b') per atom
         e = abs(float(np.sum(w * (aa * ba + aa * bb + ab * ba - ab * bb))))
@@ -707,9 +710,7 @@ def _lhv_plane_avg(
     return float(np.sum(w * (t * lower + (1.0 - t) * upper)))
 
 
-def lhv_leggett_search(
-    rng: np.random.Generator, trials: int = 200, atoms: int = 6
-) -> float:
+def lhv_leggett_search(rng: np.random.Generator, trials: int = 200) -> float:
     """Max excess of F(phi) over the Leggett bound across random
     Malus-marginal mixtures; nonpositive up to roundoff when the bound holds."""
     worst = -math.inf
@@ -717,11 +718,11 @@ def lhv_leggett_search(
         plane = Plane.with_normal(UnitVector3.from_array(sample_unit_batch(rng, 1)[0]))
         plane_prime = orthogonal_plane(plane)
         phi = rng.uniform(0.0, PI)
-        u = sample_unit_batch(rng, atoms)
-        v = sample_unit_batch(rng, atoms) if rng.random() < 0.5 else u.copy()
-        w = rng.random(atoms)
+        u = sample_unit_batch(rng, LHV_ATOMS)
+        v = sample_unit_batch(rng, LHV_ATOMS) if rng.random() < 0.5 else u.copy()
+        w = rng.random(LHV_ATOMS)
         w /= w.sum()
-        t = np.ones(atoms) if rng.random() < 0.5 else rng.random(atoms)
+        t = np.ones(LHV_ATOMS) if rng.random() < 0.5 else rng.random(LHV_ATOMS)
         f = 0.0
         for pl in (plane, plane_prime):
             c_phi = _lhv_plane_avg(u, v, w, t, pl, phi)
@@ -731,20 +732,18 @@ def lhv_leggett_search(
     return worst
 
 
-def lhv_branciard_search(
-    rng: np.random.Generator, trials: int = 2000, atoms: int = 6
-) -> float:
+def lhv_branciard_search(rng: np.random.Generator, trials: int = 2000) -> float:
     """Max excess of G(phi) over the Branciard bound across random
     Malus-marginal mixtures on the triad construction."""
     worst = -math.inf
     for _ in range(trials):
         phi = rng.uniform(0.0, PI)
         triad, bs, bps = branciard_settings(phi)
-        u = sample_unit_batch(rng, atoms)
-        v = sample_unit_batch(rng, atoms) if rng.random() < 0.5 else u.copy()
-        w = rng.random(atoms)
+        u = sample_unit_batch(rng, LHV_ATOMS)
+        v = sample_unit_batch(rng, LHV_ATOMS) if rng.random() < 0.5 else u.copy()
+        w = rng.random(LHV_ATOMS)
         w /= w.sum()
-        t = np.ones(atoms) if rng.random() < 0.5 else rng.random(atoms)
+        t = np.ones(LHV_ATOMS) if rng.random() < 0.5 else rng.random(LHV_ATOMS)
         g = 0.0
         for ai, bi, bpi in zip(triad.axes, bs, bps):
             pair = 0.0

@@ -303,6 +303,10 @@ class TestInvalidInputExit2:
         ["scan", "--config", str(CONFIGS / "chsh_eta_scan.json"), "--model", "thv"],
         ["scan", "--config", str(CONFIGS / "chsh_eta_scan.json"), "--phi", "0.3"],
         ["scan", "--config", str(CONFIGS / "leggett_phi_scan.json"), "--phi", "0.3"],
+        ["verify", "--format", "csv"],
+        ["chsh", "--model", "shv", "--eta", "0.5"],
+        ["chsh", "--model", "qm", "--zeta", "1"],
+        ["chsh", "--model", "fhv", "--eta", "0.1", "--pm", "0.7"],
     ])
     def test_rejected_with_one_line(self, argv, capsys):
         assert main(argv) == 2
@@ -329,9 +333,31 @@ class TestInvalidInputExit2:
         {"model": {"family": "fhv"}, "sampling": {"seed": 1.5},
          "scan": {"inequality": "chsh", "variable": "eta",
                   "start": 0.0, "stop": 1.0, "steps": 3}},
+        {"model": {"family": "fhv"}, "output": {"format": "xml"},
+         "scan": {"inequality": "chsh", "variable": "eta",
+                  "start": 0.0, "stop": 1.0, "steps": 3}},
     ])
     def test_scan_config_rejected(self, doc, tmp_path, capsys):
         assert main(["scan", "--config", _write_cfg(tmp_path, doc)]) == 2
+
+    @pytest.mark.parametrize("model", [
+        {"family": "qm", "f": {"coeff": 0.2}},
+        {"family": "thv", "f_b": {"power": 3}},
+        {"family": "fhv", "p": {"kind": "constant"}},
+    ], ids=["f-on-qm", "f_b-on-thv", "p-on-fhv"])
+    def test_model_key_of_another_family_rejected(self, model, tmp_path, capsys):
+        assert main(["chsh", "--config", _write_cfg(tmp_path, {"model": model})]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration:") and err.count("\n") == 1
+        assert "model ignores it" in err
+
+    @pytest.mark.parametrize("block", [5, "abc", [["x"]]], ids=["int", "str", "list"])
+    def test_non_object_block_rejected(self, block):
+        for key in ("settings", "sampling", "verify", "output", "hidden", "scan"):
+            with pytest.raises(ConfigError, match="must be an object"):
+                parse_config({"task": "prob", key: block})
+        with pytest.raises(ConfigError, match="must be an object"):
+            parse_model({"family": "fhv", "f": block})
 
     def test_bad_verify_knobs_rejected(self, capsys):
         with pytest.raises(ConfigError):

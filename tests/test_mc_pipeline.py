@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvsinglet import models as models_module
-from hvsinglet.correlators import MC_CHUNK, mc_correlator
+from hvsinglet.correlators import MC_CHUNK, _shard_counts, mc_correlator
 from hvsinglet.geometry import Plane, UnitVector3, X, Y, Z, sample_unit_batch
 from hvsinglet.models import (
     CapP,
@@ -25,6 +25,7 @@ from hvsinglet.models import (
     Settings,
     coeffs,
     conditional,
+    draw_outcomes,
     joint,
     outcome_dependence_witness,
     sample_hidden_batch,
@@ -165,6 +166,26 @@ class TestEquivalence:
             assert [t.pp, t.pm, t.mp, t.mm] == expected
 
 
+class TestShardCounts:
+    @given(params_st, unit, unit, st.integers(0, 2**32 - 1), st.integers(1, 4000))
+    @settings(max_examples=60, deadline=None)
+    def test_counts_match_one_direct_draw(self, params, a, b, seed, n):
+        s = Settings(a, b)
+        got = _shard_counts(params, s, n, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        hidden = sample_hidden_batch(params, n, rng)
+        plus, same = draw_outcomes(table_cells(*coeffs(params, hidden, a.arr, b.arr)), n, rng)
+        assert got == (int(np.sum(plus)), int(np.sum(same)))
+
+    def test_full_chunk_sigma_count_matches_direct_draw(self):
+        params, s = ModelParams.fhv(1.0), Settings(X, UnitVector3.normalized(1.0, 2.0, 2.0))
+        plus, _ = _shard_counts(params, s, MC_CHUNK, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        hidden = sample_hidden_batch(params, MC_CHUNK, rng)
+        cells = table_cells(*coeffs(params, hidden, s.a.arr, s.b.arr))
+        assert plus == int(np.sum(draw_outcomes(cells, MC_CHUNK, rng)[0]))
+
+
 class TestTableCheck:
     def test_negative_cell_raises_on_batch_path(self):
         # |p| = 5 > p_m = 0.5: C = -5/sqrt(1.25) < -1, so pp < 0
@@ -231,6 +252,21 @@ class TestChunking:
             tracemalloc.start()
             try:
                 mc_correlator(params, s, n, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2 * MC_CHUNK), peak(8 * MC_CHUNK)
+        assert large <= 1.5 * small
+
+    def test_marginal_frequency_draw_memory_does_not_grow_with_n(self):
+        # the draw behind the verify claim props.fhv_marginal_zero_mean
+        params, s = ModelParams.fhv(1.0), Settings(X, Y)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                _shard_counts(params, s, n, np.random.default_rng(2))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
