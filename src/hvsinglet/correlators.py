@@ -191,16 +191,18 @@ def _plane_avg_block(
     other requests share the call.
     """
     theta = theta0 + np.arange(order) * (2.0 * math.pi / order)
-    cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
     out = np.empty(len(phi))
     step = max(1, BLOCK_PAIRS // order)
     for start in range(0, len(phi), step):
         rows = slice(start, start + step)
-        u1, u2 = e1[rows, None, :], e2[rows, None, :]
+        # component-major (3, rows, order): elementwise ops run on contiguous rows
+        u1, u2 = e1[rows].T[:, :, None], e2[rows].T[:, :, None]
         a = cos_t * u1 + sin_t * u2
         tb = theta + phi[rows, None]
-        b = np.cos(tb)[..., None] * u1 + np.sin(tb)[..., None] * u2
-        out[rows] = np.mean(_pair_correlator_arrays(models, a, b, which[rows]), axis=-1)
+        b = np.cos(tb) * u1 + np.sin(tb) * u2
+        out[rows] = np.mean(_pair_correlator_arrays(
+            models, np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1), which[rows]), axis=-1)
     return out
 
 

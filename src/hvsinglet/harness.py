@@ -100,6 +100,20 @@ PARAMETER_FAMILY = {
     "p_m": ModelFamily.SHV,
 }
 
+# The tasks that read each optional config entry (settings, sampling keys and
+# blocks); any other task would silently ignore it.
+TASK_READERS = {
+    "a": ("prob", "correlator", "chsh"),
+    "b": ("prob", "correlator", "chsh"),
+    "a_prime": ("chsh",),
+    "b_prime": ("chsh",),
+    "n": ("correlator",),
+    "shards": ("correlator",),
+    "hidden": ("prob",),
+    "scan": ("scan",),
+    "verify": ("verify",),
+}
+
 OUTPUT_FORMATS = ("json", "csv")
 
 
@@ -328,6 +342,8 @@ def parse_config(doc: dict, task: str | None = None) -> RunConfig:
     if extra := set(doc) - known:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
 
+    if task is not None and doc.get("task", task) != task:
+        raise ConfigError(f"config task {doc['task']!r} does not match the {task} command")
     task = task or doc.get("task")
     if task is None:
         raise ConfigError("no task given")
@@ -362,6 +378,13 @@ def parse_config(doc: dict, task: str | None = None) -> RunConfig:
 
     output = _object(doc.get("output", {}), "output", {"path", "format"})
     hidden = _object(doc["hidden"], "hidden", {"u", "v", "p"}) if "hidden" in doc else None
+
+    for key in sorted(TASK_READERS.keys() & {*settings, *sampling, *doc}):
+        if task not in TASK_READERS[key]:
+            raise ConfigError(f"{key!r} is read only by {'/'.join(TASK_READERS[key])}, "
+                              f"not by {task}")
+    if "shards" in sampling and "n" not in sampling:
+        raise ConfigError("shards needs n (shards split the Monte-Carlo samples)")
 
     def vec(key):
         return parse_unit_vector(settings[key]) if key in settings else None

@@ -128,6 +128,17 @@ class CapP:
 PSpec = ConstantP | CapP
 
 
+@lru_cache(maxsize=3)
+def _audit_grids(lo_a: float, hi_a: float, lo_b: float, hi_b: float, n: int):
+    """cos^3 alpha, cos^3 beta and the extremes cos(alpha -+ beta) of a.b over
+    one n x n window of the audit; nearby zeta share their windows."""
+    alpha, beta = np.linspace(lo_a, hi_a, n)[:, None], np.linspace(lo_b, hi_b, n)[None, :]
+    grids = (np.cos(alpha) ** 3, np.cos(beta) ** 3, np.cos(alpha - beta), np.cos(alpha + beta))
+    for g in grids:
+        g.flags.writeable = False  # shared by every zeta that reaches the window
+    return grids
+
+
 @lru_cache(maxsize=512)
 def thv_positivity_margin(zeta: float) -> float:
     """Worst-case positivity margin min(1 - |a.b - zeta*(a.u)^3*(b.u)^3|).
@@ -142,15 +153,10 @@ def thv_positivity_margin(zeta: float) -> float:
     n = 160
     best = math.inf
     for _ in range(4):
-        alpha = np.linspace(lo_a, hi_a, n)
-        beta = np.linspace(lo_b, hi_b, n)
-        ca, cb = np.cos(alpha)[:, None], np.cos(beta)[None, :]
-        cubic = zeta * ca**3 * cb**3
+        ca3, cb3, *extremes = _audit_grids(lo_a, hi_a, lo_b, hi_b, n)
+        cubic = zeta * ca3 * cb3
         worst = None
-        for ab in (
-            np.cos(alpha[:, None] - beta[None, :]),
-            np.cos(alpha[:, None] + beta[None, :]),
-        ):
+        for ab in extremes:
             margin = 1.0 - np.abs(ab - cubic)
             idx = np.unravel_index(np.argmin(margin), margin.shape)
             if margin[idx] < best:

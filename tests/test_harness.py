@@ -307,6 +307,10 @@ class TestInvalidInputExit2:
         ["chsh", "--model", "shv", "--eta", "0.5"],
         ["chsh", "--model", "qm", "--zeta", "1"],
         ["chsh", "--model", "fhv", "--eta", "0.1", "--pm", "0.7"],
+        ["chsh", "--n", "500", "--shards", "3"],
+        ["leggett", "--phi", "0.3", "--n", "500"],
+        ["prob", "--shards", "2"],
+        ["correlator", "--shards", "3"],
     ])
     def test_rejected_with_one_line(self, argv, capsys):
         assert main(argv) == 2
@@ -350,6 +354,47 @@ class TestInvalidInputExit2:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid configuration:") and err.count("\n") == 1
         assert "model ignores it" in err
+
+    @pytest.mark.parametrize("task,doc", [
+        ("chsh", {"task": "scan", "model": {"family": "fhv"},
+                  "scan": {"inequality": "chsh", "variable": "eta",
+                           "start": 0.0, "stop": 1.0, "steps": 3}}),
+        ("correlator", {"task": "prob"}),
+        ("correlator", {"model": {"family": "fhv"},
+                        "hidden": {"u": [0, 0, 1], "v": [0, 0, 1]}}),
+        ("leggett", {"phi": 0.3, "settings": {"a": [1, 0, 0]}}),
+        ("scan", {"model": {"family": "fhv"}, "settings": {"b": [0, 1, 0]},
+                  "scan": {"inequality": "chsh", "variable": "eta",
+                           "start": 0.0, "stop": 1.0, "steps": 3}}),
+        ("correlator", {"settings": {"a": [1, 0, 0], "b": [0, 1, 0],
+                                     "a_prime": [0, 0, 1]}}),
+        ("prob", {"settings": {"b_prime": [0, 0, 1]}}),
+        ("chsh", {"scan": {"inequality": "chsh", "variable": "eta",
+                           "start": 0.0, "stop": 1.0, "steps": 3}}),
+        ("scan", {"model": {"family": "fhv"}, "verify": {"trials": 3},
+                  "scan": {"inequality": "chsh", "variable": "eta",
+                           "start": 0.0, "stop": 1.0, "steps": 3}}),
+        ("verify", {"sampling": {"n": 1000}}),
+    ], ids=["task-mismatch", "task-mismatch-single", "hidden-off-prob", "a-on-leggett",
+            "b-on-scan", "a_prime-off-chsh", "b_prime-off-chsh", "scan-off-scan",
+            "verify-off-verify", "n-on-verify"])
+    def test_config_a_task_ignores_rejected(self, task, doc, tmp_path, capsys):
+        assert main([task, "--config", _write_cfg(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,doc", [
+        (["prob"], {"task": "prob", "model": {"family": "fhv"},
+                    "settings": {"a": [1, 0, 0], "b": [0, 1, 0]},
+                    "hidden": {"u": [0, 0, 1], "v": [0, 0, 1]}}),
+        (["correlator", "--n", "500", "--shards", "2"],
+         {"settings": {"a": [1, 0, 0], "b": [0, 1, 0]}}),
+        (["chsh"], {"settings": {"a": [1, 0, 0], "b": [0, 1, 0],
+                                 "a_prime": [0, 0, 1], "b_prime": [0, 0, 1]}}),
+    ], ids=["prob", "correlator", "chsh"])
+    def test_entries_the_task_reads_accepted(self, argv, doc, tmp_path, capsys):
+        assert main([*argv, "--config", _write_cfg(tmp_path, doc)]) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize("block", [5, "abc", [["x"]]], ids=["int", "str", "list"])
     def test_non_object_block_rejected(self, block):

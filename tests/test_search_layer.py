@@ -2,6 +2,7 @@
 search helpers against one-problem-at-a-time runs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvsinglet import models as models_module
-from hvsinglet.correlators import BLOCK_PAIRS, _plane_avg_block, analytic_correlator
+from hvsinglet.correlators import (
+    BLOCK_PAIRS,
+    DEFAULT_PLANE_NODES,
+    _pair_correlator_arrays,
+    _plane_avg_block,
+    analytic_correlator,
+)
 from hvsinglet.geometry import (
     UnitVector3,
     branciard_settings,
@@ -33,6 +40,7 @@ from hvsinglet.models import (
     InvalidModelError,
     ModelParams,
     Settings,
+    thv_positivity_margin,
 )
 
 PI = math.pi
@@ -237,3 +245,135 @@ class TestPositivityAudit:
         threshold("branciard", ModelParams.thv(0.0), "zeta", (0.0, 1.0), 1e-6,
                   phi=1.0, nodes=5)
         assert audited[:4] == [0.25, 0.5, 0.75, 1.0]  # zeta = 0 needs no audit
+
+
+# ------------------------- bit-for-bit layout guards -------------------------
+
+
+def _rows_order_3_block(models, which, e1, e2, phi, order, theta0=0.0):
+    """The plane-average block with settings built as (rows, order, 3)
+    arrays, the layout the component-major block must reproduce bit for bit."""
+    theta = theta0 + np.arange(order) * (2.0 * math.pi / order)
+    cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    out = np.empty(len(phi))
+    step = max(1, BLOCK_PAIRS // order)
+    for start in range(0, len(phi), step):
+        rows = slice(start, start + step)
+        u1, u2 = e1[rows, None, :], e2[rows, None, :]
+        a = cos_t * u1 + sin_t * u2
+        tb = theta + phi[rows, None]
+        b = np.cos(tb)[..., None] * u1 + np.sin(tb)[..., None] * u2
+        out[rows] = np.mean(_pair_correlator_arrays(models, a, b, which[rows]), axis=-1)
+    return out
+
+
+def _uncached_audit(zeta):
+    """The positivity audit with every grid built per zeta, as the cached
+    window grids must reproduce it bit for bit."""
+    lo_a, hi_a = 0.0, math.pi
+    lo_b, hi_b = 0.0, math.pi
+    n = 160
+    best = math.inf
+    for _ in range(4):
+        alpha = np.linspace(lo_a, hi_a, n)
+        beta = np.linspace(lo_b, hi_b, n)
+        ca, cb = np.cos(alpha)[:, None], np.cos(beta)[None, :]
+        cubic = zeta * ca**3 * cb**3
+        worst = None
+        for ab in (
+            np.cos(alpha[:, None] - beta[None, :]),
+            np.cos(alpha[:, None] + beta[None, :]),
+        ):
+            margin = 1.0 - np.abs(ab - cubic)
+            idx = np.unravel_index(np.argmin(margin), margin.shape)
+            if margin[idx] < best:
+                best = float(margin[idx])
+                worst = idx
+        if worst is None:
+            break
+        da = (hi_a - lo_a) / (n - 1)
+        db = (hi_b - lo_b) / (n - 1)
+        lo_a = max(0.0, lo_a + (worst[0] - 1) * da)
+        hi_a = min(math.pi, lo_a + 2 * da)
+        lo_b = max(0.0, lo_b + (worst[1] - 1) * db)
+        hi_b = min(math.pi, lo_b + 2 * db)
+    return best
+
+
+shv_models = st.one_of(
+    st.builds(lambda d, m: ModelParams.shv(ConstantP(tuple(m * d.arr))),
+              unit, st.floats(0.0, 1.0)),
+    st.builds(lambda axis, half, m: ModelParams.shv(CapP(axis, half, m)),
+              unit, st.floats(0.0, PI / 2), st.floats(0.0, 1.0)),
+)
+family_batches = st.one_of(
+    st.lists(st.just(ModelParams.qm()), min_size=1, max_size=2),
+    st.lists(st.floats(0.0, 1.0).map(ModelParams.fhv), min_size=1, max_size=4),
+    st.lists(st.floats(0.0, 1.8).map(ModelParams.thv), min_size=1, max_size=4),
+    st.lists(shv_models, min_size=1, max_size=4),
+)
+
+
+def _random_planes(rng, n):
+    e1 = rng.normal(size=(n, 3))
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(e1, rng.normal(size=(n, 3)))
+    e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
+    return e1, e2
+
+
+class TestBitIdenticalLayouts:
+    @settings(max_examples=40, deadline=None)
+    @given(batch=family_batches, order=st.sampled_from([16, 37, 256]),
+           blocks=st.floats(0.01, 3.0), theta0=st.floats(0.01, PI),
+           seed=st.integers(0, 2**32 - 1))
+    def test_component_major_block_matches_rows_order_3_layout(
+            self, batch, order, blocks, theta0, seed):
+        rng = np.random.default_rng(seed)
+        n = max(1, int(blocks * (BLOCK_PAIRS // order)))  # up to three blocks
+        e1, e2 = _random_planes(rng, n)
+        phi = rng.uniform(-PI, PI, n)
+        which = rng.integers(0, len(batch), n)
+        got = _plane_avg_block(batch, which, e1, e2, phi, order, theta0)
+        want = _rows_order_3_block(batch, which, e1, e2, phi, order, theta0)
+        assert got.tobytes() == want.tobytes()
+
+    def test_audit_matches_uncached_grids_on_a_zeta_grid(self):
+        zetas = [*np.linspace(0.0, 2.2, 111).tolist(), 1.999, 2.05]
+        for zeta in zetas:
+            got, want = thv_positivity_margin.__wrapped__(zeta), _uncached_audit(zeta)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), zeta
+        assert thv_positivity_margin.__wrapped__(2.05) < -1e-3
+
+    @settings(max_examples=40, deadline=None)
+    @given(zeta=st.floats(0.0, 2.2))
+    def test_audit_matches_uncached_grids_at_random_zeta(self, zeta):
+        got = thv_positivity_margin.__wrapped__(zeta)
+        assert np.float64(got).tobytes() == np.float64(_uncached_audit(zeta)).tobytes()
+
+
+class TestSearchLayerMemory:
+    def test_block_peak_does_not_grow_with_requests(self):
+        params, order = (ModelParams.fhv(0.1),), DEFAULT_PLANE_NODES
+        step = BLOCK_PAIRS // order
+        rng = np.random.default_rng(4)
+        e1, e2 = _random_planes(rng, 4 * step)
+        phi = rng.uniform(0.0, PI, 4 * step)
+        which = np.zeros(4 * step, dtype=int)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                _plane_avg_block(params, which[:n], e1[:n], e2[:n], phi[:n], order)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(step), peak(4 * step)
+        assert large <= 1.5 * small
+
+    def test_audit_grid_cache_stays_small(self):
+        for zeta in np.linspace(0.0, 1.8, 200).tolist():
+            thv_positivity_margin.__wrapped__(zeta)
+        info = models_module._audit_grids.cache_info()
+        assert info.currsize <= 3 and info.hits > 0
