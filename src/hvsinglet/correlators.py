@@ -6,11 +6,12 @@ sphere-moment oracle for the sixth-moment identity behind the cubic family.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Plane, UnitVector3
+from .geometry import ChunkWorkspace, Plane, UnitVector3
 from .models import (
     InvalidModelError,
     ModelFamily,
@@ -124,33 +125,88 @@ def _combine_moments(parts: list[tuple[int, float, float]]) -> tuple[int, float,
     return parts[0]
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _pool_map(fn, units: list, ws: ChunkWorkspace | None = None) -> list:
+    """``[fn(u, ws) for u in units]`` on min(len(units), usable CPUs)
+    threads, each unit given the `ChunkWorkspace` of the thread running it;
+    numpy releases the GIL in its bulk draws and ufuncs.
+
+    Results come back in unit order, so a caller that combines them in that
+    order gets the same bits for any thread count.  The map holds one
+    workspace per thread, handed from unit to unit, so memory is
+    O(threads x MC_CHUNK).  Given a workspace, the map runs inline on the
+    calling thread: a unit passes its own to the maps it starts, so nesting
+    never adds threads.
+    """
+    workers = min(len(units), _usable_cpus())
+    if ws is not None or workers <= 1:
+        ws = ws or ChunkWorkspace()
+        return [fn(u, ws) for u in units]
+    # imported here: importing them costs ~10 ms, a twentieth of start-up
+    from concurrent.futures import ThreadPoolExecutor
+    from queue import SimpleQueue
+
+    idle = SimpleQueue()
+    for _ in range(workers):
+        idle.put(ChunkWorkspace())
+
+    def run(unit):
+        own = idle.get()
+        try:
+            return fn(unit, own)
+        finally:
+            idle.put(own)
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(run, units))
+
+
 def _shard_counts(
-    params: ModelParams, s: Settings, m: int, rng: np.random.Generator
+    params: ModelParams, s: Settings, m: int, rng: np.random.Generator,
+    ws: ChunkWorkspace | None = None,
 ) -> tuple[int, int]:
     """Draw one shard of ``m`` samples from ``rng`` in chunks of at most
     ``MC_CHUNK``: hidden states, then each joint table, then the joint
-    outcome.  Returns the counts of sigma = +1 and of sigma*tau = +1."""
+    outcome.  Returns the counts of sigma = +1 and of sigma*tau = +1.
+
+    Every array of a chunk lives in the workspace ``ws`` (by default one
+    made for this call), so memory is O(MC_CHUNK) and a warm loop allocates
+    nothing.
+    """
     a, b = s.a.arr, s.b.arr
+    ws = ws or ChunkWorkspace()
     plus = same = 0
     for start in range(0, m, MC_CHUNK):
         k = min(MC_CHUNK, m - start)
-        hidden = sample_hidden_batch(params, k, rng)
-        sigma, product = draw_outcomes(table_cells(*coeffs(params, hidden, a, b)), k, rng)
+        ws.start(k)
+        hidden = sample_hidden_batch(params, k, rng, ws)
+        cells = table_cells(*coeffs(params, hidden, a, b, ws), ws=ws)
+        sigma, product = draw_outcomes(cells, k, rng, ws)
         plus += int(np.count_nonzero(sigma))
         same += int(np.count_nonzero(product))
     return plus, same
 
 
 def mc_correlator(
-    params: ModelParams, s: Settings, n: int, seed: int, shards: int = 1
+    params: ModelParams, s: Settings, n: int, seed: int, shards: int = 1,
+    ws: ChunkWorkspace | None = None,
 ) -> MCEstimate:
     """Empirical correlator: draw hidden states, form each joint table, draw
     outcomes, and average sigma*tau.
 
     Work is split over ``shards`` deterministic substreams; each shard is
     drawn from its own generator in chunks of at most ``MC_CHUNK`` samples
-    and reduced chunk by chunk, so the result is bit-reproducible for a
-    fixed (seed, shards) pair and memory does not grow with ``n``.
+    and reduced chunk by chunk.  Shards run on `_pool_map` threads and are
+    combined in shard order, so the result is bit-reproducible for a fixed
+    (seed, shards) pair whatever the thread count, and memory does not grow
+    with ``n``.  Given a `ChunkWorkspace` ``ws`` (a `_pool_map` unit's), the
+    shards run inline in it.
     """
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"n must be at least {MIN_MC_SAMPLES}")
@@ -158,14 +214,16 @@ def mc_correlator(
         raise ValueError("shards must be positive")
     streams = np.random.SeedSequence(seed).spawn(shards)
     base, extra = divmod(n, shards)
-    parts = []
-    for i, ss in enumerate(streams):
-        m = base + (1 if i < extra else 0)
-        if m == 0:
-            continue
-        _, same = _shard_counts(params, s, m, np.random.Generator(np.random.PCG64(ss)))
+    sizes = [base + (1 if i < extra else 0) for i in range(shards)]
+
+    def shard(i: int, own: ChunkWorkspace) -> tuple[int, float, float]:
+        m = sizes[i]
+        rng = np.random.Generator(np.random.PCG64(streams[i]))
+        _, same = _shard_counts(params, s, m, rng, own)
         # sigma*tau is +-1, so the sum is 2*same - m and the sum of squares m
-        parts.append((m, float(2 * same - m), float(m)))
+        return (m, float(2 * same - m), float(m))
+
+    parts = _pool_map(shard, [i for i in range(shards) if sizes[i]], ws)
     count, total, total_sq = _combine_moments(parts)
     mean = total / count
     if count > 1:

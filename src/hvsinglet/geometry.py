@@ -180,6 +180,56 @@ def branciard_settings(
     return triad, tuple(b), tuple(b_prime)
 
 
+class ChunkWorkspace:
+    """Float rows for the arrays of one Monte-Carlo chunk, kept by one
+    worker across its chunks and calls, so that a warm chunk loop allocates
+    nothing.
+
+    `start(n)` begins a chunk of n samples with every row free.  `take(k)`
+    lends a (k, n) block of adjacent rows, cut from the smallest free block
+    that holds k rows, and `give` takes lent blocks back.  Storage grows
+    only when no free block fits, so after the first chunk it stays at the
+    most rows one chunk holds at once, each as long as the longest chunk.
+    """
+
+    def __init__(self) -> None:
+        self._size = 0
+        self._owned: list[np.ndarray] = []
+        self.start(0)
+
+    def start(self, n: int) -> None:
+        if n > self._size:
+            self._owned, self._size = [], n
+        self.n = n
+        self._free = list(self._owned)
+        self._lent: list[np.ndarray] = []
+
+    def take(self, k: int) -> np.ndarray:
+        fits = [b for b in self._free if len(b) >= k]
+        if fits:
+            block = min(fits, key=len)
+            self._free = [b for b in self._free if b is not block]
+            if len(block) > k:
+                self._free.append(block[k:])
+            block = block[:k]
+        else:
+            block = np.empty((k, self._size))
+            self._owned.append(block)
+        self._lent.append(block)
+        return block[:, :self.n]
+
+    def row(self) -> np.ndarray:
+        """One lent (n,) row."""
+        return self.take(1)[0]
+
+    def give(self, *arrays: np.ndarray) -> None:
+        """Take back lent blocks, each passed as lent or as a view that
+        starts where it does (its first row, its transpose)."""
+        for arr in arrays:
+            i = next(i for i, b in enumerate(self._lent) if b.ctypes.data == arr.ctypes.data)
+            self._free.append(self._lent.pop(i))
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 stream; pass the same seed to reproduce a run."""
     return np.random.default_rng(seed)
@@ -190,32 +240,90 @@ def sample_unit_uniform(rng: np.random.Generator) -> UnitVector3:
     return UnitVector3.from_array(sample_unit_batch(rng, 1)[0])
 
 
-def sample_unit_batch(rng: np.random.Generator, n: int) -> np.ndarray:
-    """(n, 3) array of independent uniform sphere draws."""
-    z = rng.uniform(-1.0, 1.0, n)
-    az = rng.uniform(0.0, TWO_PI, n)
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    out = np.empty((n, 3))
-    np.multiply(r, np.cos(az), out=out[:, 0])
-    np.multiply(r, np.sin(az), out=out[:, 1])
-    out[:, 2] = z
-    return out
+def sample_unit_batch(
+    rng: np.random.Generator, n: int, ws: ChunkWorkspace | None = None
+) -> np.ndarray:
+    """(n, 3) array of independent uniform sphere draws.  With a started
+    `ChunkWorkspace` ``ws`` the draws fill one of its (3, n) blocks, in
+    place and in the same order, and the block's transpose is returned; the
+    bits are the same either way."""
+    if ws is None:
+        z = rng.uniform(-1.0, 1.0, n)
+        az = rng.uniform(0.0, TWO_PI, n)
+        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        out = np.empty((n, 3))
+        np.multiply(r, np.cos(az), out=out[:, 0])
+        np.multiply(r, np.sin(az), out=out[:, 1])
+        out[:, 2] = z
+        return out
+    out, scratch = ws.take(3), ws.row()
+    _zone_rows(rng, -1.0, out, scratch)
+    ws.give(scratch)
+    return out.T
 
 
 def sample_cap_batch(
-    rng: np.random.Generator, axis: UnitVector3, half_angle: float, n: int
+    rng: np.random.Generator, axis: UnitVector3, half_angle: float, n: int,
+    ws: ChunkWorkspace | None = None,
 ) -> np.ndarray:
     """(n, 3) uniform draws from the spherical cap of the given half-angle
-    centered on ``axis``."""
+    centered on ``axis``; ``ws`` as in `sample_unit_batch`."""
     if not 0.0 <= half_angle <= math.pi:
         raise ValueError("half_angle must lie in [0, pi]")
     frame = Plane.with_normal(axis)
-    z = rng.uniform(math.cos(half_angle), 1.0, n)
-    az = rng.uniform(0.0, TWO_PI, n)
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    out = np.empty((n, 3))
     e1, e2, e3 = frame.e1.arr, frame.e2.arr, axis.arr
-    x, y = r * np.cos(az), r * np.sin(az)
-    for k in range(3):
-        out[:, k] = x * e1[k] + y * e2[k] + z * e3[k]
+    if ws is None:
+        z = rng.uniform(math.cos(half_angle), 1.0, n)
+        az = rng.uniform(0.0, TWO_PI, n)
+        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        out = np.empty((n, 3))
+        x, y = r * np.cos(az), r * np.sin(az)
+        for k in range(3):
+            out[:, k] = x * e1[k] + y * e2[k] + z * e3[k]
+        return out
+    out, spare = ws.take(3), ws.take(3)
+    x, y, z = _zone_rows(rng, math.cos(half_angle), out, spare[0])
+    # component k is x*e1[k] + y*e2[k] + z*e3[k]: components 0 and 1 go to
+    # spare rows, component 2 is formed last in place of z
+    tmp = spare[2]
+    for k in (0, 1):
+        comp = np.multiply(x, e1[k], out=spare[k])
+        comp += np.multiply(y, e2[k], out=tmp)
+        comp += np.multiply(z, e3[k], out=tmp)
+    x *= e1[2]
+    y *= e2[2]
+    x += y
+    z *= e3[2]
+    z += x
+    out[:2] = spare[:2]
+    ws.give(spare)
+    return out.T
+
+
+def _uniform_into(rng: np.random.Generator, lo: float, hi: float, out: np.ndarray):
+    """``rng.uniform(lo, hi, len(out))`` drawn into ``out``: the same
+    lo + (hi - lo) * random() for each element, so the same bits."""
+    rng.random(out=out)
+    out *= hi - lo
+    out += lo
+    return out
+
+
+def _zone_rows(rng: np.random.Generator, z_lo: float, out: np.ndarray,
+               scratch: np.ndarray) -> np.ndarray:
+    """Uniform draws from the zone z >= z_lo of the unit sphere into the
+    component rows of ``out`` (3, n): z ~ U(z_lo, 1), then the azimuth
+    ~ U(0, 2 pi), then x = r cos(az), y = r sin(az) with r = sqrt(1 - z^2).
+    ``scratch`` is one more (n,) row."""
+    x, y, z = out
+    _uniform_into(rng, z_lo, 1.0, z)
+    az = _uniform_into(rng, 0.0, TWO_PI, y)
+    r = np.multiply(z, z, out=scratch)
+    np.subtract(1.0, r, out=r)
+    np.maximum(r, 0.0, out=r)
+    np.sqrt(r, out=r)
+    np.cos(az, out=x)
+    x *= r
+    np.sin(az, out=y)
+    y *= r
     return out

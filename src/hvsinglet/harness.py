@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .geometry import UnitVector3, chsh_optimal_settings, make_rng, sample_unit_batch
+from .geometry import NORM_TOL, UnitVector3, chsh_optimal_settings, make_rng, sample_unit_batch
 from .models import (
     CapP,
     ConstantP,
@@ -39,6 +39,7 @@ from .models import (
 )
 from .correlators import (
     MIN_MC_SAMPLES,
+    _pool_map,
     _shard_counts,
     analytic_correlator,
     mc_correlator,
@@ -108,6 +109,7 @@ TASK_READERS = {
     "a_prime": ("chsh",),
     "b_prime": ("chsh",),
     "n": ("correlator",),
+    "seed": ("prob", "correlator", "verify"),
     "shards": ("correlator",),
     "hidden": ("prob",),
     "scan": ("scan",),
@@ -385,13 +387,21 @@ def parse_config(doc: dict, task: str | None = None) -> RunConfig:
                               f"not by {task}")
     if "shards" in sampling and "n" not in sampling:
         raise ConfigError("shards needs n (shards split the Monte-Carlo samples)")
+    params = parse_model(doc.get("model", {}))
+    if "seed" in sampling:
+        if task == "correlator" and "n" not in sampling:
+            raise ConfigError("seed needs n (it seeds the Monte-Carlo samples)")
+        if task == "prob" and "hidden" in doc:
+            raise ConfigError("seed draws the hidden state, but the hidden block fixes it")
+        if task == "prob" and params.family is ModelFamily.QM:
+            raise ConfigError("seed draws the hidden state, and the qm model has none")
 
     def vec(key):
         return parse_unit_vector(settings[key]) if key in settings else None
 
     return RunConfig(
         task=str(task),
-        params=parse_model(doc.get("model", {})),
+        params=params,
         a=vec("a"),
         b=vec("b"),
         a_prime=vec("a_prime"),
@@ -431,34 +441,48 @@ def _vector_echo(v: UnitVector3) -> list[float]:
     return [v.x, v.y, v.z]
 
 
+# The hidden-block keys each family reads; the cubic family's v may only
+# restate its partner -u.
+HIDDEN_KEYS = {
+    ModelFamily.FHV: {"u", "v"},
+    ModelFamily.THV: {"u", "v"},
+    ModelFamily.SHV: {"p"},
+}
+
+
 def _resolve_hidden(config: RunConfig) -> tuple[HiddenState | None, str]:
     """Hidden state for a table evaluation: taken from the config when given,
     otherwise sampled from the model's own distribution with the run seed."""
     family = config.params.family
-    if family is ModelFamily.QM:
-        return None, "none"
     block = config.hidden
-    if block is not None:
-        if family is ModelFamily.FHV:
-            if "u" not in block or "v" not in block:
-                raise ConfigError("fhv hidden block needs u and v")
-            return (
-                HiddenState.uv(parse_unit_vector(block["u"]), parse_unit_vector(block["v"])),
-                "config",
-            )
-        if family is ModelFamily.THV:
-            if "u" not in block:
-                raise ConfigError("thv hidden block needs u")
-            u = parse_unit_vector(block["u"])
-            return HiddenState.uv(u, -u), "config"
-        if family is ModelFamily.SHV:
-            if "p" not in block:
-                raise ConfigError("shv hidden block needs p")
-            p = block["p"]
-            if not (isinstance(p, (list, tuple)) and len(p) == 3):
-                raise ConfigError(f"hidden p must be a 3-component vector, got {p!r}")
-            return HiddenState.carrier([parse_number(c, "hidden p component") for c in p]), "config"
-    return sample_hidden(config.params, make_rng(config.seed)), "sampled"
+    if block is None:
+        if family is ModelFamily.QM:
+            return None, "none"
+        return sample_hidden(config.params, make_rng(config.seed)), "sampled"
+    if family not in HIDDEN_KEYS:
+        raise ConfigError(f"the {family.value} model has no hidden state; drop the hidden block")
+    if extra := set(block) - HIDDEN_KEYS[family]:
+        raise ConfigError(f"the {family.value} model ignores hidden keys {sorted(extra)}")
+    if family is ModelFamily.FHV:
+        if "u" not in block or "v" not in block:
+            raise ConfigError("fhv hidden block needs u and v")
+        return (
+            HiddenState.uv(parse_unit_vector(block["u"]), parse_unit_vector(block["v"])),
+            "config",
+        )
+    if family is ModelFamily.THV:
+        if "u" not in block:
+            raise ConfigError("thv hidden block needs u")
+        u = parse_unit_vector(block["u"])
+        if "v" in block and np.max(np.abs(parse_unit_vector(block["v"]).arr + u.arr)) > NORM_TOL:
+            raise ConfigError("thv hidden v must be -u (the cubic family locks v = -u)")
+        return HiddenState.uv(u, -u), "config"
+    if "p" not in block:
+        raise ConfigError("shv hidden block needs p")
+    p = block["p"]
+    if not (isinstance(p, (list, tuple)) and len(p) == 3):
+        raise ConfigError(f"hidden p must be a 3-component vector, got {p!r}")
+    return HiddenState.carrier([parse_number(c, "hidden p component") for c in p]), "config"
 
 
 def _hidden_echo(h: HiddenState | None) -> dict | None:
@@ -707,13 +731,13 @@ def _mc_trial_failures(
     rng: np.random.Generator,
 ) -> int:
     """Trials where the Monte-Carlo mean misses the closed form by more than
-    sigma standard errors."""
+    sigma standard errors.  Every trial's inputs are drawn from ``rng``
+    first; the independent estimates then run on `_pool_map` threads."""
+    draws = [(_random_params(family, rng), _random_settings(rng), int(rng.integers(0, 2**31)))
+             for _ in range(trials)]
+    estimates = _pool_map(lambda d, ws: mc_correlator(d[0], d[1], n, d[2], ws=ws), draws)
     failures = 0
-    for _ in range(trials):
-        params = _random_params(family, rng)
-        s = _random_settings(rng)
-        seed = int(rng.integers(0, 2**31))
-        est = mc_correlator(params, s, n, seed)
+    for (params, s, _), est in zip(draws, estimates):
         target = analytic_correlator(params, s)
         if est.stderr == 0.0:
             failures += 0 if est.mean == target else 1

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import UnitVector3, dot, sample_cap_batch, sample_unit_batch
+from .geometry import ChunkWorkspace, UnitVector3, dot, sample_cap_batch, sample_unit_batch
 
 TABLE_TOL = 1e-12
 CONDITIONAL_FLOOR = 1e-14
@@ -91,8 +91,13 @@ class ConstantP:
     def p_mean(self) -> np.ndarray:
         return np.asarray(self.p0, dtype=float)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.tile(np.asarray(self.p0, dtype=float), (n, 1))
+    def sample(self, rng: np.random.Generator, n: int,
+               ws: ChunkWorkspace | None = None) -> np.ndarray:
+        if ws is None:
+            return np.tile(np.asarray(self.p0, dtype=float), (n, 1))
+        out = ws.take(3)
+        out[...] = np.asarray(self.p0, dtype=float)[:, None]
+        return out.T
 
 
 @dataclass(frozen=True)
@@ -121,8 +126,11 @@ class CapP:
         shrink = 0.5 * (1.0 + math.cos(self.half_angle))
         return self.magnitude * shrink * self.axis.arr
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.magnitude * sample_cap_batch(rng, self.axis, self.half_angle, n)
+    def sample(self, rng: np.random.Generator, n: int,
+               ws: ChunkWorkspace | None = None) -> np.ndarray:
+        p = sample_cap_batch(rng, self.axis, self.half_angle, n, ws)
+        p *= self.magnitude
+        return p
 
 
 PSpec = ConstantP | CapP
@@ -343,7 +351,8 @@ def _dot3(x, y):
     return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
 
 
-def coeffs(params: ModelParams, hidden: dict[str, np.ndarray], a, b):
+def coeffs(params: ModelParams, hidden: dict[str, np.ndarray], a, b,
+           ws: ChunkWorkspace | None = None):
     """Coefficients (A, B, C) of the family's table for rows of hidden state
     and settings: the one kernel behind every table, sampler and witness.
 
@@ -352,9 +361,16 @@ def coeffs(params: ModelParams, hidden: dict[str, np.ndarray], a, b):
     (n, 3) rows, and everything broadcasts over the rows.  Families with
     flat marginals return A = B = 0.0 as scalars, so no array is formed for
     them.  The cubic family reads only u, since its partner is v = -u.
+
+    With a `ChunkWorkspace` ``ws`` holding the hidden rows (as
+    `sample_hidden_batch` leaves them) and fixed ``a``, ``b``, the same
+    operations run in the same order inside workspace rows: the hidden rows
+    are used up and given back, and A, B, C come back as workspace rows.
     """
     fam = params.family
     ab = _dot3(a, b)
+    if ws is not None:
+        return _coeff_rows(params, hidden, a, b, ab, ws)
     if fam is ModelFamily.FHV:
         eps = params.epsilon
         A = eps * params.f_spec(_dot3(hidden["u"], a))
@@ -371,24 +387,104 @@ def coeffs(params: ModelParams, hidden: dict[str, np.ndarray], a, b):
     raise InvalidModelError(f"no joint table for family {fam.value}")
 
 
-def table_cells(A, B, C):
+def _dot3_rows(x: np.ndarray, y, out: np.ndarray, scratch: np.ndarray | None = None):
+    """`_dot3` of component rows ``x`` (3, n) with a fixed 3-vector ``y``,
+    summed in the same order, into ``out``.  The products go to ``scratch``
+    when given, else into the rows of ``x``, which are then used up."""
+    np.multiply(x[0], y[0], out=out)
+    for k in (1, 2):
+        out += np.multiply(x[k], y[k], out=x[k] if scratch is None else scratch)
+    return out
+
+
+def _cube_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x*x*x into ``out``, multiplied in that order."""
+    np.multiply(x, x, out=out)
+    out *= x
+    return out
+
+
+def _coeff_rows(params: ModelParams, hidden, a, b, ab, ws: ChunkWorkspace):
+    """`coeffs` for hidden rows held in ``ws``, one in-place step per
+    operation of the array formulas above, in their order."""
+    fam = params.family
+    if fam is ModelFamily.FHV:
+        terms = []
+        for key, f, s in (("u", params.f_spec, a), ("v", params.f_b, b)):
+            rows = hidden[key].T
+            x = _dot3_rows(rows, s, ws.row())
+            if f.power == 3:
+                np.multiply(_cube_into(x, rows[0]), f.coeff, out=x)
+            else:
+                x *= f.coeff
+            x *= params.epsilon
+            ws.give(rows)
+            terms.append(x)
+        return terms[0], terms[1], -ab / (1.0 + params.eta)
+    if fam is ModelFamily.SHV:
+        p = hidden["p"].T
+        C = _dot3_rows(p, np.cross(a, b), ws.row())
+        ws.give(p)
+        C += ab
+        np.negative(C, out=C)
+        C /= math.sqrt(1.0 + params.p_m**2)
+        return 0.0, 0.0, C
+    if fam is ModelFamily.THV:
+        u = hidden["u"].T
+        ub = ws.row()
+        ua = _dot3_rows(u, a, ws.row(), scratch=ub)
+        _dot3_rows(u, b, ub)
+        ws.give(u)
+        C = _cube_into(ua, ws.row())
+        C *= params.zeta
+        C *= _cube_into(ub, ua)
+        np.subtract(ab, C, out=C)
+        np.negative(C, out=C)
+        ws.give(ua, ub)
+        return 0.0, 0.0, C
+    return coeffs(params, hidden, a, b)
+
+
+# signs of A, B and C in the cells pp, pm, mp, mm
+_CELL_SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+
+
+def table_cells(A, B, C, ws: ChunkWorkspace | None = None):
     """Cells (pp, pm, mp, mm) of [1 + sigma*A + tau*B + sigma*tau*C]/4 for
     scalars or arrays, passed through `_check_cells`.
 
     With A = B = 0 (flat marginals) only the two distinct cells are formed:
     pp = mm and pm = mp, with the same bits as the general formula, since
-    adding or subtracting 0.0 is exact.
+    adding or subtracting 0.0 is exact.  With a `ChunkWorkspace` ``ws``,
+    array coefficients from `coeffs` are used up and given back, and the
+    cells are formed in workspace rows, added left to right as above.
     """
+    rows = ws is not None and any(np.ndim(x) for x in (A, B, C))
     if np.ndim(A) == 0 and np.ndim(B) == 0 and A == 0.0 and B == 0.0:
-        pp, pm = (1.0 + C) / 4.0, (1.0 - C) / 4.0
+        if rows:
+            pp = np.add(1.0, C, out=ws.row())
+            pp /= 4.0
+            pm = np.subtract(1.0, C, out=C)
+            pm /= 4.0
+        else:
+            pp, pm = (1.0 + C) / 4.0, (1.0 - C) / 4.0
         _check_cells(pp, pm)
         return pp, pm, pm, pp
-    cells = (
-        (1.0 + A + B + C) / 4.0,
-        (1.0 + A - B - C) / 4.0,
-        (1.0 - A + B - C) / 4.0,
-        (1.0 - A - B + C) / 4.0,
-    )
+    if rows:
+        cells = tuple(ws.row() for _ in _CELL_SIGNS)
+        for cell, signs in zip(cells, _CELL_SIGNS):
+            total = 1.0
+            for x, sign in zip((A, B, C), signs):
+                total = (np.add if sign > 0 else np.subtract)(total, x, out=cell)
+            cell /= 4.0
+        ws.give(*(x for x in (A, B, C) if np.ndim(x)))
+    else:
+        cells = (
+            (1.0 + A + B + C) / 4.0,
+            (1.0 + A - B - C) / 4.0,
+            (1.0 - A + B - C) / 4.0,
+            (1.0 - A - B + C) / 4.0,
+        )
     _check_cells(*cells)
     return cells
 
@@ -487,18 +583,21 @@ def fhv_conditional_closed_form(
 
 
 def sample_hidden_batch(
-    params: ModelParams, n: int, rng: np.random.Generator
+    params: ModelParams, n: int, rng: np.random.Generator,
+    ws: ChunkWorkspace | None = None,
 ) -> dict[str, np.ndarray]:
     """n hidden states as (n, 3) rows keyed as `coeffs` reads them (empty
     for QM).  Takes no detector settings, so the hidden distribution cannot
-    depend on them."""
+    depend on them.  With a started `ChunkWorkspace` ``ws`` the rows are
+    workspace blocks, and the cubic family's partner v = -u, which `coeffs`
+    never reads, is left out."""
     if params.family is ModelFamily.FHV:
-        return {"u": sample_unit_batch(rng, n), "v": sample_unit_batch(rng, n)}
+        return {"u": sample_unit_batch(rng, n, ws), "v": sample_unit_batch(rng, n, ws)}
     if params.family is ModelFamily.THV:
-        u = sample_unit_batch(rng, n)
-        return {"u": u, "v": -u}
+        u = sample_unit_batch(rng, n, ws)
+        return {"u": u} if ws is not None else {"u": u, "v": -u}
     if params.family is ModelFamily.SHV:
-        return {"p": params.p_spec.sample(rng, n)}
+        return {"p": params.p_spec.sample(rng, n, ws)}
     if params.family is ModelFamily.QM:
         return {}
     raise InvalidModelError(f"family {params.family.value} has no hidden sampler")
@@ -520,17 +619,28 @@ def sample_hidden(params: ModelParams, rng: np.random.Generator) -> HiddenState:
     return _hidden_state(params, sample_hidden_batch(params, 1, rng), 0)
 
 
-def draw_outcomes(cells, n: int, rng: np.random.Generator):
+def draw_outcomes(cells, n: int, rng: np.random.Generator,
+                  ws: ChunkWorkspace | None = None):
     """One joint outcome per row of ``cells`` = (pp, pm, mp, mm), from a
     single uniform r compared with the partial sums pp, pp+pm and
     pp+pm+mp, added in that order.  Returns the boolean rows
     (sigma == +1, sigma*tau == +1): sigma = +1 iff r < pp+pm, and
-    sigma*tau = +1 iff r < pp or r >= pp+pm+mp.
+    sigma*tau = +1 iff r < pp or r >= pp+pm+mp.  With a `ChunkWorkspace`
+    ``ws`` the uniforms, the partial sums and the flags live in its rows.
     """
     pp, pm, mp, _ = cells
-    r = rng.random(n)
-    s1 = pp + pm
-    return r < s1, (r < pp) | (r >= s1 + mp)
+    if ws is None:
+        r = rng.random(n)
+        s1 = pp + pm
+        return r < s1, (r < pp) | (r >= s1 + mp)
+    r = rng.random(out=ws.row())
+    s1 = pp + pm if np.ndim(pp) == 0 else np.add(pp, pm, out=ws.row())
+    sigma, same, late = ws.row().view(np.bool_)[:3 * n].reshape(3, n)
+    np.less(r, s1, out=sigma)
+    s1 += mp
+    np.less(r, pp, out=same)
+    same |= np.greater_equal(r, s1, out=late)
+    return sigma, same
 
 
 def sample_outcomes(t: ProbabilityTable, rng: np.random.Generator) -> tuple[int, int]:

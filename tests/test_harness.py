@@ -311,6 +311,12 @@ class TestInvalidInputExit2:
         ["leggett", "--phi", "0.3", "--n", "500"],
         ["prob", "--shards", "2"],
         ["correlator", "--shards", "3"],
+        ["correlator", "--seed", "4"],
+        ["prob", "--seed", "4"],
+        ["scan", "--config", str(CONFIGS / "chsh_eta_scan.json"), "--seed", "99"],
+        ["chsh", "--seed", "1"],
+        ["leggett", "--phi", "0.3", "--seed", "1"],
+        ["branciard", "--phi", "0.3", "--seed", "1"],
     ])
     def test_rejected_with_one_line(self, argv, capsys):
         assert main(argv) == 2
@@ -343,6 +349,29 @@ class TestInvalidInputExit2:
     ])
     def test_scan_config_rejected(self, doc, tmp_path, capsys):
         assert main(["scan", "--config", _write_cfg(tmp_path, doc)]) == 2
+
+    def test_scan_sampling_seed_rejected(self, tmp_path, capsys):
+        doc = {**json.loads((CONFIGS / "chsh_eta_scan.json").read_text()),
+               "sampling": {"seed": 99}}
+        assert main(["scan", "--config", _write_cfg(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc", [
+        {"model": {"family": "qm"}, "hidden": {"u": [0, 0, 1]}},
+        {"model": {"family": "fhv"}, "hidden": {"u": [0, 0, 1], "v": [1, 0, 0], "p": [0, 0, 1]}},
+        {"model": {"family": "shv"}, "hidden": {"p": [0, 0, 0.5], "u": [0, 0, 1]}},
+        {"model": {"family": "shv"}, "hidden": {"p": [0, 0, 0.5], "v": [0, 0, 1]}},
+        {"model": {"family": "thv"}, "hidden": {"u": [0, 0, 1], "p": [0, 0, 1]}},
+        {"model": {"family": "thv"}, "hidden": {"u": [0, 0, 1], "v": [0, 0, 1]}},
+        {"model": {"family": "fhv"}, "sampling": {"seed": 3},
+         "hidden": {"u": [0, 0, 1], "v": [1, 0, 0]}},
+    ], ids=["hidden-on-qm", "p-on-fhv", "u-on-shv", "v-on-shv", "p-on-thv", "thv-v-not-minus-u",
+            "seed-with-hidden"])
+    def test_prob_input_the_run_ignores_rejected(self, doc, tmp_path, capsys):
+        assert main(["prob", "--config", _write_cfg(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("model", [
         {"family": "qm", "f": {"coeff": 0.2}},
@@ -391,7 +420,11 @@ class TestInvalidInputExit2:
          {"settings": {"a": [1, 0, 0], "b": [0, 1, 0]}}),
         (["chsh"], {"settings": {"a": [1, 0, 0], "b": [0, 1, 0],
                                  "a_prime": [0, 0, 1], "b_prime": [0, 0, 1]}}),
-    ], ids=["prob", "correlator", "chsh"])
+        (["prob", "--seed", "3"], {"model": {"family": "fhv"}}),
+        (["prob"], {"model": {"family": "thv", "zeta": 1.0},
+                    "hidden": {"u": [0, 0, 1], "v": [0, 0, -1]}}),
+        (["correlator", "--n", "500", "--seed", "3"], {}),
+    ], ids=["prob", "correlator", "chsh", "prob-seed", "thv-v-is-minus-u", "correlator-seed"])
     def test_entries_the_task_reads_accepted(self, argv, doc, tmp_path, capsys):
         assert main([*argv, "--config", _write_cfg(tmp_path, doc)]) == 0
         capsys.readouterr()

@@ -1,9 +1,12 @@
 """The Monte-Carlo pipeline (hidden draw, `coeffs` table, partial-sum outcome
 draw, chunked per-shard reduction) against a reference written the way the
 scalar-twin implementation computed it, plus the kernel's table check, the
-batched witness and the chunked memory bound."""
+batched witness, the chunked memory bound and the thread pool's
+independence of its worker count."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hvsinglet import correlators as correlators_module
 from hvsinglet import models as models_module
-from hvsinglet.correlators import MC_CHUNK, _shard_counts, mc_correlator
-from hvsinglet.geometry import Plane, UnitVector3, X, Y, Z, sample_unit_batch
+from hvsinglet.correlators import MC_CHUNK, _pool_map, _shard_counts, mc_correlator
+from hvsinglet.harness import _mc_trial_failures, parse_config, report_to_json, run_verify
+from hvsinglet.geometry import ChunkWorkspace, Plane, UnitVector3, X, Y, Z, sample_unit_batch
 from hvsinglet.models import (
     CapP,
     ConstantP,
@@ -186,6 +191,31 @@ class TestShardCounts:
         assert plus == int(np.sum(draw_outcomes(cells, MC_CHUNK, rng)[0]))
 
 
+def _bits(x, n):
+    return np.ascontiguousarray(np.broadcast_to(x, (n,) + np.shape(x)[1:])).tobytes()
+
+
+class TestWorkspace:
+    @given(params_st, unit, unit, st.integers(0, 2**32 - 1), st.integers(1, 3000))
+    @settings(max_examples=80, deadline=None)
+    def test_workspace_kernels_give_the_allocating_bits(self, params, a, b, seed, n):
+        # two chunks in one workspace, the second reusing the first's rows
+        fresh, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+        ws = ChunkWorkspace()
+        for k in (n, max(1, n // 3)):
+            hidden = sample_hidden_batch(params, k, fresh)
+            cells = table_cells(*coeffs(params, hidden, a.arr, b.arr))
+            outcomes = draw_outcomes(cells, k, fresh)
+            ws.start(k)
+            in_ws = sample_hidden_batch(params, k, drawn, ws)
+            assert {key: _bits(v, k) for key, v in in_ws.items()} == {
+                key: _bits(hidden[key], k) for key in in_ws}
+            cells_ws = table_cells(*coeffs(params, in_ws, a.arr, b.arr, ws), ws=ws)
+            assert [_bits(c, k) for c in cells_ws] == [_bits(c, k) for c in cells]
+            assert [_bits(o, k) for o in draw_outcomes(cells_ws, k, drawn, ws)] == [
+                _bits(o, k) for o in outcomes]
+
+
 class TestTableCheck:
     def test_negative_cell_raises_on_batch_path(self):
         # |p| = 5 > p_m = 0.5: C = -5/sqrt(1.25) < -1, so pp < 0
@@ -273,3 +303,92 @@ class TestChunking:
 
         small, large = peak(2 * MC_CHUNK), peak(8 * MC_CHUNK)
         assert large <= 1.5 * small
+
+
+# ------------------------------ thread pool --------------------------------
+
+POOL_FAMILIES = {
+    "qm": ModelParams.qm(),
+    "fhv": ModelParams.fhv(0.7, FSpec(0.4, 3)),
+    "thv": ModelParams.thv(1.2),
+    "shv-const": ModelParams.shv(ConstantP((0.2, -0.3, 0.4))),
+    "shv-cap": ModelParams.shv(CapP(UnitVector3.normalized(0.0, 0.6, 0.8), 0.7, 0.7)),
+}
+POOL_SETTINGS = Settings(UnitVector3.normalized(0.3, 0.4, 0.866),
+                         UnitVector3.normalized(0.9, -0.1, 0.2))
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(correlators_module, "_usable_cpus", lambda: workers)
+
+
+def _peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("family", sorted(POOL_FAMILIES))
+    def test_estimates_do_not_depend_on_the_worker_count(self, family, monkeypatch):
+        params = POOL_FAMILIES[family]
+        sizes = (MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK + 7)
+        runs = {}
+        interval = sys.getswitchinterval()
+        try:
+            for workers in (1, 2, 3):
+                _force_workers(monkeypatch, workers)
+                # more threads than cores, switching often: a shared buffer would show
+                sys.setswitchinterval(1e-5 if workers == 3 else interval)
+                runs[workers] = [mc_correlator(params, POOL_SETTINGS, n, n % 97, shards)
+                                 for n in sizes for shards in (1, 2, 3, 5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[1] == runs[2] == runs[3]
+
+    def test_trial_failures_do_not_depend_on_the_worker_count(self, monkeypatch):
+        counts = []
+        for workers in (1, 2):
+            _force_workers(monkeypatch, workers)
+            # sigma = 1 leaves some of the 40 trials failing, so the count carries information
+            counts.append(_mc_trial_failures(ModelFamily.FHV, 40, 2000, 1.0,
+                                             np.random.default_rng(8)))
+        assert counts[0] == counts[1] > 0
+
+    def test_verify_report_does_not_depend_on_the_worker_count(self, monkeypatch):
+        cfg = parse_config({"task": "verify", "verify": {
+            "trials": 8, "mc_trial_n": 2000, "mc_n": 5000, "cases": 200}})
+        reports = set()
+        for workers in (1, 2, 3):
+            _force_workers(monkeypatch, workers)
+            reports.add(report_to_json(run_verify(cfg).as_dict()))
+        assert len(reports) == 1
+
+    def test_units_run_on_their_own_threads_and_workspaces_and_nest_inline(self, monkeypatch):
+        _force_workers(monkeypatch, 2)
+        both_running = threading.Barrier(2, timeout=30)
+
+        def unit(_, ws):
+            both_running.wait()
+            inner = _pool_map(lambda _, inner_ws: (threading.get_ident(), inner_ws), [0, 1, 2], ws)
+            return threading.get_ident(), ws, inner
+
+        results = _pool_map(unit, [0, 1])
+        assert len({t for t, _, _ in results}) == 2
+        assert threading.get_ident() not in {t for t, _, _ in results}
+        assert results[0][1] is not results[1][1]
+        for thread, ws, inner in results:
+            assert all(t == thread and w is ws for t, w in inner)
+
+    @pytest.mark.parametrize("family", ["fhv", "thv", "shv-cap"])
+    def test_two_workers_fit_in_one_reference_shard(self, family, monkeypatch):
+        # two pooled shards of MC_CHUNK, each in its worker's workspace, peak no
+        # higher than the reference pipeline drawing one shard of MC_CHUNK
+        _force_workers(monkeypatch, 2)
+        params = POOL_FAMILIES[family]
+        pooled = _peak(lambda: mc_correlator(params, POOL_SETTINGS, 2 * MC_CHUNK, 1, 2))
+        reference = _peak(lambda: _ref_mc(params, POOL_SETTINGS, MC_CHUNK, 1, 1))
+        assert pooled <= reference
