@@ -194,8 +194,7 @@ def _shard_counts(
 
 
 def mc_correlator(
-    params: ModelParams, s: Settings, n: int, seed: int, shards: int = 1,
-    ws: ChunkWorkspace | None = None,
+    params: ModelParams, s: Settings, n: int, seed: int, shards: int = 1
 ) -> MCEstimate:
     """Empirical correlator: draw hidden states, form each joint table, draw
     outcomes, and average sigma*tau.
@@ -205,9 +204,17 @@ def mc_correlator(
     and reduced chunk by chunk.  Shards run on `_pool_map` threads and are
     combined in shard order, so the result is bit-reproducible for a fixed
     (seed, shards) pair whatever the thread count, and memory does not grow
-    with ``n``.  Given a `ChunkWorkspace` ``ws`` (a `_pool_map` unit's), the
-    shards run inline in it.
+    with ``n``.
     """
+    return _mc_estimate(params, s, n, seed, shards)
+
+
+def _mc_estimate(
+    params: ModelParams, s: Settings, n: int, seed: int, shards: int,
+    ws: ChunkWorkspace | None = None,
+) -> MCEstimate:
+    """`mc_correlator`, as a `_pool_map` unit: given the unit's
+    `ChunkWorkspace` ``ws``, the shards run inline in it."""
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"n must be at least {MIN_MC_SAMPLES}")
     if shards < 1:

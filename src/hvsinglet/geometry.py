@@ -185,17 +185,18 @@ class ChunkWorkspace:
     worker across its chunks and calls, so that a warm chunk loop allocates
     nothing.
 
-    `start(n)` begins a chunk of n samples with every row free.  `take(k)`
+    `start(n)` begins a chunk of n samples with every row free (the
+    constructor starts one of ``n``, by default empty).  `take(k)`
     lends a (k, n) block of adjacent rows, cut from the smallest free block
     that holds k rows, and `give` takes lent blocks back.  Storage grows
     only when no free block fits, so after the first chunk it stays at the
     most rows one chunk holds at once, each as long as the longest chunk.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, n: int = 0) -> None:
         self._size = 0
         self._owned: list[np.ndarray] = []
-        self.start(0)
+        self.start(n)
 
     def start(self, n: int) -> None:
         if n > self._size:
@@ -226,7 +227,9 @@ class ChunkWorkspace:
         """Take back lent blocks, each passed as lent or as a view that
         starts where it does (its first row, its transpose)."""
         for arr in arrays:
-            i = next(i for i, b in enumerate(self._lent) if b.ctypes.data == arr.ctypes.data)
+            start = arr.ctypes.data
+            i = next(i for i in reversed(range(len(self._lent)))
+                     if self._lent[i].ctypes.data == start)
             self._free.append(self._lent.pop(i))
 
 
@@ -243,23 +246,15 @@ def sample_unit_uniform(rng: np.random.Generator) -> UnitVector3:
 def sample_unit_batch(
     rng: np.random.Generator, n: int, ws: ChunkWorkspace | None = None
 ) -> np.ndarray:
-    """(n, 3) array of independent uniform sphere draws.  With a started
-    `ChunkWorkspace` ``ws`` the draws fill one of its (3, n) blocks, in
-    place and in the same order, and the block's transpose is returned; the
-    bits are the same either way."""
-    if ws is None:
-        z = rng.uniform(-1.0, 1.0, n)
-        az = rng.uniform(0.0, TWO_PI, n)
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        out = np.empty((n, 3))
-        np.multiply(r, np.cos(az), out=out[:, 0])
-        np.multiply(r, np.sin(az), out=out[:, 1])
-        out[:, 2] = z
-        return out
-    out, scratch = ws.take(3), ws.row()
+    """(n, 3) array of independent uniform sphere draws, filled in place
+    into a (3, n) block of the started `ChunkWorkspace` ``ws`` and returned
+    as the block's transpose.  Without ``ws`` the block comes from a
+    workspace made for the call, and a C-ordered copy is returned."""
+    space = ChunkWorkspace(n) if ws is None else ws
+    out, scratch = space.take(3), space.row()
     _zone_rows(rng, -1.0, out, scratch)
-    ws.give(scratch)
-    return out.T
+    space.give(scratch)
+    return out.T if ws is not None else np.ascontiguousarray(out.T)
 
 
 def sample_cap_batch(
@@ -272,16 +267,8 @@ def sample_cap_batch(
         raise ValueError("half_angle must lie in [0, pi]")
     frame = Plane.with_normal(axis)
     e1, e2, e3 = frame.e1.arr, frame.e2.arr, axis.arr
-    if ws is None:
-        z = rng.uniform(math.cos(half_angle), 1.0, n)
-        az = rng.uniform(0.0, TWO_PI, n)
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        out = np.empty((n, 3))
-        x, y = r * np.cos(az), r * np.sin(az)
-        for k in range(3):
-            out[:, k] = x * e1[k] + y * e2[k] + z * e3[k]
-        return out
-    out, spare = ws.take(3), ws.take(3)
+    space = ChunkWorkspace(n) if ws is None else ws
+    out, spare = space.take(3), space.take(3)
     x, y, z = _zone_rows(rng, math.cos(half_angle), out, spare[0])
     # component k is x*e1[k] + y*e2[k] + z*e3[k]: components 0 and 1 go to
     # spare rows, component 2 is formed last in place of z
@@ -296,8 +283,8 @@ def sample_cap_batch(
     z *= e3[2]
     z += x
     out[:2] = spare[:2]
-    ws.give(spare)
-    return out.T
+    space.give(spare)
+    return out.T if ws is not None else np.ascontiguousarray(out.T)
 
 
 def _uniform_into(rng: np.random.Generator, lo: float, hi: float, out: np.ndarray):

@@ -39,6 +39,7 @@ from .models import (
 )
 from .correlators import (
     MIN_MC_SAMPLES,
+    _mc_estimate,
     _pool_map,
     _shard_counts,
     analytic_correlator,
@@ -735,7 +736,7 @@ def _mc_trial_failures(
     first; the independent estimates then run on `_pool_map` threads."""
     draws = [(_random_params(family, rng), _random_settings(rng), int(rng.integers(0, 2**31)))
              for _ in range(trials)]
-    estimates = _pool_map(lambda d, ws: mc_correlator(d[0], d[1], n, d[2], ws=ws), draws)
+    estimates = _pool_map(lambda d, ws: _mc_estimate(d[0], d[1], n, d[2], 1, ws), draws)
     failures = 0
     for (params, s, _), est in zip(draws, estimates):
         target = analytic_correlator(params, s)

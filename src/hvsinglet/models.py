@@ -93,11 +93,10 @@ class ConstantP:
 
     def sample(self, rng: np.random.Generator, n: int,
                ws: ChunkWorkspace | None = None) -> np.ndarray:
-        if ws is None:
-            return np.tile(np.asarray(self.p0, dtype=float), (n, 1))
-        out = ws.take(3)
+        """(n, 3) rows of p0; ``ws`` as in `geometry.sample_unit_batch`."""
+        out = (ChunkWorkspace(n) if ws is None else ws).take(3)
         out[...] = np.asarray(self.p0, dtype=float)[:, None]
-        return out.T
+        return out.T if ws is not None else np.ascontiguousarray(out.T)
 
 
 @dataclass(frozen=True)
@@ -345,74 +344,40 @@ class ProbabilityTable:
 # --------------------------- joint probabilities ---------------------------
 
 
-def _dot3(x, y):
-    """Dot products over the last axis of 3-vectors or (n, 3) rows, summed
-    in component order."""
-    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
-
-
 def coeffs(params: ModelParams, hidden: dict[str, np.ndarray], a, b,
            ws: ChunkWorkspace | None = None):
     """Coefficients (A, B, C) of the family's table for rows of hidden state
     and settings: the one kernel behind every table, sampler and witness.
 
-    ``hidden`` maps "u", "v" (FHV, THV) or "p" (SHV) to (n, 3) rows or single
-    3-vectors, and is empty for QM; ``a`` and ``b`` are fixed 3-vectors or
-    (n, 3) rows, and everything broadcasts over the rows.  Families with
-    flat marginals return A = B = 0.0 as scalars, so no array is formed for
-    them.  The cubic family reads only u, since its partner is v = -u.
+    ``hidden`` maps "u", "v" (FHV), "u" (THV) or "p" (SHV) to (n, 3) rows
+    or single 3-vectors, and is empty for QM; ``a`` and ``b`` are fixed
+    3-vectors or (n, 3) rows.  A, B and C come back as (n,) rows, except
+    that families with flat marginals return A = B = 0.0 as scalars, and a
+    C that depends on fixed settings alone is a scalar too.  The cubic
+    family reads only u, since its partner is v = -u.
 
-    With a `ChunkWorkspace` ``ws`` holding the hidden rows (as
-    `sample_hidden_batch` leaves them) and fixed ``a``, ``b``, the same
-    operations run in the same order inside workspace rows: the hidden rows
-    are used up and given back, and A, B, C come back as workspace rows.
+    Every step is one numpy operation on component rows, in the order of
+    the formulas in the module docstring, with dots summed in component
+    order.  With a `ChunkWorkspace` ``ws`` holding the hidden rows (as
+    `sample_hidden_batch` leaves them) and fixed ``a``, ``b``, the hidden
+    rows are used up and given back, and A, B, C are workspace rows.
+    Without one, the hidden rows are first copied into a workspace made for
+    the call, so the caller's arrays are left as they were.
     """
     fam = params.family
-    ab = _dot3(a, b)
-    if ws is not None:
-        return _coeff_rows(params, hidden, a, b, ab, ws)
-    if fam is ModelFamily.FHV:
-        eps = params.epsilon
-        A = eps * params.f_spec(_dot3(hidden["u"], a))
-        B = eps * params.f_b(_dot3(hidden["v"], b))
-        return A, B, -ab / (1.0 + params.eta)
-    if fam is ModelFamily.SHV:
-        cross_term = _dot3(np.cross(a, b), hidden["p"])
-        return 0.0, 0.0, -(ab + cross_term) / math.sqrt(1.0 + params.p_m**2)
-    if fam is ModelFamily.THV:
-        ua, ub = _dot3(hidden["u"], a), _dot3(hidden["u"], b)
-        return 0.0, 0.0, -(ab - params.zeta * (ua * ua * ua) * (ub * ub * ub))
+    a, b = np.transpose(a), np.transpose(b)  # component rows: (3,) or (3, n)
+    ab = _dot3_rows(a, b)
     if fam is ModelFamily.QM:
         return 0.0, 0.0, -ab
-    raise InvalidModelError(f"no joint table for family {fam.value}")
-
-
-def _dot3_rows(x: np.ndarray, y, out: np.ndarray, scratch: np.ndarray | None = None):
-    """`_dot3` of component rows ``x`` (3, n) with a fixed 3-vector ``y``,
-    summed in the same order, into ``out``.  The products go to ``scratch``
-    when given, else into the rows of ``x``, which are then used up."""
-    np.multiply(x[0], y[0], out=out)
-    for k in (1, 2):
-        out += np.multiply(x[k], y[k], out=x[k] if scratch is None else scratch)
-    return out
-
-
-def _cube_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """x*x*x into ``out``, multiplied in that order."""
-    np.multiply(x, x, out=out)
-    out *= x
-    return out
-
-
-def _coeff_rows(params: ModelParams, hidden, a, b, ab, ws: ChunkWorkspace):
-    """`coeffs` for hidden rows held in ``ws``, one in-place step per
-    operation of the array formulas above, in their order."""
-    fam = params.family
+    if ws is None:
+        ws = ChunkWorkspace(max((len(x) for x in (*hidden.values(), a.T, b.T)
+                                 if np.ndim(x) == 2), default=1))
+        hidden = {key: _copy_rows(x, ws) for key, x in hidden.items()}
     if fam is ModelFamily.FHV:
         terms = []
         for key, f, s in (("u", params.f_spec, a), ("v", params.f_b, b)):
             rows = hidden[key].T
-            x = _dot3_rows(rows, s, ws.row())
+            x = _dot3_rows(rows, s, ws.row(), spare=rows)
             if f.power == 3:
                 np.multiply(_cube_into(x, rows[0]), f.coeff, out=x)
             else:
@@ -423,7 +388,7 @@ def _coeff_rows(params: ModelParams, hidden, a, b, ab, ws: ChunkWorkspace):
         return terms[0], terms[1], -ab / (1.0 + params.eta)
     if fam is ModelFamily.SHV:
         p = hidden["p"].T
-        C = _dot3_rows(p, np.cross(a, b), ws.row())
+        C = _dot3_rows(p, np.cross(a, b, axis=0), ws.row(), spare=p)
         ws.give(p)
         C += ab
         np.negative(C, out=C)
@@ -432,8 +397,8 @@ def _coeff_rows(params: ModelParams, hidden, a, b, ab, ws: ChunkWorkspace):
     if fam is ModelFamily.THV:
         u = hidden["u"].T
         ub = ws.row()
-        ua = _dot3_rows(u, a, ws.row(), scratch=ub)
-        _dot3_rows(u, b, ub)
+        ua = _dot3_rows(u, a, ws.row(), spare=(ub, ub, ub))
+        _dot3_rows(u, b, ub, spare=u)
         ws.give(u)
         C = _cube_into(ua, ws.row())
         C *= params.zeta
@@ -442,7 +407,33 @@ def _coeff_rows(params: ModelParams, hidden, a, b, ab, ws: ChunkWorkspace):
         np.negative(C, out=C)
         ws.give(ua, ub)
         return 0.0, 0.0, C
-    return coeffs(params, hidden, a, b)
+    raise InvalidModelError(f"no joint table for family {fam.value}")
+
+
+def _copy_rows(x, ws: ChunkWorkspace) -> np.ndarray:
+    """(n, 3) rows or a 3-vector ``x`` copied into a (3, n) block of ``ws``,
+    returned as the block's transpose, as `sample_hidden_batch` leaves it."""
+    block = ws.take(3)
+    block[...] = np.reshape(x, (-1, 3)).T
+    return block.T
+
+
+def _dot3_rows(x, y, out: np.ndarray | None = None, spare=(None, None, None)):
+    """Dot products of component rows ``x`` and ``y`` ((3, n) rows or
+    3-vectors), summed in component order, into ``out`` (by default a new
+    array).  Products 1 and 2 go to ``spare[1]`` and ``spare[2]`` (by
+    default new arrays); passing ``x`` itself uses its rows up."""
+    out = np.multiply(x[0], y[0], out=out)
+    for k in (1, 2):
+        out += np.multiply(x[k], y[k], out=spare[k])
+    return out
+
+
+def _cube_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x*x*x into ``out``, multiplied in that order."""
+    np.multiply(x, x, out=out)
+    out *= x
+    return out
 
 
 # signs of A, B and C in the cells pp, pm, mp, mm
@@ -451,42 +442,39 @@ _CELL_SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
 def table_cells(A, B, C, ws: ChunkWorkspace | None = None):
     """Cells (pp, pm, mp, mm) of [1 + sigma*A + tau*B + sigma*tau*C]/4 for
-    scalars or arrays, passed through `_check_cells`.
+    scalars or arrays, passed through `_check_cells`; each cell is added
+    left to right, then divided by 4.
 
     With A = B = 0 (flat marginals) only the two distinct cells are formed:
     pp = mm and pm = mp, with the same bits as the general formula, since
     adding or subtracting 0.0 is exact.  With a `ChunkWorkspace` ``ws``,
     array coefficients from `coeffs` are used up and given back, and the
-    cells are formed in workspace rows, added left to right as above.
+    cells are workspace rows; without one, numpy makes a new array for each
+    step and the coefficients are left as they were.
     """
     rows = ws is not None and any(np.ndim(x) for x in (A, B, C))
+
+    def new():
+        return ws.row() if rows else None
+
     if np.ndim(A) == 0 and np.ndim(B) == 0 and A == 0.0 and B == 0.0:
-        if rows:
-            pp = np.add(1.0, C, out=ws.row())
-            pp /= 4.0
-            pm = np.subtract(1.0, C, out=C)
-            pm /= 4.0
-        else:
-            pp, pm = (1.0 + C) / 4.0, (1.0 - C) / 4.0
+        pp = np.add(1.0, C, out=new())
+        pm = np.subtract(1.0, C, out=C if rows else None)
+        pp /= 4.0
+        pm /= 4.0
         _check_cells(pp, pm)
         return pp, pm, pm, pp
+    cells = []
+    for signs in _CELL_SIGNS:
+        cell, out = 1.0, new()
+        for x, sign in zip((A, B, C), signs):
+            cell = (np.add if sign > 0 else np.subtract)(cell, x, out=out)
+        cell /= 4.0
+        cells.append(cell)
     if rows:
-        cells = tuple(ws.row() for _ in _CELL_SIGNS)
-        for cell, signs in zip(cells, _CELL_SIGNS):
-            total = 1.0
-            for x, sign in zip((A, B, C), signs):
-                total = (np.add if sign > 0 else np.subtract)(total, x, out=cell)
-            cell /= 4.0
         ws.give(*(x for x in (A, B, C) if np.ndim(x)))
-    else:
-        cells = (
-            (1.0 + A + B + C) / 4.0,
-            (1.0 + A - B - C) / 4.0,
-            (1.0 - A + B - C) / 4.0,
-            (1.0 - A - B + C) / 4.0,
-        )
     _check_cells(*cells)
-    return cells
+    return tuple(cells)
 
 
 def _require(params: ModelParams, family: ModelFamily) -> None:
@@ -535,7 +523,9 @@ def joint(params: ModelParams, h: HiddenState | None, s: Settings) -> Probabilit
             raise InvalidModelError("hidden state has |p| > p_m")
     else:
         hidden = {k: getattr(h, k).arr for k in ("u", "v") if getattr(h, k) is not None}
-    return ProbabilityTable.from_coeffs(*coeffs(params, hidden, s.a.arr, s.b.arr))
+    # a batch of one: the coefficient rows hold one value each
+    return ProbabilityTable.from_coeffs(
+        *(np.ravel(x)[0] for x in coeffs(params, hidden, s.a.arr, s.b.arr)))
 
 
 # ------------------------ marginals and conditionals -----------------------
@@ -625,14 +615,13 @@ def draw_outcomes(cells, n: int, rng: np.random.Generator,
     single uniform r compared with the partial sums pp, pp+pm and
     pp+pm+mp, added in that order.  Returns the boolean rows
     (sigma == +1, sigma*tau == +1): sigma = +1 iff r < pp+pm, and
-    sigma*tau = +1 iff r < pp or r >= pp+pm+mp.  With a `ChunkWorkspace`
-    ``ws`` the uniforms, the partial sums and the flags live in its rows.
+    sigma*tau = +1 iff r < pp or r >= pp+pm+mp.  The uniforms, the
+    partial sums and the flags live in rows of the `ChunkWorkspace` ``ws``
+    (by default one made for the call).
     """
     pp, pm, mp, _ = cells
     if ws is None:
-        r = rng.random(n)
-        s1 = pp + pm
-        return r < s1, (r < pp) | (r >= s1 + mp)
+        ws = ChunkWorkspace(n)
     r = rng.random(out=ws.row())
     s1 = pp + pm if np.ndim(pp) == 0 else np.add(pp, pm, out=ws.row())
     sigma, same, late = ws.row().view(np.bool_)[:3 * n].reshape(3, n)

@@ -198,8 +198,9 @@ def _bits(x, n):
 class TestWorkspace:
     @given(params_st, unit, unit, st.integers(0, 2**32 - 1), st.integers(1, 3000))
     @settings(max_examples=80, deadline=None)
-    def test_workspace_kernels_give_the_allocating_bits(self, params, a, b, seed, n):
-        # two chunks in one workspace, the second reusing the first's rows
+    def test_reused_workspace_gives_the_bits_of_fresh_calls(self, params, a, b, seed, n):
+        # two chunks in one workspace, the second reusing the first's rows,
+        # against calls that each make their own
         fresh, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
         ws = ChunkWorkspace()
         for k in (n, max(1, n // 3)):
