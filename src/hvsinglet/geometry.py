@@ -9,6 +9,7 @@ seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -186,37 +187,56 @@ class ChunkWorkspace:
     nothing.
 
     `start(n)` begins a chunk of n samples with every row free (the
-    constructor starts one of ``n``, by default empty).  `take(k)`
-    lends a (k, n) block of adjacent rows, cut from the smallest free block
-    that holds k rows, and `give` takes lent blocks back.  Storage grows
-    only when no free block fits, so after the first chunk it stays at the
-    most rows one chunk holds at once, each as long as the longest chunk.
+    constructor starts one of ``n``, by default empty).  `take(k)` lends a
+    (k, n) block of k <= 3 adjacent rows and `give` takes lent blocks back.
+
+    Rows are numbered in a fixed layout: rows 0-5 are two slabs of three
+    adjacent rows, the only place a block of two or three rows is lent, and
+    every later row is an array of its own.  A take gets the lowest free
+    rows that fit, and a slab or row gets storage, as long as the longest
+    chunk, the first time it is lent.  Where a block lands thus depends
+    only on the takes and gives of its own chunk, so a workspace holds the
+    rows of the largest chunk it has run, in whatever order its chunks
+    came.  No chunk holds more than two blocks at once (FHV's u and v, the
+    cap sampler's rows and spare), so a take that finds no slab raises.
     """
+
+    BLOCK_SLABS = 2
 
     def __init__(self, n: int = 0) -> None:
         self._size = 0
-        self._owned: list[np.ndarray] = []
+        self._places: list[np.ndarray | None] = []
         self.start(n)
 
     def start(self, n: int) -> None:
         if n > self._size:
-            self._owned, self._size = [], n
+            self._places, self._size = [], n
         self.n = n
-        self._free = list(self._owned)
-        self._lent: list[np.ndarray] = []
+        self._busy: list[bool] = []  # by row number
+        self._lent: dict[int, range] = {}  # block address -> its row numbers
 
     def take(self, k: int) -> np.ndarray:
-        fits = [b for b in self._free if len(b) >= k]
-        if fits:
-            block = min(fits, key=len)
-            self._free = [b for b in self._free if b is not block]
-            if len(block) > k:
-                self._free.append(block[k:])
-            block = block[:k]
-        else:
-            block = np.empty((k, self._size))
-            self._owned.append(block)
-        self._lent.append(block)
+        busy = self._busy
+        if k == 1:
+            starts = itertools.count()
+        else:  # k adjacent rows of one slab
+            starts = (r for slab in range(0, 3 * self.BLOCK_SLABS, 3)
+                      for r in range(slab, slab + 4 - k))
+        first = next((r for r in starts if not any(busy[r:r + k])), None)
+        if first is None:
+            raise ValueError(f"no free slab for a block of {k} rows")
+        rows = range(first, first + k)
+        place, top = (divmod(first, 3) if first < 3 * self.BLOCK_SLABS
+                      else (first - 2 * self.BLOCK_SLABS, 0))
+        self._places += [None] * (place + 1 - len(self._places))
+        if self._places[place] is None:
+            height = 3 if place < self.BLOCK_SLABS else 1
+            self._places[place] = np.empty((height, self._size))
+        block = self._places[place][top:top + k]
+        busy += [False] * (first + k - len(busy))
+        for r in rows:
+            busy[r] = True
+        self._lent[block.ctypes.data] = rows
         return block[:, :self.n]
 
     def row(self) -> np.ndarray:
@@ -227,10 +247,8 @@ class ChunkWorkspace:
         """Take back lent blocks, each passed as lent or as a view that
         starts where it does (its first row, its transpose)."""
         for arr in arrays:
-            start = arr.ctypes.data
-            i = next(i for i in reversed(range(len(self._lent)))
-                     if self._lent[i].ctypes.data == start)
-            self._free.append(self._lent.pop(i))
+            for r in self._lent.pop(arr.ctypes.data):
+                self._busy[r] = False
 
 
 def make_rng(seed: int) -> np.random.Generator:

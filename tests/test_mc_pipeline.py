@@ -216,6 +216,26 @@ class TestWorkspace:
             assert [_bits(o, k) for o in draw_outcomes(cells_ws, k, drawn, ws)] == [
                 _bits(o, k) for o in outcomes]
 
+    def test_storage_does_not_depend_on_the_order_of_chunks(self):
+        # a pool worker runs verify's shv trials, constant and cap fields mixed,
+        # in an order the seed sets: the rows it keeps must not follow that order
+        n = 10_000
+        const, cap = ModelParams.shv(ConstantP((0.2, -0.3, 0.4))), ModelParams.shv(
+            CapP(UnitVector3.normalized(0.0, 0.6, 0.8), 0.7, 0.7))
+
+        def held(order):
+            tracemalloc.start()
+            try:
+                ws = ChunkWorkspace()
+                for params in order:
+                    _shard_counts(params, Settings(X, Z), n, np.random.default_rng(0), ws)
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        # less than half a row apart
+        assert abs(held([const, cap]) - held([cap, const])) < 4 * n
+
 
 class TestTableCheck:
     def test_negative_cell_raises_on_batch_path(self):
