@@ -36,19 +36,12 @@ from .models import (
     ProbabilityTable,
     Settings,
     UndefinedConditionalError,
-    bhv_product_joint,
     conditional,
-    fhv_joint,
     joint,
-    lhv_malus_joint,
     malus_check,
     marginal,
     outcome_dependence_witness,
-    qm_joint,
     sample_hidden,
-    sample_outcomes,
-    shv_joint,
-    thv_joint,
 )
 from .correlators import (
     MCEstimate,
@@ -56,7 +49,6 @@ from .correlators import (
     analytic_correlator,
     mc_correlator,
     plane_avg_correlator,
-    scalar_correlator,
     sphere_moment_oracle,
 )
 from .inequalities import (

@@ -97,17 +97,6 @@ def analytic_correlator(params: ModelParams, s: Settings) -> float:
     return float(_pair_correlator_arrays((params,), s.a.arr[None], s.b.arr[None])[0])
 
 
-def scalar_correlator(params: ModelParams, ab: float) -> float:
-    """Correlator as a function of a.b alone, for the families where that is
-    the only geometric dependence (everything except SHV).  The closed forms
-    of these families read the settings only through a.b, so a batch of one
-    with a = (1, 0, 0), b = (ab, 0, 0) gives it exactly."""
-    if params.family is ModelFamily.SHV:
-        raise InvalidModelError("SHV correlator depends on the full geometry")
-    a, b = np.array([[1.0, 0.0, 0.0]]), np.array([[ab, 0.0, 0.0]])
-    return float(_pair_correlator_arrays((params,), a, b)[0])
-
-
 def _combine_moments(parts: list[tuple[int, float, float]]) -> tuple[int, float, float]:
     """Pairwise (tree) reduction of per-shard (count, sum, sum-of-squares)
     partials; depends only on the shard order, not on completion timing."""

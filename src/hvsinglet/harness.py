@@ -773,13 +773,8 @@ def _bhv_conditional_shift(cases: int, rng: np.random.Generator) -> float:
     """Max over random product tables of |P(sigma|tau=+1) - P(sigma|tau=-1)|."""
     abar = rng.uniform(-0.999, 0.999, cases)
     bbar = rng.uniform(-0.999, 0.999, cases)
-    c0 = (1 + abar) * (1 + bbar) / 4
-    c1 = (1 + abar) * (1 - bbar) / 4
-    c2 = (1 - abar) * (1 + bbar) / 4
-    c3 = (1 - abar) * (1 - bbar) / 4
-    given_plus = c0 / (c0 + c2)
-    given_minus = c1 / (c1 + c3)
-    return float(np.max(np.abs(given_plus - given_minus)))
+    pp, pm, mp, mm = table_cells(abar, bbar, abar * bbar)
+    return float(np.max(np.abs(pp / (pp + mp) - pm / (pm + mm))))
 
 
 def _threshold_claim(

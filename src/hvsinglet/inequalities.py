@@ -16,22 +16,22 @@ from typing import Callable
 import numpy as np
 
 from .geometry import (
+    X,
+    Z,
     Plane,
     UnitVector3,
-    branciard_settings,
     chsh_optimal_settings,
     dot,
     orthogonal_plane,
     sample_unit_batch,
     xy_plane,
 )
-from .models import ModelFamily, ModelParams, Settings, lhv_feasible_c_range
+from .models import ModelFamily, ModelParams, Settings, lhv_feasible_c_range, table_cells
 from .correlators import (
     DEFAULT_PLANE_NODES,
     _pair_correlator_arrays,
     _plane_avg_block,
     analytic_correlator,
-    scalar_correlator,
 )
 
 PI = math.pi
@@ -159,15 +159,12 @@ class ViolationWindow:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Root of a margin function in one model parameter, with the matching
-    closed form (when one is known) for comparison."""
+    """Root of a margin function in one model parameter."""
 
     inequality: str
     variable: str
     found: bool
     root: float | None
-    closed_form: float | None = None
-    difference: float | None = None
 
 
 # ------------------------------ parameter values ----------------------------
@@ -231,6 +228,16 @@ def _leggett_planes(params: ModelParams) -> np.ndarray:
     return np.array([[_plane_basis(x) for x in pair] for pair in pairs])
 
 
+def _branciard_companions(phi: np.ndarray) -> np.ndarray:
+    """Settings b_i, b'_i of the triad construction for each phi, as a
+    (len(phi), 2, 3, 3) array: [k, 0, i] is b_i and [k, 1, i] is b'_i."""
+    check_phi("branciard", phi)
+    half = phi[:, None, None] / 2.0
+    c, s = np.cos(half), np.sin(half)
+    v = np.stack([c * _TRIAD + s * _TRIAD_NEXT, c * _TRIAD - s * _TRIAD_NEXT], axis=1)
+    return v / np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+
+
 def _value_function(
     name: str, models, order: int = DEFAULT_PLANE_NODES,
     planes: np.ndarray | None = None, settings=None,
@@ -273,12 +280,7 @@ def _value_function(
     elif name == "branciard":
 
         def value(phi, which):
-            check_phi("branciard", phi)
-            half = phi[:, None, None] / 2.0
-            c, s = np.cos(half), np.sin(half)
-            v = np.stack([c * _TRIAD + s * _TRIAD_NEXT, c * _TRIAD - s * _TRIAD_NEXT], axis=1)
-            b = v / np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
-            corr = _pair_correlator_arrays(models, _TRIAD, b, which)
+            corr = _pair_correlator_arrays(models, _TRIAD, _branciard_companions(phi), which)
             return np.sum(np.abs(corr[:, 0] + corr[:, 1]), axis=-1) / 3.0
 
     else:
@@ -345,12 +347,6 @@ def branciard_value(params: ModelParams, phi: float) -> float:
     """G(phi) = (1/3) sum_i |C(a_i, b_i) + C(a_i, b'_i)| on the explicit
     orthogonal-triad construction."""
     return _one(_value_function("branciard", (params,)), phi)
-
-
-def branciard_value_from_scalar(params: ModelParams, phi: float) -> float:
-    """Shortcut 2|C(cos(phi/2))| valid when the correlator depends on a.b
-    only; retained as a cross-check against the triad evaluation."""
-    return 2.0 * abs(scalar_correlator(params, math.cos(phi / 2.0)))
 
 
 def branciard_bound(phi):
@@ -633,7 +629,6 @@ def threshold(
     tol: float = DEFAULT_TOL,
     *,
     phi: float | None = None,
-    closed_form: float | None = None,
     nodes: int = 65,
     order: int = DEFAULT_PLANE_NODES,
 ) -> ThresholdResult:
@@ -650,108 +645,112 @@ def threshold(
     signs = f(xs) > 0.0
     flips = np.flatnonzero(signs[:-1] != signs[1:])
     if not signs[0] or flips.size == 0:
-        return ThresholdResult(name, variable, False, None, closed_form, None)
+        return ThresholdResult(name, variable, False, None)
     if flips.size > 1:
         raise ValueError("margin changes sign more than once on the scan grid")
     k = int(flips[0])
     root = float(_bisect_boundary(lambda x, i: f(x), [xs[k]], [xs[k + 1]], tol)[0])
-    diff = abs(root - closed_form) if closed_form is not None else None
-    return ThresholdResult(name, variable, True, root, closed_form, diff)
+    return ThresholdResult(name, variable, True, root)
 
 
 # ------------------------------ bound audits --------------------------------
+#
+# Each audit draws and scores its trials as arrays, AUDIT_BLOCK trials at a
+# time, so its memory does not grow with ``trials``.  Product and
+# Malus-marginal tables come from `table_cells`, whose cell check guards them.
 
-
-# Hidden atoms per random mixture in the bound audits.
+# Hidden atoms per random mixture, and trials per block, in the bound audits.
 BHV_ATOMS = 8
 LHV_ATOMS = 6
+AUDIT_BLOCK = 256
+# per-atom expectations A(a), A(a'), B(b), B(b') paired as the CHSH terms
+_CHSH_A, _CHSH_B = [0, 0, 1, 1], [2, 3, 2, 3]
+
+
+def _block_max(score, trials: int, start: float) -> float:
+    """Max of ``start`` and of the values ``score(m)`` returns for blocks of
+    m <= AUDIT_BLOCK trials; each block's arrays are freed before the next."""
+    for i in range(0, trials, AUDIT_BLOCK):
+        start = max(start, float(np.max(score(min(AUDIT_BLOCK, trials - i)))))
+    return start
+
+
+def _mixture_correlators(A, B, C, w: np.ndarray) -> np.ndarray:
+    """Correlators pp - pm - mp + mm of the atoms' `table_cells` (atoms on
+    the last axis), summed with the mixture weights ``w``."""
+    pp, pm, mp, mm = table_cells(A, B, C)
+    return np.sum(w * (pp - pm - mp + mm), axis=-1)
 
 
 def bhv_chsh_search(rng: np.random.Generator, trials: int = 10_000) -> float:
     """Max CHSH value over random mixtures of outcome-independent product
     strategies (random single-party expectations per hidden atom, random
     mixture weights, deterministic corner strategies included)."""
-    best = 0.0
-    for _ in range(trials):
-        vals = rng.uniform(-1.0, 1.0, size=(4, BHV_ATOMS))
-        if rng.random() < 0.25:
-            vals = np.sign(vals)  # deterministic strategies saturate the bound
-        w = rng.random(BHV_ATOMS)
-        w /= w.sum()
-        aa, ab, ba, bb = vals  # A(a), A(a'), B(b), B(b') per atom
-        e = abs(float(np.sum(w * (aa * ba + aa * bb + ab * ba - ab * bb))))
-        best = max(best, e)
-    return best
+    def chsh(m):
+        vals = rng.uniform(-1.0, 1.0, size=(m, 4, BHV_ATOMS))
+        corner = rng.random(m) < 0.25
+        vals[corner] = np.sign(vals[corner])  # deterministic strategies saturate the bound
+        w = rng.random((m, 1, BHV_ATOMS))
+        w /= w.sum(axis=-1, keepdims=True)
+        abar, bbar = vals[:, _CHSH_A], vals[:, _CHSH_B]
+        e = _mixture_correlators(abar, bbar, abar * bbar, w)
+        return np.abs(e[:, 0] + e[:, 1] + e[:, 2] - e[:, 3])
+
+    return _block_max(chsh, trials, 0.0)
 
 
-def _plane_projection(vecs: np.ndarray, plane: Plane) -> np.ndarray:
-    """Complex in-plane coordinates c = v.e1 - i v.e2 of each row vector."""
-    return vecs @ plane.e1.arr - 1j * (vecs @ plane.e2.arr)
-
-
-def _lhv_plane_avg(
-    u: np.ndarray, v: np.ndarray, w: np.ndarray, t: np.ndarray,
-    plane: Plane, phi: float,
-) -> float:
-    """Orientation-averaged correlator of a Malus-marginal mixture whose
-    per-atom correlation sits at the mix t of its feasibility extremes.
-
-    For settings a, b in a plane, u.a + v.b is a single sinusoid in the
-    orientation angle, so the average of |u.a +- v.b| is (2/pi) times its
-    amplitude and the average is exact.
-    """
-    cu = _plane_projection(u, plane)
-    cv = _plane_projection(v, plane)
-    rot = complex(math.cos(phi), math.sin(phi))
-    r_plus = np.abs(cu + cv * rot)
-    r_minus = np.abs(cu - cv * rot)
-    lower = -1.0 + (2.0 / PI) * r_plus
-    upper = 1.0 - (2.0 / PI) * r_minus
-    return float(np.sum(w * (t * lower + (1.0 - t) * upper)))
+def _malus_mixtures(rng: np.random.Generator, m: int):
+    """Atoms u, v ((m, LHV_ATOMS, 3)) and, broadcastable against per-atom
+    arrays, weights w and mixes t ((m, 1, 1, LHV_ATOMS)) of m random
+    Malus-marginal mixtures: atom k's correlation is t*lo + (1-t)*hi on its
+    feasible range.  About half the trials take v = u, and about half t = 1."""
+    u, v = (sample_unit_batch(rng, m * LHV_ATOMS).reshape(m, LHV_ATOMS, 3) for _ in "uv")
+    v = np.where(rng.random((m, 1, 1)) < 0.5, v, u)
+    w = rng.random((m, 1, 1, LHV_ATOMS))
+    w /= w.sum(axis=-1, keepdims=True)
+    t = np.where(rng.random((m, 1, 1, 1)) < 0.5, 1.0, rng.random((m, 1, 1, LHV_ATOMS)))
+    return u, v, w, t
 
 
 def lhv_leggett_search(rng: np.random.Generator, trials: int = 200) -> float:
     """Max excess of F(phi) over the Leggett bound across random
-    Malus-marginal mixtures; nonpositive up to roundoff when the bound holds."""
-    worst = -math.inf
-    for _ in range(trials):
-        plane = Plane.with_normal(UnitVector3.from_array(sample_unit_batch(rng, 1)[0]))
-        plane_prime = orthogonal_plane(plane)
-        phi = rng.uniform(0.0, PI)
-        u = sample_unit_batch(rng, LHV_ATOMS)
-        v = sample_unit_batch(rng, LHV_ATOMS) if rng.random() < 0.5 else u.copy()
-        w = rng.random(LHV_ATOMS)
-        w /= w.sum()
-        t = np.ones(LHV_ATOMS) if rng.random() < 0.5 else rng.random(LHV_ATOMS)
-        f = 0.0
-        for pl in (plane, plane_prime):
-            c_phi = _lhv_plane_avg(u, v, w, t, pl, phi)
-            c_zero = _lhv_plane_avg(u, v, w, t, pl, 0.0)
-            f += abs(c_phi + c_zero)
-        worst = max(worst, f - leggett_bound(phi))
-    return worst
+    Malus-marginal mixtures; nonpositive up to roundoff when the bound holds.
+
+    The planes are `Plane.with_normal` of a random n and its
+    `orthogonal_plane`.  In complex in-plane coordinates c = x.e1 - i x.e2,
+    the average of |u.a +- v.b| over the orientations of a, b in a plane,
+    and so of each end of the feasible range, is (2/pi)|cu +- cv e^{i phi}|.
+    """
+    def excess(m):
+        n = sample_unit_batch(rng, m)
+        e1 = np.cross(np.where(np.abs(n[:, 2:]) < 0.9, Z.arr, X.arr), n)
+        e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+        e2 = np.cross(n, e1)
+        planes = np.stack([e1 - 1j * e2, e2 - 1j * n], axis=1)  # (m, plane, 3)
+        phi = rng.uniform(0.0, PI, m)
+        u, v, w, t = _malus_mixtures(rng, m)
+        # (m, plane, angle phi or 0, atom)
+        cu, cv = (np.einsum("mak,mpk->mpa", x, planes)[:, :, None] for x in (u, v))
+        rot = np.exp(1j * np.stack([phi, np.zeros(m)], axis=1))[:, None, :, None]
+        lo, hi = lhv_feasible_c_range(2.0 / PI * cu, 2.0 / PI * cv * rot)
+        c = np.sum(w * (t * lo + (1.0 - t) * hi), axis=-1)
+        return np.sum(np.abs(c[..., 0] + c[..., 1]), axis=1) - leggett_bound(phi)
+
+    return _block_max(excess, trials, -math.inf)
 
 
 def lhv_branciard_search(rng: np.random.Generator, trials: int = 2000) -> float:
     """Max excess of G(phi) over the Branciard bound across random
     Malus-marginal mixtures on the triad construction."""
-    worst = -math.inf
-    for _ in range(trials):
-        phi = rng.uniform(0.0, PI)
-        triad, bs, bps = branciard_settings(phi)
-        u = sample_unit_batch(rng, LHV_ATOMS)
-        v = sample_unit_batch(rng, LHV_ATOMS) if rng.random() < 0.5 else u.copy()
-        w = rng.random(LHV_ATOMS)
-        w /= w.sum()
-        t = np.ones(LHV_ATOMS) if rng.random() < 0.5 else rng.random(LHV_ATOMS)
-        g = 0.0
-        for ai, bi, bpi in zip(triad.axes, bs, bps):
-            pair = 0.0
-            for bvec in (bi, bpi):
-                ua = u @ ai.arr
-                vb = v @ bvec.arr
-                lo, hi = lhv_feasible_c_range(ua, vb)
-                pair += float(np.sum(w * (t * lo + (1.0 - t) * hi)))
-            g += abs(pair)
-        worst = max(worst, g / 3.0 - branciard_bound(phi))
-    return worst
+    def excess(m):
+        phi = rng.uniform(0.0, PI, m)
+        u, v, w, t = _malus_mixtures(rng, m)
+        # (m, axis i, setting b_i or b'_i, atom); u.a_i is u's component i
+        ua = np.swapaxes(u, 1, 2)[:, :, None]
+        vb = np.einsum("mak,mjik->mija", v, _branciard_companions(phi))
+        lo, hi = lhv_feasible_c_range(ua, vb)
+        e = _mixture_correlators(ua, vb, t * lo + (1.0 - t) * hi, w)
+        g = np.sum(np.abs(e[..., 0] + e[..., 1]), axis=-1) / 3.0
+        return g - branciard_bound(phi)
+
+    return _block_max(excess, trials, -math.inf)

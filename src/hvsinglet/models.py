@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -322,10 +321,6 @@ class ProbabilityTable:
         if abs(total - 1.0) > TABLE_TOL:
             raise InvalidModelError(f"table sums to {total!r}, not 1")
 
-    @classmethod
-    def from_coeffs(cls, A: float, B: float, C: float) -> "ProbabilityTable":
-        return cls(*table_cells(A, B, C))
-
     def prob(self, sigma: int, tau: int) -> float:
         key = ("p" if sigma > 0 else "m") + ("p" if tau > 0 else "m")
         return getattr(self, key)
@@ -477,38 +472,6 @@ def table_cells(A, B, C, ws: ChunkWorkspace | None = None):
     return tuple(cells)
 
 
-def _require(params: ModelParams, family: ModelFamily) -> None:
-    if params.family is not family:
-        raise InvalidModelError(f"params.family must be {family.name}")
-
-
-def fhv_joint(params: ModelParams, u: UnitVector3, v: UnitVector3,
-              s: Settings) -> ProbabilityTable:
-    """First-family table: a damped singlet correlation plus single-party
-    biases eta*f through the hidden directions u, v."""
-    _require(params, ModelFamily.FHV)
-    return joint(params, HiddenState.uv(u, v), s)
-
-
-def shv_joint(params: ModelParams, h: HiddenState, s: Settings) -> ProbabilityTable:
-    """Second-family table: correlation a.b + (a x b).p(lam), scaled by
-    1/sqrt(1 + pm^2) so it stays a probability for every carrier."""
-    _require(params, ModelFamily.SHV)
-    return joint(params, h, s)
-
-
-def thv_joint(params: ModelParams, u: UnitVector3, s: Settings) -> ProbabilityTable:
-    """Third-family table: singlet correlation plus a cubic term
-    zeta*(a.u)^3*(b.v)^3 with the partner vector locked to v = -u."""
-    _require(params, ModelFamily.THV)
-    return joint(params, HiddenState.uv(u, -u), s)
-
-
-def qm_joint(s: Settings) -> ProbabilityTable:
-    """Singlet reference table (1 - sigma*tau*a.b)/4 with flat marginals."""
-    return joint(ModelParams.qm(), None, s)
-
-
 def joint(params: ModelParams, h: HiddenState | None, s: Settings) -> ProbabilityTable:
     """The family's table for one hidden draw (None for QM): `coeffs` on a
     batch of one."""
@@ -524,8 +487,8 @@ def joint(params: ModelParams, h: HiddenState | None, s: Settings) -> Probabilit
     else:
         hidden = {k: getattr(h, k).arr for k in ("u", "v") if getattr(h, k) is not None}
     # a batch of one: the coefficient rows hold one value each
-    return ProbabilityTable.from_coeffs(
-        *(np.ravel(x)[0] for x in coeffs(params, hidden, s.a.arr, s.b.arr)))
+    return ProbabilityTable(*table_cells(
+        *(np.ravel(x)[0] for x in coeffs(params, hidden, s.a.arr, s.b.arr))))
 
 
 # ------------------------ marginals and conditionals -----------------------
@@ -632,55 +595,15 @@ def draw_outcomes(cells, n: int, rng: np.random.Generator,
     return sigma, same
 
 
-def sample_outcomes(t: ProbabilityTable, rng: np.random.Generator) -> tuple[int, int]:
-    """One categorical draw (sigma, tau) from the joint table: `draw_outcomes`
-    on a batch of one."""
-    plus, same = draw_outcomes((t.pp, t.pm, t.mp, t.mm), 1, rng)
-    sigma = 1 if plus[0] else -1
-    return (sigma, sigma if same[0] else -sigma)
-
-
 # -------------------------- comparison model classes ------------------------
 
 
-def bhv_product_joint(
-    A: Callable[[object, UnitVector3], float],
-    B: Callable[[object, UnitVector3], float],
-    lam: object,
-    s: Settings,
-) -> ProbabilityTable:
-    """Outcome-independent product table built from single-party expectation
-    values Abar = A(lam, a) and Bbar = B(lam, b), each in [-1, 1]:
-
-        P(sigma, tau) = [1 + sigma*Abar] [1 + tau*Bbar] / 4
-    """
-    abar = float(A(lam, s.a))
-    bbar = float(B(lam, s.b))
-    if abs(abar) > 1.0 + 1e-12 or abs(bbar) > 1.0 + 1e-12:
-        raise InvalidModelError("single-party expectations must lie in [-1, 1]")
-    return ProbabilityTable.from_coeffs(abar, bbar, abar * bbar)
-
-
-def lhv_feasible_c_range(ua: float, vb: float) -> tuple[float, float]:
-    """Correlation values keeping the Malus-marginal table nonnegative."""
+def lhv_feasible_c_range(ua, vb):
+    """Correlations (lo, hi) between which the Malus-marginal table
+    `table_cells`(u.a, v.b, C) has no negative cell, elementwise for arrays.
+    The product class, `table_cells`(Abar, Bbar, Abar*Bbar), needs no such
+    range: its cell check rejects |Abar| > 1 or |Bbar| > 1."""
     return (-1.0 + abs(ua + vb), 1.0 - abs(ua - vb))
-
-
-def lhv_malus_joint(
-    u: UnitVector3, v: UnitVector3, C: float, s: Settings
-) -> ProbabilityTable:
-    """Malus-marginal table [1 + sigma*u.a + tau*v.b + sigma*tau*C]/4.
-
-    C must lie in the feasible interval for the given (u.a, v.b); outside it
-    some cell would be negative and the model is rejected.
-    """
-    ua, vb = dot(u, s.a), dot(v, s.b)
-    lo, hi = lhv_feasible_c_range(ua, vb)
-    if not lo - 1e-12 <= C <= hi + 1e-12:
-        raise InvalidModelError(
-            f"C={C!r} outside the feasible range [{lo!r}, {hi!r}]"
-        )
-    return ProbabilityTable.from_coeffs(ua, vb, C)
 
 
 # ------------------------------ Malus audit --------------------------------

@@ -8,7 +8,6 @@ from hvsinglet.correlators import (
     analytic_correlator,
     mc_correlator,
     plane_avg_correlator,
-    scalar_correlator,
     sphere_moment_oracle,
 )
 from hvsinglet.geometry import (
@@ -24,7 +23,6 @@ from hvsinglet.geometry import (
 from hvsinglet.models import (
     CapP,
     ConstantP,
-    InvalidModelError,
     ModelParams,
     Settings,
 )
@@ -78,19 +76,18 @@ class TestAnalyticCorrelator:
             eps = eta / (1 + eta)
             assert fhv == pytest.approx((1 - eps) * qm, abs=1e-12)
 
-    def test_scalar_correlator_matches_vector_form(self):
+    def test_correlator_depends_on_ab_alone(self):
+        # every family but SHV reads the settings only through a.b, so a
+        # pair (x, b') with x.b' = a.b gives the same correlator
         rng = make_rng(7)
         for _ in range(50):
             s = random_settings(rng)
             ab = float(s.a.arr @ s.b.arr)
+            planar = Settings(X, UnitVector3.normalized(ab, math.sqrt(max(0.0, 1.0 - ab * ab)), 0.0))
             for params in (ModelParams.qm(), ModelParams.fhv(0.4), ModelParams.thv(1.2)):
-                assert scalar_correlator(params, ab) == pytest.approx(
+                assert analytic_correlator(params, planar) == pytest.approx(
                     analytic_correlator(params, s), abs=1e-14
                 )
-
-    def test_scalar_correlator_rejects_shv(self):
-        with pytest.raises(InvalidModelError):
-            scalar_correlator(ModelParams.shv(), 0.5)
 
 
 class TestMcCorrelator:

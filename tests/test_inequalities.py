@@ -1,16 +1,25 @@
+import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hvsinglet.correlators import analytic_correlator
 from hvsinglet.geometry import (
+    Plane,
+    UnitVector3,
+    X,
+    branciard_settings,
     chsh_optimal_settings,
     make_rng,
     orthogonal_plane,
+    sample_unit_batch,
     sample_unit_uniform,
     xy_plane,
 )
 from hvsinglet.inequalities import (
+    BHV_ATOMS,
     BRANCIARD_QM_ARGMAX_SIN,
     BRANCIARD_QM_MAX_MARGIN,
     BRANCIARD_QM_WINDOW_HI_SIN,
@@ -27,7 +36,6 @@ from hvsinglet.inequalities import (
     branciard_fhv_argmax_sin,
     branciard_fhv_max_margin,
     branciard_value,
-    branciard_value_from_scalar,
     chsh_bound,
     chsh_value,
     correlator_fn,
@@ -43,8 +51,9 @@ from hvsinglet.inequalities import (
     max_violation,
     threshold,
     violation_window,
+    _malus_mixtures,
 )
-from hvsinglet.models import ConstantP, ModelParams
+from hvsinglet.models import ConstantP, ModelParams, Settings, lhv_feasible_c_range, table_cells
 
 SQRT2 = math.sqrt(2.0)
 PI = math.pi
@@ -143,10 +152,12 @@ class TestBranciard:
         assert branciard_value(ModelParams.qm(), 0.0) == pytest.approx(2.0, abs=1e-15)
 
     def test_triad_matches_scalar_shortcut(self):
+        # shortcut 2|C(cos(phi/2))| for the families whose correlator reads a.b only
         for params in (ModelParams.qm(), ModelParams.fhv(0.3), ModelParams.thv(1.1)):
             for phi in np.linspace(0.0, PI, 9):
+                b = UnitVector3.normalized(math.cos(phi / 2), math.sin(phi / 2), 0.0)
                 assert branciard_value(params, float(phi)) == pytest.approx(
-                    branciard_value_from_scalar(params, float(phi)), abs=1e-12
+                    2 * abs(analytic_correlator(params, Settings(X, b))), abs=1e-12
                 )
 
     def test_shv_cross_terms_cancel_on_triad(self):
@@ -246,11 +257,9 @@ class TestMaxViolation:
 
 class TestThreshold:
     def test_chsh_fhv(self):
-        res = threshold("chsh", ModelParams.fhv(0.0), "eta", (0.0, 1.0), 1e-10,
-                        closed_form=ETA_MAX_CHSH_FHV)
+        res = threshold("chsh", ModelParams.fhv(0.0), "eta", (0.0, 1.0), 1e-10)
         assert res.found
         assert res.root == pytest.approx(ETA_MAX_CHSH_FHV, abs=1e-9)
-        assert res.difference <= 1e-9
 
     def test_branciard_thv_at_peak_angle(self):
         phi = 2 * math.asin(BRANCIARD_QM_ARGMAX_SIN)
@@ -270,7 +279,97 @@ class TestThreshold:
         assert res.root is None
 
 
+AUDITS = pytest.mark.parametrize(
+    "audit", [bhv_chsh_search, lhv_leggett_search, lhv_branciard_search],
+    ids=lambda f: f.__name__)
+
+
 class TestBoundAudits:
+    @AUDITS
+    def test_memory_does_not_grow_with_trials(self, audit):
+        trials = inspect.signature(audit).parameters["trials"].default
+
+        def peak(n):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            audit(make_rng(45), n)
+            return tracemalloc.get_traced_memory()[1] - start
+
+        tracemalloc.start()
+        try:
+            audit(make_rng(45), 1)  # first-call allocations belong to neither run
+            one, four = peak(trials), peak(4 * trials)
+        finally:
+            tracemalloc.stop()
+        assert four <= 1.5 * one
+
+    @AUDITS
+    def test_same_seed_gives_identical_floats(self, audit):
+        assert audit(make_rng(46)) == audit(make_rng(46))
+
+    # Per-trial references for one-trial audits: each replays the audit's
+    # draws from the same seed, in the audit's order, and scores the trial
+    # through the public single-setting pieces.
+
+    @staticmethod
+    def _mixture(rng):
+        u, v, w, t = _malus_mixtures(rng, 1)
+        return u[0], v[0], w.ravel(), t.ravel()
+
+    @staticmethod
+    def _mixture_correlator(ua, vb, w, t):
+        lo, hi = lhv_feasible_c_range(ua, vb)
+        pp, pm, mp, mm = table_cells(ua, vb, t * lo + (1.0 - t) * hi)
+        return np.sum(w * (pp - pm - mp + mm), axis=-1)
+
+    def test_bhv_trial_matches_chsh_value(self):
+        a, b, ap, bp = chsh_optimal_settings()
+        for seed in range(12):
+            rng = make_rng(seed)
+            vals = rng.uniform(-1.0, 1.0, size=(4, BHV_ATOMS))
+            if rng.random(1)[0] < 0.25:
+                vals = np.sign(vals)
+            w = rng.random(BHV_ATOMS)
+            w /= w.sum()
+
+            def corr(x, y):
+                return float(np.sum(w * vals[0 if x is a else 1] * vals[2 if y is b else 3]))
+
+            expected = chsh_value(corr, a, b, ap, bp)
+            assert bhv_chsh_search(make_rng(seed), 1) == pytest.approx(expected, abs=1e-14)
+
+    def test_leggett_trial_matches_orientation_quadrature(self):
+        # the audit's exact orientation average against a plain average over
+        # 4096 orientations of the settings in each plane
+        theta = np.linspace(0.0, 2.0 * PI, 4096, endpoint=False)[:, None, None]
+        for seed in range(6):
+            rng = make_rng(seed)
+            plane = Plane.with_normal(UnitVector3.from_array(sample_unit_batch(rng, 1)[0]))
+            phi = float(rng.uniform(0.0, PI, 1)[0])
+            u, v, w, t = self._mixture(rng)
+            f = 0.0
+            for p in (plane, orthogonal_plane(plane)):
+                c = 0.0
+                for shift in (phi, 0.0):
+                    a = np.cos(theta) * p.e1.arr + np.sin(theta) * p.e2.arr
+                    b = np.cos(theta + shift) * p.e1.arr + np.sin(theta + shift) * p.e2.arr
+                    ua, vb = np.sum(u * a, axis=-1), np.sum(v * b, axis=-1)
+                    c += float(np.mean(self._mixture_correlator(ua, vb, w, t)))
+                f += abs(c)
+            expected = f - float(leggett_bound(phi))
+            assert lhv_leggett_search(make_rng(seed), 1) == pytest.approx(expected, abs=1e-5)
+
+    def test_branciard_trial_matches_triad_settings(self):
+        for seed in range(12):
+            rng = make_rng(seed)
+            phi = float(rng.uniform(0.0, PI, 1)[0])
+            u, v, w, t = self._mixture(rng)
+            triad, bs, bps = branciard_settings(phi)
+            g = sum(abs(sum(self._mixture_correlator(u @ a.arr, v @ b.arr, w, t) for b in pair))
+                    for a, pair in zip(triad.axes, zip(bs, bps)))
+            expected = g / 3.0 - float(branciard_bound(phi))
+            assert lhv_branciard_search(make_rng(seed), 1) == pytest.approx(expected, abs=1e-14)
+
     def test_bhv_search_stays_below_two(self):
         worst = bhv_chsh_search(make_rng(40), trials=10_000)
         assert worst <= 2.0 + 1e-9

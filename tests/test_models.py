@@ -1,10 +1,11 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from hvsinglet.geometry import UnitVector3, X, Y, Z, make_rng, sample_unit_uniform
+from hvsinglet.geometry import UnitVector3, X, Y, Z, dot, make_rng, sample_unit_uniform
 from hvsinglet.models import (
     CapP,
     ConstantP,
@@ -16,25 +17,21 @@ from hvsinglet.models import (
     ProbabilityTable,
     Settings,
     UndefinedConditionalError,
-    bhv_product_joint,
     conditional,
+    draw_outcomes,
     fhv_conditional_closed_form,
-    fhv_joint,
     joint,
     lhv_feasible_c_range,
-    lhv_malus_joint,
     malus_check,
     marginal,
     outcome_dependence_witness,
-    qm_joint,
     sample_hidden,
-    sample_outcomes,
-    shv_joint,
-    thv_joint,
+    table_cells,
     thv_positivity_margin,
 )
 
 SQRT2 = math.sqrt(2.0)
+QM = ModelParams.qm()
 
 
 def units():
@@ -110,7 +107,7 @@ class TestFhvJoint:
         # f(x)=x/2, eta=1, u=a, v=b, a.b=0, outcome (+,+):
         # 1/4 + (1*(1/2+1/2) - 0)/8 = 3/8
         params = ModelParams.fhv(1.0)
-        t = fhv_joint(params, X, Y, Settings(X, Y))
+        t = joint(params, HiddenState.uv(X, Y), Settings(X, Y))
         assert t.pp == pytest.approx(0.375, abs=1e-15)
 
     def test_eta_zero_collapses_to_qm(self):
@@ -119,30 +116,26 @@ class TestFhvJoint:
         for _ in range(20):
             u, v = sample_unit_uniform(rng), sample_unit_uniform(rng)
             a, b = sample_unit_uniform(rng), sample_unit_uniform(rng)
-            t = fhv_joint(params, u, v, Settings(a, b))
-            q = qm_joint(Settings(a, b))
+            t = joint(params, HiddenState.uv(u, v), Settings(a, b))
+            q = joint(QM, None, Settings(a, b))
             assert t.as_dict() == pytest.approx(q.as_dict(), abs=1e-15)
-
-    def test_wrong_family_rejected(self):
-        with pytest.raises(InvalidModelError):
-            fhv_joint(ModelParams.qm(), X, Y, Settings(X, Y))
 
     @given(units(), units(), units(), units(), st.floats(0.0, 5.0))
     def test_normalization(self, u, v, a, b, eta):
-        t = fhv_joint(ModelParams.fhv(eta), u, v, Settings(a, b))
+        t = joint(ModelParams.fhv(eta), HiddenState.uv(u, v), Settings(a, b))
         assert t.total() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestShvJoint:
     def test_uniform_when_everything_vanishes(self):
         params = ModelParams.shv(ConstantP((0.0, 0.0, 0.0)))
-        t = shv_joint(params, HiddenState.carrier((0.0, 0.0, 0.0)), Settings(X, Y))
+        t = joint(params, HiddenState.carrier((0.0, 0.0, 0.0)), Settings(X, Y))
         assert t.as_dict() == pytest.approx({"++": 0.25, "+-": 0.25, "-+": 0.25, "--": 0.25})
 
     def test_hand_value(self):
         # a=x, b=y, p=z, pm=1: P(+,+) = 1/4 - 1/(4*sqrt(2))
         params = ModelParams.shv(ConstantP((0.0, 0.0, 1.0)))
-        t = shv_joint(params, HiddenState.carrier((0.0, 0.0, 1.0)), Settings(X, Y))
+        t = joint(params, HiddenState.carrier((0.0, 0.0, 1.0)), Settings(X, Y))
         assert t.pp == pytest.approx(0.07322330470336313, abs=1e-15)
 
     def test_marginals_exactly_half(self):
@@ -150,14 +143,14 @@ class TestShvJoint:
         rng = make_rng(9)
         for _ in range(50):
             h = sample_hidden(params, rng)
-            t = shv_joint(params, h, Settings(sample_unit_uniform(rng), sample_unit_uniform(rng)))
+            t = joint(params, h, Settings(sample_unit_uniform(rng), sample_unit_uniform(rng)))
             assert marginal(t, "A") == (0.5, 0.5)
             assert marginal(t, "B") == (0.5, 0.5)
 
     def test_inconsistent_carrier_rejected(self):
         params = ModelParams.shv(ConstantP((0.0, 0.0, 0.5)))
         with pytest.raises(InvalidModelError):
-            shv_joint(params, HiddenState.carrier((0.0, 0.0, 0.9)), Settings(X, Y))
+            joint(params, HiddenState.carrier((0.0, 0.0, 0.9)), Settings(X, Y))
 
     def test_positivity_bulk(self):
         # oracle: |a.b + (a x b).p| <= sqrt(1+|p|^2) by Cauchy-Schwarz plus
@@ -170,45 +163,45 @@ class TestShvJoint:
             direction = sample_unit_uniform(rng).arr
             p = float(rng.uniform(0, pm)) * direction
             h = HiddenState.carrier(p)
-            t = shv_joint(params, h, Settings(
+            t = joint(params, h, Settings(
                 UnitVector3.from_array(a[i]), sample_unit_uniform(rng)))
             assert min(t.pp, t.pm, t.mp, t.mm) >= 0.0
 
 
 class TestThvJoint:
     def test_zeta_zero_is_qm(self):
-        t = thv_joint(ModelParams.thv(0.0), Z, Settings(X, Y))
-        assert t.as_dict() == pytest.approx(qm_joint(Settings(X, Y)).as_dict(), abs=1e-15)
+        t = joint(ModelParams.thv(0.0), HiddenState.uv(Z, -Z), Settings(X, Y))
+        assert t.as_dict() == pytest.approx(joint(QM, None, Settings(X, Y)).as_dict(), abs=1e-15)
 
     def test_orthogonal_u_kills_cubic_term(self):
-        t = thv_joint(ModelParams.thv(1.5), Z, Settings(X, Y))
-        assert t.as_dict() == pytest.approx(qm_joint(Settings(X, Y)).as_dict(), abs=1e-15)
+        t = joint(ModelParams.thv(1.5), HiddenState.uv(Z, -Z), Settings(X, Y))
+        assert t.as_dict() == pytest.approx(joint(QM, None, Settings(X, Y)).as_dict(), abs=1e-15)
 
     def test_hand_value(self):
         # a=b=u=z, zeta=1: cubic term is (1)^3*(-1)^3 = -1, so P(+,+) = 1/4
-        t = thv_joint(ModelParams.thv(1.0), Z, Settings(Z, Z))
+        t = joint(ModelParams.thv(1.0), HiddenState.uv(Z, -Z), Settings(Z, Z))
         assert t.pp == pytest.approx(0.25, abs=1e-15)
 
 
 class TestQmJoint:
     def test_perfect_anticorrelation(self):
-        t = qm_joint(Settings(Z, Z))
+        t = joint(QM, None, Settings(Z, Z))
         assert t.as_dict() == pytest.approx({"++": 0.0, "+-": 0.5, "-+": 0.5, "--": 0.0})
 
     def test_orthogonal_settings_uniform(self):
-        t = qm_joint(Settings(X, Y))
+        t = joint(QM, None, Settings(X, Y))
         assert t.as_dict() == pytest.approx({"++": 0.25, "+-": 0.25, "-+": 0.25, "--": 0.25})
 
     def test_intermediate_angle(self):
         b = UnitVector3.normalized(1.0, 1.0, 0.0)
-        t = qm_joint(Settings(X, b))
+        t = joint(QM, None, Settings(X, b))
         assert t.pp == pytest.approx(0.07322330470336313, abs=1e-15)
 
     def test_correlator_equals_minus_ab(self):
         rng = make_rng(1)
         for _ in range(50):
             a, b = sample_unit_uniform(rng), sample_unit_uniform(rng)
-            t = qm_joint(Settings(a, b))
+            t = joint(QM, None, Settings(a, b))
             ab = a.x * b.x + a.y * b.y + a.z * b.z
             assert t.correlator() == pytest.approx(-ab, abs=1e-12)
 
@@ -221,11 +214,11 @@ class TestFrameInvariance:
             u, v = sample_unit_uniform(rng), sample_unit_uniform(rng)
             a, b = sample_unit_uniform(rng), sample_unit_uniform(rng)
             rot = random_rotation(rng)
-            t1 = fhv_joint(params, u, v, Settings(a, b))
-            t2 = fhv_joint(
+            t1 = joint(params, HiddenState.uv(u, v), Settings(a, b))
+            t2 = joint(
                 params,
-                UnitVector3.from_array(rot @ u.arr),
-                UnitVector3.from_array(rot @ v.arr),
+                HiddenState.uv(UnitVector3.from_array(rot @ u.arr),
+                               UnitVector3.from_array(rot @ v.arr)),
                 Settings(
                     UnitVector3.from_array(rot @ a.arr),
                     UnitVector3.from_array(rot @ b.arr),
@@ -238,7 +231,7 @@ class TestMarginalsConditionals:
     def test_fhv_marginal_hand_value(self):
         # f=x/2, eta=1, u=a: marginal(+) = (1 + (1/2)(1/2))/2 = 0.625
         params = ModelParams.fhv(1.0)
-        t = fhv_joint(params, Z, X, Settings(Z, Y))
+        t = joint(params, HiddenState.uv(Z, X), Settings(Z, Y))
         assert marginal(t, "A")[0] == pytest.approx(0.625, abs=1e-15)
 
     def test_uniform_table(self):
@@ -251,14 +244,14 @@ class TestMarginalsConditionals:
         rng = make_rng(31)
         for _ in range(20):
             h = sample_hidden(params, rng)
-            t = thv_joint(params, h.u, Settings(sample_unit_uniform(rng), sample_unit_uniform(rng)))
+            t = joint(params, h, Settings(sample_unit_uniform(rng), sample_unit_uniform(rng)))
             for tau in (1, -1):
                 got = conditional(t, tau)
                 assert got[0] == pytest.approx(2.0 * t.prob(1, tau), abs=1e-12)
                 assert got[1] == pytest.approx(2.0 * t.prob(-1, tau), abs=1e-12)
 
     def test_qm_anticorrelated_conditional(self):
-        t = qm_joint(Settings(Z, Z))
+        t = joint(QM, None, Settings(Z, Z))
         assert conditional(t, 1) == (0.0, 1.0)
 
     def test_zero_probability_conditioning_rejected(self):
@@ -271,7 +264,7 @@ class TestMarginalsConditionals:
     @hyp_settings(max_examples=200)
     def test_fhv_conditional_dual_route(self, u, v, a, b, sigma, tau):
         params = ModelParams.fhv(eta=2.0)  # fixed eta; vectors vary
-        t = fhv_joint(params, u, v, Settings(a, b))
+        t = joint(params, HiddenState.uv(u, v), Settings(a, b))
         from_table = conditional(t, tau)[0 if sigma == 1 else 1]
         closed = fhv_conditional_closed_form(params, u, v, Settings(a, b), sigma, tau)
         assert from_table == pytest.approx(closed, abs=1e-12)
@@ -326,55 +319,65 @@ class TestSampleHidden:
 
 
 class TestSampleOutcomes:
+    # each draw is `draw_outcomes` on a batch of one; its flags
+    # (sigma == +1, sigma*tau == +1) name the outcome (sigma, tau)
     def test_degenerate_table(self):
         t = ProbabilityTable(1.0, 0.0, 0.0, 0.0)
         rng = make_rng(0)
-        assert all(sample_outcomes(t, rng) == (1, 1) for _ in range(100))
+        for _ in range(100):
+            plus, same = draw_outcomes(astuple(t), 1, rng)
+            assert plus[0] and same[0]  # (sigma, tau) == (1, 1)
 
     def test_uniform_frequencies(self):
         t = ProbabilityTable(0.25, 0.25, 0.25, 0.25)
         rng = make_rng(4)
         n = 100_000
-        counts: dict[tuple[int, int], int] = {}
+        counts: dict[tuple[bool, bool], int] = {}
         for _ in range(n):
-            key = sample_outcomes(t, rng)
+            plus, same = draw_outcomes(astuple(t), 1, rng)
+            key = (bool(plus[0]), bool(same[0]))
             counts[key] = counts.get(key, 0) + 1
         stderr = math.sqrt(0.25 * 0.75 / n)
-        for key in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        for key in ((True, True), (True, False), (False, True), (False, False)):
             assert abs(counts.get(key, 0) / n - 0.25) <= 4 * stderr
 
     def test_zero_cells_never_drawn(self):
-        t = qm_joint(Settings(Z, Z))
+        t = joint(QM, None, Settings(Z, Z))
         rng = make_rng(8)
         for _ in range(10_000):
-            s, tau = sample_outcomes(t, rng)
-            assert s != tau
+            _, same = draw_outcomes(astuple(t), 1, rng)
+            assert not same[0]  # sigma != tau
 
 
 class TestComparisonClasses:
+    # product class: table_cells(Abar, Bbar, Abar*Bbar); Malus class:
+    # table_cells(u.a, v.b, C) with C in the feasible range
     def test_bhv_uniform(self):
-        t = bhv_product_joint(lambda l, a: 0.0, lambda l, b: 0.0, None, Settings(X, Y))
+        t = ProbabilityTable(*table_cells(0.0, 0.0, 0.0 * 0.0))
         assert t.as_dict() == pytest.approx({"++": 0.25, "+-": 0.25, "-+": 0.25, "--": 0.25})
 
     def test_bhv_deterministic_limit(self):
-        t = bhv_product_joint(lambda l, a: 1.0, lambda l, b: -1.0, None, Settings(X, Y))
+        t = ProbabilityTable(*table_cells(1.0, -1.0, 1.0 * -1.0))
         assert t.pm == pytest.approx(1.0, abs=1e-15)
 
     def test_bhv_rejects_out_of_range(self):
         with pytest.raises(InvalidModelError):
-            bhv_product_joint(lambda l, a: 1.5, lambda l, b: 0.0, None, Settings(X, Y))
+            table_cells(1.5, 0.0, 1.5 * 0.0)
+        abar, bbar = np.array([0.5, -0.2, 0.9]), np.array([0.3, -1.01, 1.0])
+        with pytest.raises(InvalidModelError):  # one row with |Bbar| > 1
+            table_cells(abar, bbar, abar * bbar)
 
     def test_bhv_outcome_independence(self):
         rng = make_rng(21)
         for _ in range(200):
             abar, bbar = rng.uniform(-0.99, 0.99, 2)
-            t = bhv_product_joint(lambda l, a: abar, lambda l, b: bbar, None, Settings(X, Y))
+            t = ProbabilityTable(*table_cells(abar, bbar, abar * bbar))
             assert conditional(t, 1)[0] == pytest.approx(conditional(t, -1)[0], abs=1e-12)
 
     def test_lhv_boundary_case(self):
         # u.a = v.b = 0 leaves only the correlation term; C = -1 gives the
         # perfectly anticorrelated table
-        t = lhv_malus_joint(Z, Z, -1.0, Settings(X, Y))
+        t = ProbabilityTable(*table_cells(dot(Z, X), dot(Z, Y), -1.0))
         assert t.as_dict() == pytest.approx({"++": 0.0, "+-": 0.5, "-+": 0.5, "--": 0.0})
 
     def test_lhv_malus_marginals(self):
@@ -386,7 +389,7 @@ class TestComparisonClasses:
             vb = v.x * b.x + v.y * b.y + v.z * b.z
             lo, hi = lhv_feasible_c_range(ua, vb)
             c = float(rng.uniform(lo, hi))
-            t = lhv_malus_joint(u, v, c, Settings(a, b))
+            t = ProbabilityTable(*table_cells(ua, vb, c))
             assert marginal(t, "A")[0] == pytest.approx((1 + ua) / 2, abs=1e-12)
             assert marginal(t, "B")[0] == pytest.approx((1 + vb) / 2, abs=1e-12)
 
@@ -402,9 +405,18 @@ class TestComparisonClasses:
         lo, hi = lhv_feasible_c_range(ua, vb)
         assert feasible_brute == (lo - 1e-12 <= c <= hi + 1e-12)
 
+    @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    def test_table_cells_accept_exactly_the_feasible_range(self, ua, vb):
+        lo, hi = lhv_feasible_c_range(ua, vb)
+        for c in (lo, 0.5 * (lo + hi), hi):
+            table_cells(ua, vb, c)
+        for c in (lo - 1e-9, hi + 1e-9):
+            with pytest.raises(InvalidModelError):
+                table_cells(ua, vb, c)
+
     def test_lhv_infeasible_rejected(self):
         with pytest.raises(InvalidModelError):
-            lhv_malus_joint(X, X, -0.9, Settings(X, X))  # lower bound is |1+1|-1 = 1
+            table_cells(dot(X, X), dot(X, X), -0.9)  # lower bound is |1+1|-1 = 1
 
 
 class TestMalusCheck:
