@@ -208,18 +208,19 @@ def _mc_estimate(
         raise ValueError(f"n must be at least {MIN_MC_SAMPLES}")
     if shards < 1:
         raise ValueError("shards must be positive")
-    streams = np.random.SeedSequence(seed).spawn(shards)
+    # shards past the n-th hold no sample; spawned children are prefix-stable,
+    # so spawning only the first min(shards, n) keeps every stream
+    streams = np.random.SeedSequence(seed).spawn(min(shards, n))
     base, extra = divmod(n, shards)
-    sizes = [base + (1 if i < extra else 0) for i in range(shards)]
 
     def shard(i: int, own: ChunkWorkspace) -> tuple[int, float, float]:
-        m = sizes[i]
+        m = base + (1 if i < extra else 0)
         rng = np.random.Generator(np.random.PCG64(streams[i]))
         _, same = _shard_counts(params, s, m, rng, own)
         # sigma*tau is +-1, so the sum is 2*same - m and the sum of squares m
         return (m, float(2 * same - m), float(m))
 
-    parts = _pool_map(shard, [i for i in range(shards) if sizes[i]], ws)
+    parts = _pool_map(shard, list(range(len(streams))), ws)
     count, total, total_sq = _combine_moments(parts)
     mean = total / count
     if count > 1:

@@ -65,6 +65,9 @@ from .inequalities import (
     ZETA_MAX_LEGGETT_THV,
     ZETA_ROOT_CHSH_THV_DERIVED,
     ZETA_ROOT_CHSH_THV_QUOTED,
+    _max_violations,
+    _value_function,
+    _violation_windows,
     bhv_chsh_search,
     branciard_fhv_argmax_sin,
     branciard_fhv_window_center_derived,
@@ -74,7 +77,6 @@ from .inequalities import (
     chsh_value,
     correlator_fn,
     leggett_fhv_window_sin,
-    leggett_value_best,
     lhv_branciard_search,
     lhv_leggett_search,
     margin,
@@ -821,12 +823,11 @@ def run_verify(config: RunConfig) -> VerificationReport:
     ))
 
     r = rng()
+    fields = [_random_params(ModelFamily.SHV, r) for _ in range(20)]
+    e_num = _value_function("chsh", fields)(np.zeros(20), np.arange(20))
     worst = 0.0
-    for _ in range(20):
-        params = _random_params(ModelFamily.SHV, r)
-        e_num = chsh_value(correlator_fn(params), *optimal)
-        expected = 2.0 * math.sqrt(2.0) / math.sqrt(1.0 + params.p_m**2)
-        worst = max(worst, abs(e_num - expected))
+    for m, e in zip(fields, e_num.tolist()):
+        worst = max(worst, abs(e - 2.0 * math.sqrt(2.0) / math.sqrt(1.0 + m.p_m**2)))
     claims.append(_claim(
         "chsh.shv.scale",
         "Cross-term cancellation: CHSH value is 2*sqrt(2)/sqrt(1+pm^2) "
@@ -862,17 +863,14 @@ def run_verify(config: RunConfig) -> VerificationReport:
     ))
 
     r = rng()
+    etas = [float(r.uniform(0.0, 0.99 * ETA_MAX_LEGGETT_FHV)) for _ in range(50)]
+    windows = _violation_windows("leggett", [ModelParams.fhv(eta) for eta in etas], "phi",
+                                 (0.0, PI), tol=1e-10, order=32)
     worst = 0.0
-    for _ in range(50):
-        eta = float(r.uniform(0.0, 0.99 * ETA_MAX_LEGGETT_FHV))
-        win = violation_window("leggett", ModelParams.fhv(eta), "phi", (0.0, PI),
-                               tol=1e-10, order=32)
+    for eta, win in zip(etas, windows):
         s_lo, s_hi = leggett_fhv_window_sin(eta)
-        worst = max(
-            worst,
-            abs(win.lower - 2.0 * math.asin(s_lo)),
-            abs(win.upper - 2.0 * math.asin(s_hi)),
-        )
+        worst = max(worst, abs(win.lower - 2.0 * math.asin(s_lo)),
+                    abs(win.upper - 2.0 * math.asin(s_hi)))
     claims.append(_claim(
         "leggett.fhv.window_endpoints",
         "Numeric violation window matches the quadratic closed form "
@@ -888,15 +886,15 @@ def run_verify(config: RunConfig) -> VerificationReport:
     ))
 
     r = rng()
+    fields, phis_shv = zip(*[(_random_params(ModelFamily.SHV, r), float(r.uniform(0.0, PI)))
+                             for _ in range(20)])
+    values = _value_function("leggett", fields)(np.array(phis_shv), np.arange(20))
     worst = 0.0
-    for _ in range(20):
-        params = _random_params(ModelFamily.SHV, r)
-        phi = float(r.uniform(0.0, PI))
+    for params, phi, value in zip(fields, phis_shv, values.tolist()):
         pbar = float(np.linalg.norm(params.p_mean()))
-        expected = (2.0 * (1.0 + math.cos(phi)) + pbar * math.sin(phi)) / math.sqrt(
-            1.0 + params.p_m**2
-        )
-        worst = max(worst, abs(leggett_value_best(params, phi) - expected))
+        expected = ((2.0 * (1.0 + math.cos(phi)) + pbar * math.sin(phi))
+                    / math.sqrt(1.0 + params.p_m**2))
+        worst = max(worst, abs(value - expected))
     claims.append(_claim(
         "leggett.shv.formula",
         "Plane-averaged F(phi) equals [2(1+cos phi) + |pbar| sin phi] "
@@ -946,10 +944,11 @@ def run_verify(config: RunConfig) -> VerificationReport:
     ))
 
     r = rng()
+    etas = [float(r.uniform(0.0, 0.95 * ETA_MAX_BRANCIARD_FHV)) for _ in range(20)]
+    args, _ = _max_violations("branciard", [ModelParams.fhv(eta) for eta in etas], "phi",
+                              (0.0, PI))
     worst = 0.0
-    for _ in range(20):
-        eta = float(r.uniform(0.0, 0.95 * ETA_MAX_BRANCIARD_FHV))
-        arg, _ = max_violation("branciard", ModelParams.fhv(eta), "phi", (0.0, PI))
+    for eta, arg in zip(etas, args.tolist()):
         worst = max(worst, abs(math.sin(arg / 2.0) - branciard_fhv_argmax_sin(eta)))
     claims.append(_claim(
         "branciard.fhv.maximizer",
@@ -958,16 +957,14 @@ def run_verify(config: RunConfig) -> VerificationReport:
         0.0, worst, 1e-8,
     ))
 
+    etas = (0.0, 0.02, 0.04)
+    windows = _violation_windows("branciard", [ModelParams.fhv(eta) for eta in etas], "phi",
+                                 (0.0, PI), tol=1e-10)
     worst = 0.0
-    for eta in (0.0, 0.02, 0.04):
-        win = violation_window("branciard", ModelParams.fhv(eta), "phi", (0.0, PI),
-                               tol=1e-10)
+    for eta, win in zip(etas, windows):
         s_lo, s_hi = branciard_fhv_window_sin_derived(eta)
-        worst = max(
-            worst,
-            abs(math.sin(win.lower / 2.0) - s_lo),
-            abs(math.sin(win.upper / 2.0) - s_hi),
-        )
+        worst = max(worst, abs(math.sin(win.lower / 2.0) - s_lo),
+                    abs(math.sin(win.upper / 2.0) - s_hi))
     claims.append(_claim(
         "branciard.fhv.window_derived",
         "Numeric violation window matches the derived quadratic "

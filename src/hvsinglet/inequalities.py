@@ -28,6 +28,7 @@ from .geometry import (
 )
 from .models import ModelFamily, ModelParams, Settings, lhv_feasible_c_range, table_cells
 from .correlators import (
+    BLOCK_PAIRS,
     DEFAULT_PLANE_NODES,
     _pair_correlator_arrays,
     _plane_avg_block,
@@ -334,15 +335,6 @@ def default_leggett_planes(params: ModelParams) -> tuple[Plane, Plane]:
     return p, orthogonal_plane(p)
 
 
-def leggett_value_best(
-    params: ModelParams, phi: float, order: int = DEFAULT_PLANE_NODES
-) -> float:
-    """F(phi) on the default plane pair.  Both orientations of the
-    normal-aligned plane are evaluated and the larger F is reported, so the
-    result does not hinge on a sign convention for the cross term."""
-    return _one(_value_function("leggett", (params,), order), phi)
-
-
 def branciard_value(params: ModelParams, phi: float) -> float:
     """G(phi) = (1/3) sum_i |C(a_i, b_i) + C(a_i, b'_i)| on the explicit
     orthogonal-triad construction."""
@@ -390,87 +382,81 @@ def margin(
     return InequalityReport(name, value, bound, m, m > 0.0, config)
 
 
-def _with_variable(params: ModelParams, variable: str, value: float) -> ModelParams:
-    if variable == "eta":
-        return params.with_eta(value)
-    if variable == "zeta":
-        return params.with_zeta(value)
-    if variable == "p_m":
-        return params.with_pm(value)
-    raise ValueError(f"cannot rebind model variable {variable!r}")
-
-
 def _scan(
-    name: str, params: ModelParams, variable: str, *,
+    name: str, models, variable: str, *,
     phi: float | None, order: int, nodes: int, tol: float,
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Values and bounds of one inequality along a grid of one scan variable,
-    as a function of the grid.
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Values and bounds of one inequality along one scan variable, as a
+    function (x, i) of a batch of points: point j scores the base model
+    ``models[i[j]]`` (one family) at ``x[j]``.
 
-    For phi the model is held fixed.  For a model parameter, CHSH is scored
-    at the optimal settings; the angle-dependent inequalities are scored at
-    the given phi when provided, otherwise at the maximizing phi of each grid
-    value, all maximized in lockstep (seed grid of ``nodes``, tolerance
-    ``tol``).  Every grid value is validated as a model of its own.
+    For phi the models are held fixed.  For a model parameter, point j
+    rebinds ``models[i[j]]`` to ``x[j]``: CHSH is scored at the optimal
+    settings; the angle-dependent inequalities at the given phi when
+    provided, otherwise at the maximizing phi of each point, all maximized
+    in lockstep (seed grid of ``nodes``, tolerance ``tol``).  Every point is
+    validated as a model of its own.
     """
     if variable not in SCAN_VARIABLES:
         raise ValueError(f"unknown scan variable {variable!r}")
     if variable == "phi":
         if name == "chsh":
             raise ValueError("chsh has no phi dependence")
-        value = _value_function(name, (params,), order)
-        return lambda xs: (value(xs, np.zeros(len(xs), dtype=int)), _bound(name, xs))
-
-    def evaluate(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        models = [_with_variable(params, variable, x) for x in xs.tolist()]
-        which = np.arange(len(models))
         value = _value_function(name, models, order)
+        return lambda x, i: (value(x, i), _bound(name, x))
+
+    rebind = {"eta": ModelParams.with_eta, "zeta": ModelParams.with_zeta,
+              "p_m": ModelParams.with_pm}[variable]
+
+    def evaluate(x: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        points = [rebind(models[k], v) for k, v in zip(i.tolist(), x.tolist())]
+        which = np.arange(len(points))
+        value = _value_function(name, points, order)
         if name == "chsh" or phi is not None:
-            at = np.full(len(models), 0.0 if phi is None else float(phi))
+            at = np.full(len(points), 0.0 if phi is None else float(phi))
         else:
             at, _ = _maximize(lambda x, i: value(x, i) - _bound(name, x),
-                              len(models), (0.0, PI), nodes, tol)
+                              len(points), (0.0, PI), nodes, tol)
         return value(at, which), _bound(name, at)
 
     return evaluate
 
 
+def _margins(name: str, models, variable: str, *, phi: float | None = None,
+             order: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Margin f(x, i) of a batch of points, scored as in ``_scan``."""
+    # only the max VALUE matters here, and it is flat in phi near the
+    # maximizer, so a coarse seed grid and loose tolerance lose nothing
+    evaluate = _scan(name, models, variable, phi=phi, order=order, nodes=64, tol=1e-5)
+    return lambda x, i: np.subtract(*evaluate(x, i))
+
+
+def _first(xs) -> tuple[np.ndarray, np.ndarray]:
+    """A 1-d array of points, all of problem 0."""
+    xs = np.asarray(xs, dtype=float)
+    return xs, np.zeros(len(xs), dtype=int)
+
+
 def margin_function(
-    name: str,
-    params: ModelParams,
-    variable: str,
-    *,
-    phi: float | None = None,
-    order: int = DEFAULT_PLANE_NODES,
+    name: str, params: ModelParams, variable: str, *,
+    phi: float | None = None, order: int = DEFAULT_PLANE_NODES,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Margin as a function of one scan variable: a 1-d array of its values
     in, the array of margins out, scored as in ``_scan``."""
-    # only the max VALUE matters here, and it is flat in phi near the
-    # maximizer, so a coarse seed grid and loose tolerance lose nothing
-    evaluate = _scan(name, params, variable, phi=phi, order=order, nodes=64, tol=1e-5)
-
-    def f(xs: np.ndarray) -> np.ndarray:
-        value, bound = evaluate(np.asarray(xs, dtype=float))
-        return value - bound
-
-    return f
+    f = _margins(name, (params,), variable, phi=phi, order=order)
+    return lambda xs: f(*_first(xs))
 
 
 def scan_values(
-    name: str,
-    params: ModelParams,
-    variable: str,
-    xs: np.ndarray,
-    *,
-    phi: float | None = None,
-    order: int = DEFAULT_PLANE_NODES,
+    name: str, params: ModelParams, variable: str, xs: np.ndarray, *,
+    phi: float | None = None, order: int = DEFAULT_PLANE_NODES,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Value and classical bound at each grid value of one scan variable.
     Without a fixed phi, the angle-dependent inequalities are scored at the
     maximizing phi of each grid value, searched as in ``max_violation``."""
-    evaluate = _scan(name, params, variable, phi=phi, order=order,
+    evaluate = _scan(name, (params,), variable, phi=phi, order=order,
                      nodes=MAX_SEED_NODES, tol=1e-10)
-    return evaluate(np.asarray(xs, dtype=float))
+    return evaluate(*_first(xs))
 
 
 # --------------------------- search machinery ------------------------------
@@ -499,36 +485,49 @@ def _bisect_boundary(
     return 0.5 * (lo + hi)
 
 
+def _violation_windows(
+    name: str, models, variable: str, domain: tuple[float, float], tol: float, *,
+    nodes: int = SCAN_NODES, phi: float | None = None, order: int = DEFAULT_PLANE_NODES,
+) -> list[ViolationWindow]:
+    """`violation_window` of each model of one family, in lockstep: one grid
+    scan of every problem, then one bisection of every end that is not on
+    the domain edge."""
+    f = _margins(name, models, variable, phi=phi, order=order)
+    lo, hi = domain
+    xs = np.linspace(lo, hi, nodes)
+    # problems per scan block: about one quadrature block of (point, node)
+    # pairs, so the scan's temporaries do not grow with the number of models
+    step = max(1, BLOCK_PAIRS // (nodes * order))
+    every = np.arange(len(models))
+    positive = np.concatenate([
+        f(np.tile(xs, len(b)), np.repeat(b, nodes)).reshape(len(b), nodes) > 0.0
+        for b in (every[s:s + step] for s in range(0, len(models), step))])
+    found = positive.any(axis=1)
+    # grid index of each (problem, lower or upper) end and of its outer
+    # neighbour; an end on the domain edge has none and stays put
+    ends = np.stack([np.argmax(positive, axis=1),
+                     nodes - 1 - np.argmax(positive[:, ::-1], axis=1)], axis=1)
+    outer = ends + [-1, 1]
+    k, e = np.nonzero(found[:, None] & (outer >= 0) & (outer < nodes))
+    x = xs[ends]
+    if k.size:
+        x[k, e] = _bisect_boundary(lambda y, i: f(y, k[i]), xs[np.minimum(ends, outer)[k, e]],
+                                   xs[np.maximum(ends, outer)[k, e]], tol)
+    x[~found] = math.nan
+    return [ViolationWindow(variable, a, b, not ok)
+            for (a, b), ok in zip(x.tolist(), found.tolist())]
+
+
 def violation_window(
-    name: str,
-    params: ModelParams,
-    variable: str,
-    domain: tuple[float, float],
-    tol: float = DEFAULT_TOL,
-    *,
-    nodes: int = SCAN_NODES,
-    phi: float | None = None,
-    order: int = DEFAULT_PLANE_NODES,
+    name: str, params: ModelParams, variable: str, domain: tuple[float, float],
+    tol: float = DEFAULT_TOL, *,
+    nodes: int = SCAN_NODES, phi: float | None = None, order: int = DEFAULT_PLANE_NODES,
 ) -> ViolationWindow:
     """Bracketing scan plus bisection refinement of the positive-margin
     region.  Windows narrower than the scan spacing may be missed; the
     default grid resolves anything wider than ~0.01 rad on [0, pi]."""
-    f = margin_function(name, params, variable, phi=phi, order=order)
-    lo, hi = domain
-    xs = np.linspace(lo, hi, nodes)
-    pos = np.flatnonzero(f(xs) > 0.0)
-    if pos.size == 0:
-        return ViolationWindow(variable, math.nan, math.nan, True)
-    i0, i1 = int(pos[0]), int(pos[-1])
-    # both ends are bisected together; an end on the domain edge stays put
-    ends = np.array([xs[i0], xs[i1]])
-    brackets = np.array([[xs[max(i0 - 1, 0)], xs[i0]],
-                         [xs[i1], xs[min(i1 + 1, nodes - 1)]]])
-    inner = np.flatnonzero([i0 > 0, i1 < nodes - 1])
-    if inner.size:
-        ends[inner] = _bisect_boundary(lambda x, i: f(x), brackets[inner, 0],
-                                       brackets[inner, 1], tol)
-    return ViolationWindow(variable, float(ends[0]), float(ends[1]), False)
+    return _violation_windows(name, (params,), variable, domain, tol,
+                              nodes=nodes, phi=phi, order=order)[0]
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -604,33 +603,30 @@ def _maximize(
     return vertex, np.maximum(value, fx)
 
 
+def _max_violations(
+    name: str, models, variable: str, domain: tuple[float, float], tol: float = 1e-10, *,
+    nodes: int = MAX_SEED_NODES, order: int = DEFAULT_PLANE_NODES,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`max_violation` of each model of one family, in lockstep: arrays of
+    the maximizers and of the maxima."""
+    return _maximize(_margins(name, models, variable, order=order), len(models), domain,
+                     nodes, tol)
+
+
 def max_violation(
-    name: str,
-    params: ModelParams,
-    variable: str,
-    domain: tuple[float, float],
-    tol: float = 1e-10,
-    *,
-    nodes: int = MAX_SEED_NODES,
-    order: int = DEFAULT_PLANE_NODES,
+    name: str, params: ModelParams, variable: str, domain: tuple[float, float],
+    tol: float = 1e-10, *, nodes: int = MAX_SEED_NODES, order: int = DEFAULT_PLANE_NODES,
 ) -> tuple[float, float]:
     """Maximizer and value of the margin over the domain: grid scan to seed a
     bracket, golden-section refinement, then a parabolic vertex fit."""
-    f = margin_function(name, params, variable, order=order)
-    x, fx = _maximize(lambda x, i: f(x), 1, domain, nodes, tol)
+    x, fx = _max_violations(name, (params,), variable, domain, tol, nodes=nodes, order=order)
     return float(x[0]), float(fx[0])
 
 
 def threshold(
-    name: str,
-    params: ModelParams,
-    variable: str,
-    domain: tuple[float, float],
-    tol: float = DEFAULT_TOL,
-    *,
-    phi: float | None = None,
-    nodes: int = 65,
-    order: int = DEFAULT_PLANE_NODES,
+    name: str, params: ModelParams, variable: str, domain: tuple[float, float],
+    tol: float = DEFAULT_TOL, *,
+    phi: float | None = None, nodes: int = 65, order: int = DEFAULT_PLANE_NODES,
 ) -> ThresholdResult:
     """Largest parameter value below which the inequality is violated.
 
@@ -639,17 +635,17 @@ def threshold(
     bisected to ``tol``.  The scan also verifies the margin is monotone in
     sign: multiple crossings are rejected.
     """
-    f = margin_function(name, params, variable, phi=phi, order=order)
+    f = _margins(name, (params,), variable, phi=phi, order=order)
     lo, hi = domain
     xs = np.linspace(lo, hi, nodes)
-    signs = f(xs) > 0.0
+    signs = f(*_first(xs)) > 0.0
     flips = np.flatnonzero(signs[:-1] != signs[1:])
     if not signs[0] or flips.size == 0:
         return ThresholdResult(name, variable, False, None)
     if flips.size > 1:
         raise ValueError("margin changes sign more than once on the scan grid")
     k = int(flips[0])
-    root = float(_bisect_boundary(lambda x, i: f(x), [xs[k]], [xs[k + 1]], tol)[0])
+    root = float(_bisect_boundary(f, [xs[k]], [xs[k + 1]], tol)[0])
     return ThresholdResult(name, variable, True, root)
 
 

@@ -44,7 +44,6 @@ from hvsinglet.inequalities import (
     leggett_fhv_max_margin,
     leggett_fhv_window_sin,
     leggett_value,
-    leggett_value_best,
     lhv_branciard_search,
     lhv_leggett_search,
     margin,
@@ -107,11 +106,11 @@ class TestLeggett:
             assert f == pytest.approx(2 * (1 + math.cos(phi)), abs=1e-12)
 
     def test_qm_value_at_zero(self):
-        assert leggett_value_best(ModelParams.qm(), 0.0) == pytest.approx(4.0, abs=1e-12)
+        assert margin("leggett", ModelParams.qm(), phi=0.0).value == pytest.approx(4.0, abs=1e-12)
 
     def test_shv_hand_value(self):
         params = ModelParams.shv(ConstantP((0.0, 0.0, 0.5)))
-        got = leggett_value_best(params, PI / 4)
+        got = margin("leggett", params, phi=PI / 4).value
         expected = (2 * (1 + math.cos(PI / 4)) + 0.5 * math.sin(PI / 4)) / math.sqrt(1.25)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(3.3699932120840215, abs=1e-12)
@@ -121,8 +120,8 @@ class TestLeggett:
         up = ModelParams.shv(ConstantP((0.0, 0.0, 0.5)))
         down = ModelParams.shv(ConstantP((0.0, 0.0, -0.5)))
         for phi in np.linspace(0.1, PI - 0.1, 7):
-            assert leggett_value_best(up, float(phi)) == pytest.approx(
-                leggett_value_best(down, float(phi)), abs=1e-12
+            assert margin("leggett", up, phi=float(phi)).value == pytest.approx(
+                margin("leggett", down, phi=float(phi)).value, abs=1e-12
             )
 
     def test_non_orthogonal_planes_rejected(self):

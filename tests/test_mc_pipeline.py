@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 
 from hvsinglet import correlators as correlators_module
 from hvsinglet import models as models_module
-from hvsinglet.correlators import MC_CHUNK, _pool_map, _shard_counts, mc_correlator
+from hvsinglet.correlators import (
+    MC_CHUNK,
+    MIN_MC_SAMPLES,
+    _pool_map,
+    _shard_counts,
+    mc_correlator,
+)
 from hvsinglet.harness import _mc_trial_failures, parse_config, report_to_json, run_verify
 from hvsinglet.geometry import ChunkWorkspace, Plane, UnitVector3, X, Y, Z, sample_unit_batch
 from hvsinglet.models import (
@@ -324,6 +330,18 @@ class TestChunking:
 
         small, large = peak(2 * MC_CHUNK), peak(8 * MC_CHUNK)
         assert large <= 1.5 * small
+
+    def test_shards_beyond_n_add_neither_output_nor_memory(self):
+        # only the first n shards draw a sample, so more shards change nothing
+        params, s, n = ModelParams.fhv(0.3), Settings(X, Y), MIN_MC_SAMPLES
+        runs = {}
+
+        def run(shards):
+            runs[shards] = mc_correlator(params, s, n, seed=7, shards=shards)
+
+        at_n, beyond = _peak(lambda: run(n)), _peak(lambda: run(10**5))
+        assert runs[10**5] == runs[n]
+        assert beyond <= 1.5 * at_n
 
 
 # ------------------------------ thread pool --------------------------------

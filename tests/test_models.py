@@ -319,8 +319,9 @@ class TestSampleHidden:
 
 
 class TestSampleOutcomes:
-    # each draw is `draw_outcomes` on a batch of one; its flags
-    # (sigma == +1, sigma*tau == +1) name the outcome (sigma, tau)
+    # the flags of `draw_outcomes` (sigma == +1, sigma*tau == +1) name the
+    # outcome (sigma, tau); the degenerate and zero-cell tests draw batches
+    # of one
     def test_degenerate_table(self):
         t = ProbabilityTable(1.0, 0.0, 0.0, 0.0)
         rng = make_rng(0)
@@ -332,14 +333,11 @@ class TestSampleOutcomes:
         t = ProbabilityTable(0.25, 0.25, 0.25, 0.25)
         rng = make_rng(4)
         n = 100_000
-        counts: dict[tuple[bool, bool], int] = {}
-        for _ in range(n):
-            plus, same = draw_outcomes(astuple(t), 1, rng)
-            key = (bool(plus[0]), bool(same[0]))
-            counts[key] = counts.get(key, 0) + 1
+        plus, same = draw_outcomes([np.full(n, p) for p in astuple(t)], n, rng)
         stderr = math.sqrt(0.25 * 0.75 / n)
         for key in ((True, True), (True, False), (False, True), (False, False)):
-            assert abs(counts.get(key, 0) / n - 0.25) <= 4 * stderr
+            count = np.count_nonzero((plus == key[0]) & (same == key[1]))
+            assert abs(count / n - 0.25) <= 4 * stderr
 
     def test_zero_cells_never_drawn(self):
         t = joint(QM, None, Settings(Z, Z))

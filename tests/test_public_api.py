@@ -1,7 +1,11 @@
 """The package's public names, pinned: adding or removing one is a visible
-edit to this list."""
+edit to this list.  The search entry points' signatures are pinned too, so
+a refactor of the search layer cannot reshape them silently."""
+
+import inspect
 
 import hvsinglet
+from hvsinglet import inequalities
 
 PUBLIC = [
     "CapP",
@@ -74,3 +78,38 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in PUBLIC:
         assert getattr(hvsinglet, name) is not None
+
+
+SEARCH_SIGNATURES = {
+    "violation_window": (
+        "(name: 'str', params: 'ModelParams', variable: 'str', "
+        "domain: 'tuple[float, float]', tol: 'float' = 1e-09, *, nodes: 'int' = 512, "
+        "phi: 'float | None' = None, order: 'int' = 256) -> 'ViolationWindow'"
+    ),
+    "max_violation": (
+        "(name: 'str', params: 'ModelParams', variable: 'str', "
+        "domain: 'tuple[float, float]', tol: 'float' = 1e-10, *, nodes: 'int' = 256, "
+        "order: 'int' = 256) -> 'tuple[float, float]'"
+    ),
+    "threshold": (
+        "(name: 'str', params: 'ModelParams', variable: 'str', "
+        "domain: 'tuple[float, float]', tol: 'float' = 1e-09, *, "
+        "phi: 'float | None' = None, nodes: 'int' = 65, order: 'int' = 256) "
+        "-> 'ThresholdResult'"
+    ),
+    "margin_function": (
+        "(name: 'str', params: 'ModelParams', variable: 'str', *, "
+        "phi: 'float | None' = None, order: 'int' = 256) "
+        "-> 'Callable[[np.ndarray], np.ndarray]'"
+    ),
+    "scan_values": (
+        "(name: 'str', params: 'ModelParams', variable: 'str', xs: 'np.ndarray', *, "
+        "phi: 'float | None' = None, order: 'int' = 256) "
+        "-> 'tuple[np.ndarray, np.ndarray]'"
+    ),
+}
+
+
+def test_search_signatures_are_pinned():
+    for name, signature in SEARCH_SIGNATURES.items():
+        assert str(inspect.signature(getattr(inequalities, name))) == signature, name

@@ -24,15 +24,20 @@ from hvsinglet.geometry import (
     vectors_in_plane,
 )
 from hvsinglet.inequalities import (
+    SCAN_NODES,
     _bisect_boundary,
     _golden_max,
+    _max_violations,
     _maximize,
+    _violation_windows,
     branciard_bound,
     default_leggett_planes,
     leggett_bound,
     margin,
     margin_function,
+    max_violation,
     threshold,
+    violation_window,
 )
 from hvsinglet.models import (
     CapP,
@@ -221,6 +226,48 @@ class TestLockstep:
             xk, fk = _maximize(_solo(f, k), 1, (0.0, PI), 64, 1e-10)
             assert (x[k], fx[k]) == (xk[0], fk[0])
 
+    @pytest.mark.parametrize("name", ["leggett", "branciard"])
+    def test_batched_windows_match_public_calls(self, name):
+        # eta = 0 is the singlet correlator: on (0.1, pi) its window is cut
+        # by the domain edge; the larger eta lie above both thresholds
+        family = [ModelParams.fhv(eta) for eta in (0.0, 0.005, 0.02, 0.05, 0.3)]
+        for domain in ((0.0, PI), (0.1, PI)):
+            batch = _violation_windows(name, family, "phi", domain, 1e-10, order=ORDER)
+            alone = [violation_window(name, m, "phi", domain, 1e-10, order=ORDER)
+                     for m in family]
+            assert [_window_bits(w) for w in batch] == [_window_bits(w) for w in alone]
+        # the (0.1, pi) batch holds empty, edge-cut and inner windows
+        on_edge = [w.lower == domain[0] for w in batch if not w.empty]
+        assert batch[-1].empty and any(on_edge) and not all(on_edge)
+
+    @pytest.mark.parametrize("name", ["leggett", "branciard"])
+    def test_batched_maxima_match_public_calls(self, name):
+        family = [ModelParams.fhv(eta) for eta in (0.0, 0.005, 0.02, 0.05, 0.3)]
+        x, fx = _max_violations(name, family, "phi", (0.0, PI), order=ORDER)
+        alone = [max_violation(name, m, "phi", (0.0, PI), order=ORDER) for m in family]
+        assert np.array([x, fx]).T.tobytes() == np.array(alone).tobytes()
+
+    def test_model_variable_batch_matches_public_calls(self):
+        # p-fields whose mean shrinks with the cap's half angle: the windows
+        # in p_m share the edge p_m = 0 and end at different inner points
+        family = [ModelParams.shv(CapP(UnitVector3.normalized(0.0, 0.0, 1.0), h, 0.5))
+                  for h in (0.0, 0.6, 1.2)]
+        batch = _violation_windows("leggett", family, "p_m", (0.0, 2.0), 1e-8,
+                                   nodes=17, phi=0.4, order=ORDER)
+        alone = [violation_window("leggett", m, "p_m", (0.0, 2.0), 1e-8,
+                                  nodes=17, phi=0.4, order=ORDER) for m in family]
+        assert [_window_bits(w) for w in batch] == [_window_bits(w) for w in alone]
+        assert len({w.upper for w in batch}) == len(family)
+        x, fx = _max_violations("branciard", family, "p_m", (0.0, 2.0), 1e-6, nodes=9)
+        alone = [max_violation("branciard", m, "p_m", (0.0, 2.0), 1e-6, nodes=9)
+                 for m in family]
+        assert np.array([x, fx]).T.tobytes() == np.array(alone).tobytes()
+
+
+def _window_bits(w):
+    """A window with its endpoints as bytes, so equal NaNs compare equal."""
+    return w.variable, w.empty, np.array([w.lower, w.upper]).tobytes()
+
 
 class TestPositivityAudit:
     def test_batched_zeta_sweep_rejects_inadmissible_zeta(self):
@@ -365,6 +412,25 @@ class TestSearchLayerMemory:
             tracemalloc.start()
             try:
                 _plane_avg_block(params, which[:n], e1[:n], e2[:n], phi[:n], order)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(step), peak(4 * step)
+        assert large <= 1.5 * small
+
+    def test_window_scan_peak_does_not_grow_with_problems(self):
+        # the Branciard scan holds no quadrature block, so its temporaries
+        # would grow with the problems of one scan call
+        order = DEFAULT_PLANE_NODES
+        step = max(1, BLOCK_PAIRS // (SCAN_NODES * order))  # problems per scan block
+        family = [ModelParams.fhv(0.01 * k) for k in range(4 * step)]
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                _violation_windows("branciard", family[:n], "phi", (0.0, PI), 1e-10,
+                                   order=order)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
