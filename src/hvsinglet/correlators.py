@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,39 +122,55 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# Idle pool workspaces, shared by every map in the process: a map takes one
+# per thread and gives them back, so rows are allocated once per worker,
+# not once per map.  Guarded by _IDLE_LOCK.
+_IDLE_WORKSPACES: list[ChunkWorkspace] = []
+_IDLE_LOCK = threading.Lock()
+
+
 def _pool_map(fn, units: list, ws: ChunkWorkspace | None = None) -> list:
     """``[fn(u, ws) for u in units]`` on min(len(units), usable CPUs)
     threads, each unit given the `ChunkWorkspace` of the thread running it;
     numpy releases the GIL in its bulk draws and ufuncs.
 
     Results come back in unit order, so a caller that combines them in that
-    order gets the same bits for any thread count.  The map holds one
-    workspace per thread, handed from unit to unit, so memory is
-    O(threads x MC_CHUNK).  Given a workspace, the map runs inline on the
-    calling thread: a unit passes its own to the maps it starts, so nesting
-    never adds threads.
+    order gets the same bits for any thread count.  The map borrows one
+    workspace per thread from the process's idle list, hands it from unit
+    to unit and gives it back at the end, so memory is O(threads x
+    MC_CHUNK), held from the first map on.  Given a workspace, the map runs
+    inline on the calling thread: a unit passes its own to the maps it
+    starts, so nesting never adds threads.
     """
-    workers = min(len(units), _usable_cpus())
-    if ws is not None or workers <= 1:
-        ws = ws or ChunkWorkspace()
+    if ws is not None:
         return [fn(u, ws) for u in units]
-    # imported here: importing them costs ~10 ms, a twentieth of start-up
-    from concurrent.futures import ThreadPoolExecutor
-    from queue import SimpleQueue
+    workers = max(1, min(len(units), _usable_cpus()))
+    with _IDLE_LOCK:
+        spaces = [_IDLE_WORKSPACES.pop() for _ in range(min(workers, len(_IDLE_WORKSPACES)))]
+    spaces += [ChunkWorkspace() for _ in range(workers - len(spaces))]
+    try:
+        if workers == 1:
+            return [fn(u, spaces[0]) for u in units]
+        # imported here: importing them costs ~10 ms, a twentieth of start-up
+        from concurrent.futures import ThreadPoolExecutor
+        from queue import SimpleQueue
 
-    idle = SimpleQueue()
-    for _ in range(workers):
-        idle.put(ChunkWorkspace())
-
-    def run(unit):
-        own = idle.get()
-        try:
-            return fn(unit, own)
-        finally:
+        idle = SimpleQueue()
+        for own in spaces:
             idle.put(own)
 
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(run, units))
+        def run(unit):
+            own = idle.get()
+            try:
+                return fn(unit, own)
+            finally:
+                idle.put(own)
+
+        with ThreadPoolExecutor(workers) as pool:
+            return list(pool.map(run, units))
+    finally:
+        with _IDLE_LOCK:
+            _IDLE_WORKSPACES.extend(spaces)
 
 
 def _shard_counts(
@@ -286,6 +303,13 @@ def sphere_moment_oracle(a: UnitVector3, b: UnitVector3, order: int = 24) -> flo
     grid of twice the order; exact for degree-6 polynomials once order >= 4.
     Must reproduce (3/35) x + (2/35) x^3 at x = a.b.
     """
+    return float(_sphere_moments(a, b.arr[None], order)[0])
+
+
+def _sphere_moments(a: UnitVector3, b: np.ndarray, order: int) -> np.ndarray:
+    """`sphere_moment_oracle` of ``a`` against each row of ``b`` (m, 3) at
+    once; each row is reduced on its own, so it gets the bits of a batch of
+    one."""
     if order < 4:
         raise ValueError("order must be at least 4 for degree-6 integrands")
     z, w = np.polynomial.legendre.leggauss(order)
@@ -295,6 +319,7 @@ def sphere_moment_oracle(a: UnitVector3, b: UnitVector3, order: int = 24) -> flo
     uy = np.outer(r, np.sin(az))
     uz = np.outer(z, np.ones_like(az))
     fa = (a.x * ux + a.y * uy + a.z * uz) ** 3
-    fb = (b.x * ux + b.y * uy + b.z * uz) ** 3
-    inner = np.mean(fa * fb, axis=1)
-    return float(np.sum(w * inner) / 2.0)
+    bx, by, bz = (col[:, None, None] for col in b.T)
+    fb = (bx * ux + by * uy + bz * uz) ** 3
+    inner = np.mean(fa * fb, axis=-1)
+    return np.sum(w * inner, axis=-1) / 2.0

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .geometry import NORM_TOL, UnitVector3, chsh_optimal_settings, make_rng, sample_unit_batch
+from .geometry import (
+    NORM_TOL, Z, UnitVector3, chsh_optimal_settings, make_rng, sample_unit_batch,
+)
 from .models import (
     CapP,
     ConstantP,
@@ -42,6 +44,7 @@ from .correlators import (
     _mc_estimate,
     _pool_map,
     _shard_counts,
+    _sphere_moments,
     analytic_correlator,
     mc_correlator,
     sphere_moment_oracle,
@@ -760,14 +763,14 @@ def _property_extremes(family: ModelFamily, cases: int, rng: np.random.Generator
     hidden = sample_hidden_batch(params, cases, rng)
     pp, pm, mp, mm = table_cells(*coeffs(params, hidden, a, b))
     norm_dev = float(np.max(np.abs(pp + pm + mp + mm - 1.0)))
-    min_entry = float(min(np.min(pp), np.min(pm), np.min(mp), np.min(mm)))
+    min_entry = float(np.min([pp, pm, mp, mm]))
     # remote-setting swaps: marginal of A must ignore b, marginal of B ignore a
     pp_b2, pm_b2, _, _ = table_cells(*coeffs(params, hidden, a, b2))
     pp_a2, _, mp_a2, _ = table_cells(*coeffs(params, hidden, a2, b))
-    signaling = max(
-        float(np.max(np.abs((pp + pm) - (pp_b2 + pm_b2)))),
-        float(np.max(np.abs((pp + mp) - (pp_a2 + mp_a2)))),
-    )
+    signaling = float(np.max([
+        np.abs((pp + pm) - (pp_b2 + pm_b2)),
+        np.abs((pp + mp) - (pp_a2 + mp_a2)),
+    ]))
     return norm_dev, min_entry, signaling
 
 
@@ -825,14 +828,13 @@ def run_verify(config: RunConfig) -> VerificationReport:
     r = rng()
     fields = [_random_params(ModelFamily.SHV, r) for _ in range(20)]
     e_num = _value_function("chsh", fields)(np.zeros(20), np.arange(20))
-    worst = 0.0
-    for m, e in zip(fields, e_num.tolist()):
-        worst = max(worst, abs(e - 2.0 * math.sqrt(2.0) / math.sqrt(1.0 + m.p_m**2)))
+    errors = [abs(e - 2.0 * math.sqrt(2.0) / math.sqrt(1.0 + m.p_m**2))
+              for m, e in zip(fields, e_num.tolist())]
     claims.append(_claim(
         "chsh.shv.scale",
         "Cross-term cancellation: CHSH value is 2*sqrt(2)/sqrt(1+pm^2) "
         "for 20 random p-fields at the optimal settings",
-        0.0, worst, 1e-10,
+        0.0, np.max(errors), 1e-10,
     ))
 
     claims.append(_threshold_claim(
@@ -866,16 +868,16 @@ def run_verify(config: RunConfig) -> VerificationReport:
     etas = [float(r.uniform(0.0, 0.99 * ETA_MAX_LEGGETT_FHV)) for _ in range(50)]
     windows = _violation_windows("leggett", [ModelParams.fhv(eta) for eta in etas], "phi",
                                  (0.0, PI), tol=1e-10, order=32)
-    worst = 0.0
+    errors = []
     for eta, win in zip(etas, windows):
         s_lo, s_hi = leggett_fhv_window_sin(eta)
-        worst = max(worst, abs(win.lower - 2.0 * math.asin(s_lo)),
-                    abs(win.upper - 2.0 * math.asin(s_hi)))
+        errors += [abs(win.lower - 2.0 * math.asin(s_lo)),
+                   abs(win.upper - 2.0 * math.asin(s_hi))]
     claims.append(_claim(
         "leggett.fhv.window_endpoints",
         "Numeric violation window matches the quadratic closed form "
         "for 50 random eta",
-        0.0, worst, 1e-8,
+        0.0, np.max(errors), 1e-8,
     ))
 
     claims.append(_threshold_claim(
@@ -889,17 +891,17 @@ def run_verify(config: RunConfig) -> VerificationReport:
     fields, phis_shv = zip(*[(_random_params(ModelFamily.SHV, r), float(r.uniform(0.0, PI)))
                              for _ in range(20)])
     values = _value_function("leggett", fields)(np.array(phis_shv), np.arange(20))
-    worst = 0.0
+    errors = []
     for params, phi, value in zip(fields, phis_shv, values.tolist()):
         pbar = float(np.linalg.norm(params.p_mean()))
         expected = ((2.0 * (1.0 + math.cos(phi)) + pbar * math.sin(phi))
                     / math.sqrt(1.0 + params.p_m**2))
-        worst = max(worst, abs(value - expected))
+        errors.append(abs(value - expected))
     claims.append(_claim(
         "leggett.shv.formula",
         "Plane-averaged F(phi) equals [2(1+cos phi) + |pbar| sin phi] "
         "/ sqrt(1+pm^2) for 20 random (p-field, phi)",
-        0.0, worst, 1e-9,
+        0.0, np.max(errors), 1e-9,
     ))
 
     claims.append(_threshold_claim(
@@ -947,29 +949,28 @@ def run_verify(config: RunConfig) -> VerificationReport:
     etas = [float(r.uniform(0.0, 0.95 * ETA_MAX_BRANCIARD_FHV)) for _ in range(20)]
     args, _ = _max_violations("branciard", [ModelParams.fhv(eta) for eta in etas], "phi",
                               (0.0, PI))
-    worst = 0.0
-    for eta, arg in zip(etas, args.tolist()):
-        worst = max(worst, abs(math.sin(arg / 2.0) - branciard_fhv_argmax_sin(eta)))
+    errors = [abs(math.sin(arg / 2.0) - branciard_fhv_argmax_sin(eta))
+              for eta, arg in zip(etas, args.tolist())]
     claims.append(_claim(
         "branciard.fhv.maximizer",
         "Maximizing angle satisfies sin(phi/2) = (1+eta)/sqrt(9+(1+eta)^2) "
         "for 20 random eta",
-        0.0, worst, 1e-8,
+        0.0, np.max(errors), 1e-8,
     ))
 
     etas = (0.0, 0.02, 0.04)
     windows = _violation_windows("branciard", [ModelParams.fhv(eta) for eta in etas], "phi",
                                  (0.0, PI), tol=1e-10)
-    worst = 0.0
+    errors = []
     for eta, win in zip(etas, windows):
         s_lo, s_hi = branciard_fhv_window_sin_derived(eta)
-        worst = max(worst, abs(math.sin(win.lower / 2.0) - s_lo),
-                    abs(math.sin(win.upper / 2.0) - s_hi))
+        errors += [abs(math.sin(win.lower / 2.0) - s_lo),
+                   abs(math.sin(win.upper / 2.0) - s_hi)]
     claims.append(_claim(
         "branciard.fhv.window_derived",
         "Numeric violation window matches the derived quadratic "
         "(center 3(1+eta)^2 / ((1+eta)^2 + 9))",
-        0.0, worst, 1e-8,
+        0.0, np.max(errors), 1e-8,
     ))
 
     eta_probe = 0.02
@@ -993,16 +994,15 @@ def run_verify(config: RunConfig) -> VerificationReport:
     ))
 
     # --- cubic-family CHSH coefficient (independent quadrature route) -------
-    worst = 0.0
+    errors = []
     for zeta in (0.5, 1.0, 2.0):
-        e_quad = _quadrature_thv_chsh(zeta)
         expected = 2.0 * math.sqrt(2.0) - CHSH_THV_SLOPE_DERIVED * zeta
-        worst = max(worst, abs(e_quad - expected))
+        errors.append(abs(_quadrature_thv_chsh(zeta) - expected))
     claims.append(_claim(
         "chsh.thv.derived_value",
         "Sphere-quadrature CHSH value of the cubic family equals "
         "2*sqrt(2) - (8*sqrt(2)/35)*zeta at the optimal settings",
-        0.0, worst, 1e-8,
+        0.0, np.max(errors), 1e-8,
     ))
 
     e0 = _quadrature_thv_chsh(0.0)
@@ -1030,45 +1030,37 @@ def run_verify(config: RunConfig) -> VerificationReport:
     ))
 
     # --- sixth-moment oracle --------------------------------------------------
-    worst = 0.0
-    for x in np.linspace(-1.0, 1.0, 101):
-        x = float(x)
-        a = UnitVector3(0.0, 0.0, 1.0)
-        b = UnitVector3.normalized(math.sqrt(max(0.0, 1.0 - x * x)), 0.0, x)
-        got = sphere_moment_oracle(a, b, order=16)
-        worst = max(worst, abs(got - ((3.0 / 35.0) * x + (2.0 / 35.0) * x**3)))
+    xs = np.linspace(-1.0, 1.0, 101).tolist()
+    b = [UnitVector3.normalized(math.sqrt(max(0.0, 1.0 - x * x)), 0.0, x).arr for x in xs]
+    expected = [(3.0 / 35.0) * x + (2.0 / 35.0) * x**3 for x in xs]
+    errors = np.abs(_sphere_moments(Z, np.array(b), 16) - expected)
     claims.append(_claim(
         "moments.sixth_grid",
         "Sphere average of (a.u)^3 (b.u)^3 equals (3/35) x + (2/35) x^3 "
         "on a 101-point grid of x = a.b",
-        0.0, worst, 1e-8,
+        0.0, np.max(errors), 1e-8,
     ))
 
     # --- property suites -------------------------------------------------------
     families = (ModelFamily.FHV, ModelFamily.SHV, ModelFamily.THV, ModelFamily.QM)
-    norm_worst = 0.0
-    min_entry = 1.0
-    signaling_worst = 0.0
     r = rng()
-    for family in families:
-        n_dev, m_entry, sig = _property_extremes(family, v.cases, r)
-        norm_worst = max(norm_worst, n_dev)
-        min_entry = min(min_entry, m_entry)
-        signaling_worst = max(signaling_worst, sig)
+    norm_dev, entries, signaling = np.array(
+        [_property_extremes(family, v.cases, r) for family in families]).T
+    min_entry = np.min(entries)
     claims.append(_claim(
         "props.normalization",
         f"Every joint table sums to 1 over {v.cases} random cases per family",
-        0.0, norm_worst, 1e-12,
+        0.0, np.max(norm_dev), 1e-12,
     ))
     claims.append(_claim(
         "props.positivity",
         "No joint probability is negative in any sampled case",
-        0.0, max(0.0, -min_entry), 0.0,
+        0.0, 0.0 if min_entry >= 0.0 else -min_entry, 0.0,
     ))
     claims.append(_claim(
         "props.no_signaling",
         "Each party's marginal ignores the remote setting in every case",
-        0.0, signaling_worst, 1e-12,
+        0.0, np.max(signaling), 1e-12,
     ))
 
     plus, _ = _shard_counts(ModelParams.fhv(1.0), _random_settings(rng()), v.mc_n, rng())

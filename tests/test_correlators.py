@@ -5,6 +5,7 @@ import pytest
 
 from hvsinglet.correlators import (
     PlaneAverageSpec,
+    _sphere_moments,
     analytic_correlator,
     mc_correlator,
     plane_avg_correlator,
@@ -17,6 +18,7 @@ from hvsinglet.geometry import (
     Y,
     Z,
     make_rng,
+    sample_unit_batch,
     sample_unit_uniform,
     xy_plane,
 )
@@ -204,6 +206,14 @@ class TestSphereMomentOracle:
     def test_order_floor(self):
         with pytest.raises(ValueError):
             sphere_moment_oracle(Z, Z, order=3)
+
+    def test_batched_rows_give_the_bits_of_single_calls(self):
+        # moments.sixth_grid evaluates its grid as one batch
+        a = UnitVector3.normalized(0.2, -0.4, 0.9)
+        bs = [UnitVector3.from_array(row) for row in sample_unit_batch(make_rng(3), 40)]
+        for order in (4, 16):
+            assert _sphere_moments(a, np.array([v.arr for v in bs]), order).tolist() == [
+                sphere_moment_oracle(a, v, order) for v in bs]
 
     def test_consistency_with_thv_correlator(self):
         # the cubic family's closed form is exactly the sixth-moment identity

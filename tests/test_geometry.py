@@ -206,3 +206,66 @@ class TestSampling:
         mean = w.mean(axis=0)
         expected = 0.5 * (1.0 + math.cos(half))
         assert np.linalg.norm(mean - expected * axis.arr) <= 4.0 / math.sqrt(20_000)
+
+
+def _cos_sin_reference(rng, z_lo, n):
+    """The sampler's points the cos/sin way, from the same two uniforms:
+    z ~ U(z_lo, 1), then u ~ U(0, 1) with azimuth 2 pi u."""
+    z = z_lo + (1.0 - z_lo) * rng.random(out=np.empty(n))
+    az = 2.0 * math.pi * rng.random(out=np.empty(n))
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack([r * np.cos(az), r * np.sin(az), z])
+
+
+class _StubRng:
+    """Feeds fixed uniforms to `random(out=...)`, one list per call."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, out):
+        out[:] = self.draws.pop(0)
+        return out
+
+
+class TestHalfAngleSampler:
+    """The tangent half-angle map against cos/sin on the same uniforms."""
+
+    CHUNK, CHUNKS = 250_000, 4
+
+    def test_unit_points_match_cos_sin_on_the_same_stream(self):
+        for seed in range(self.CHUNKS):
+            rng, ref = make_rng(seed), make_rng(seed)
+            got = sample_unit_batch(rng, self.CHUNK)
+            assert np.max(np.abs(got - _cos_sin_reference(ref, -1.0, self.CHUNK))) <= 2e-15
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_cap_points_match_cos_sin_on_the_same_stream(self):
+        axis, half = UnitVector3.normalized(0.3, -0.5, 0.8), 1.1
+        frame = Plane.with_normal(axis)
+        basis = np.array([frame.e1.arr, frame.e2.arr, axis.arr])
+        for seed in range(self.CHUNKS):
+            rng, ref = make_rng(seed), make_rng(seed)
+            got = sample_cap_batch(rng, axis, half, self.CHUNK)
+            local = _cos_sin_reference(ref, math.cos(half), self.CHUNK)
+            assert np.max(np.abs(got - local @ basis)) <= 2e-15
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_azimuth_moments(self):
+        n = self.CHUNK * self.CHUNKS
+        u = sample_unit_batch(make_rng(5), n)
+        x, y = u[:, 0], u[:, 1]
+        for values, expected in ((x * x, 1.0 / 3.0), (y * y, 1.0 / 3.0),
+                                 (x * y, 0.0), (x * x * y * y, 1.0 / 15.0)):
+            stderr = float(np.std(values)) / math.sqrt(n)
+            assert abs(float(np.mean(values)) - expected) <= 4.0 * stderr
+
+    @pytest.mark.parametrize("z_uniform", [0.0, 0.25, 0.5, 1.0 - 2.0**-53])
+    def test_edge_uniforms_give_finite_unit_rows(self, z_uniform):
+        # u = 0 and u -> 1 put tan at its largest, u = 0.5 at zero
+        az = [0.0, 0.5, 1.0 - 2.0**-53]
+        rows = sample_unit_batch(_StubRng([z_uniform] * 3, az), 3)
+        assert np.all(np.isfinite(rows))
+        assert np.max(np.abs(np.sum(rows * rows, axis=1) - 1.0)) <= 1e-12
+        ref = _cos_sin_reference(_StubRng([z_uniform] * 3, az), -1.0, 3)
+        assert np.max(np.abs(rows - ref)) <= 2e-15

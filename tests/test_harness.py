@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from hvsinglet import harness
 from hvsinglet.cli import main
 from hvsinglet.harness import (
     ConfigError,
@@ -17,6 +18,7 @@ from hvsinglet.harness import (
     run_verify,
     scan_rows_to_csv,
 )
+from hvsinglet.inequalities import ViolationWindow
 from hvsinglet.models import ModelFamily
 
 FAST_VERIFY = {"trials": 3, "mc_trial_n": 2000, "cases": 500, "mc_n": 20_000}
@@ -248,6 +250,19 @@ class TestRunVerify:
             "mc.thv.consistency",
             "mc.qm.consistency",
         }
+
+    def test_nan_window_ends_fail_their_claims(self, monkeypatch):
+        # a NaN error must fail its claim, not vanish in the fold over trials
+        def nan_windows(name, models, variable, *args, **kwargs):
+            return [ViolationWindow(variable, math.nan, math.nan, True) for _ in models]
+
+        monkeypatch.setattr(harness, "_violation_windows", nan_windows)
+        cfg = parse_config({"task": "verify", "verify": {
+            "trials": 2, "mc_trial_n": 1000, "cases": 200, "mc_n": 5000}})
+        report = run_verify(cfg)
+        for claim_id in ("leggett.fhv.window_endpoints", "branciard.fhv.window_derived"):
+            assert report.claim(claim_id).status == "fail"
+            assert math.isnan(report.claim(claim_id).computed)
 
 
 class TestCli:

@@ -293,6 +293,16 @@ class TestWitness:
         assert (found.delta, found.config) == (-1.0, {})
 
 
+@pytest.fixture
+def idle_workspaces(monkeypatch):
+    """An empty idle-workspace list for the pool, in place of the process's
+    own.  A map keeps its workspaces there, so a memory test clears it
+    before each measurement to see the map allocate them."""
+    idle = []
+    monkeypatch.setattr(correlators_module, "_IDLE_WORKSPACES", idle)
+    return idle
+
+
 class TestChunking:
     def test_chunked_reruns_are_identical(self):
         s = Settings(X, UnitVector3.normalized(1.0, 1.0, 0.0))
@@ -301,11 +311,12 @@ class TestChunking:
         assert first == mc_correlator(ModelParams.thv(1.0), s, n, seed=3, shards=2)
         assert first.n == n
 
-    def test_peak_memory_does_not_grow_with_n(self):
+    def test_peak_memory_does_not_grow_with_n(self, idle_workspaces):
         params = ModelParams.fhv(0.5)
         s = Settings(X, Z)
 
         def peak(n):
+            idle_workspaces.clear()
             tracemalloc.start()
             try:
                 mc_correlator(params, s, n, seed=1)
@@ -331,12 +342,13 @@ class TestChunking:
         small, large = peak(2 * MC_CHUNK), peak(8 * MC_CHUNK)
         assert large <= 1.5 * small
 
-    def test_shards_beyond_n_add_neither_output_nor_memory(self):
+    def test_shards_beyond_n_add_neither_output_nor_memory(self, idle_workspaces):
         # only the first n shards draw a sample, so more shards change nothing
         params, s, n = ModelParams.fhv(0.3), Settings(X, Y), MIN_MC_SAMPLES
         runs = {}
 
         def run(shards):
+            idle_workspaces.clear()
             runs[shards] = mc_correlator(params, s, n, seed=7, shards=shards)
 
         at_n, beyond = _peak(lambda: run(n)), _peak(lambda: run(10**5))
@@ -423,7 +435,8 @@ class TestWorkerCount:
             assert all(t == thread and w is ws for t, w in inner)
 
     @pytest.mark.parametrize("family", ["fhv", "thv", "shv-cap"])
-    def test_two_workers_fit_in_one_reference_shard(self, family, monkeypatch):
+    def test_two_workers_fit_in_one_reference_shard(self, family, monkeypatch,
+                                                     idle_workspaces):
         # two pooled shards of MC_CHUNK, each in its worker's workspace, peak no
         # higher than the reference pipeline drawing one shard of MC_CHUNK
         _force_workers(monkeypatch, 2)
@@ -431,3 +444,22 @@ class TestWorkerCount:
         pooled = _peak(lambda: mc_correlator(params, POOL_SETTINGS, 2 * MC_CHUNK, 1, 2))
         reference = _peak(lambda: _ref_mc(params, POOL_SETTINGS, MC_CHUNK, 1, 1))
         assert pooled <= reference
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_second_map_reuses_the_first_maps_workspaces(self, workers, monkeypatch,
+                                                         idle_workspaces):
+        _force_workers(monkeypatch, workers)
+        params = POOL_FAMILIES["fhv"]
+
+        def unit(i, ws):
+            _shard_counts(params, POOL_SETTINGS, MC_CHUNK, np.random.default_rng(i), ws)
+            return ws
+
+        first = _pool_map(unit, [0, 1])
+        kept = list(idle_workspaces)
+        second = []
+        grown = _peak(lambda: second.extend(_pool_map(unit, [0, 1])))
+        assert len(kept) == workers
+        assert {id(ws) for ws in first} == {id(ws) for ws in second} == {id(ws) for ws in kept}
+        assert {id(ws) for ws in idle_workspaces} == {id(ws) for ws in kept}
+        assert grown < 8 * MC_CHUNK  # less than one float row of a chunk
