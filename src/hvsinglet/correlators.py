@@ -98,23 +98,6 @@ def analytic_correlator(params: ModelParams, s: Settings) -> float:
     return float(_pair_correlator_arrays((params,), s.a.arr[None], s.b.arr[None])[0])
 
 
-def _combine_moments(parts: list[tuple[int, float, float]]) -> tuple[int, float, float]:
-    """Pairwise (tree) reduction of per-shard (count, sum, sum-of-squares)
-    partials; depends only on the shard order, not on completion timing."""
-    if not parts:
-        return (0, 0.0, 0.0)
-    while len(parts) > 1:
-        merged = []
-        for i in range(0, len(parts) - 1, 2):
-            n1, s1, q1 = parts[i]
-            n2, s2, q2 = parts[i + 1]
-            merged.append((n1 + n2, s1 + s2, q1 + q2))
-        if len(parts) % 2 == 1:
-            merged.append(parts[-1])
-        parts = merged
-    return parts[0]
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -207,10 +190,10 @@ def mc_correlator(
 
     Work is split over ``shards`` deterministic substreams; each shard is
     drawn from its own generator in chunks of at most ``MC_CHUNK`` samples
-    and reduced chunk by chunk.  Shards run on `_pool_map` threads and are
-    combined in shard order, so the result is bit-reproducible for a fixed
-    (seed, shards) pair whatever the thread count, and memory does not grow
-    with ``n``.
+    and reduced chunk by chunk into its integer count of sigma*tau = +1.
+    Shards run on `_pool_map` threads and their counts add exactly, so the
+    result is bit-reproducible for a fixed (seed, shards) pair whatever the
+    thread count, and memory does not grow with ``n``.
     """
     return _mc_estimate(params, s, n, seed, shards)
 
@@ -230,22 +213,16 @@ def _mc_estimate(
     streams = np.random.SeedSequence(seed).spawn(min(shards, n))
     base, extra = divmod(n, shards)
 
-    def shard(i: int, own: ChunkWorkspace) -> tuple[int, float, float]:
-        m = base + (1 if i < extra else 0)
+    def shard(i: int, own: ChunkWorkspace) -> int:
         rng = np.random.Generator(np.random.PCG64(streams[i]))
-        _, same = _shard_counts(params, s, m, rng, own)
-        # sigma*tau is +-1, so the sum is 2*same - m and the sum of squares m
-        return (m, float(2 * same - m), float(m))
+        return _shard_counts(params, s, base + (1 if i < extra else 0), rng, own)[1]
 
-    parts = _pool_map(shard, list(range(len(streams))), ws)
-    count, total, total_sq = _combine_moments(parts)
-    mean = total / count
-    if count > 1:
-        var = max(0.0, (total_sq - total * total / count) / (count - 1))
-        stderr = math.sqrt(var / count)
-    else:
-        stderr = 0.0
-    return MCEstimate(mean=mean, stderr=stderr, n=count, seed=seed)
+    same = sum(_pool_map(shard, list(range(len(streams))), ws))
+    # sigma*tau is +-1, so its sum is 2*same - n and its sum of squares n:
+    # integers, exact whatever the shard order
+    total, total_sq = float(2 * same - n), float(n)
+    var = max(0.0, (total_sq - total * total / n) / (n - 1))
+    return MCEstimate(mean=total / n, stderr=math.sqrt(var / n), n=n, seed=seed)
 
 
 def _plane_avg_block(

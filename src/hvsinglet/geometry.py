@@ -9,7 +9,6 @@ seed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -90,10 +89,6 @@ class Plane:
             raise ValueError("e1 and e2 are not orthogonal")
         if np.max(np.abs(cross(self.e1, self.e2) - self.n.arr)) > NORM_TOL:
             raise ValueError("n must equal e1 x e2")
-
-    @classmethod
-    def from_basis(cls, e1: UnitVector3, e2: UnitVector3) -> "Plane":
-        return cls(e1, e2, UnitVector3.from_array(cross(e1, e2)))
 
     @classmethod
     def with_normal(cls, n: UnitVector3) -> "Plane":
@@ -187,68 +182,41 @@ class ChunkWorkspace:
     nothing.
 
     `start(n)` begins a chunk of n samples with every row free (the
-    constructor starts one of ``n``, by default empty).  `take(k)` lends a
-    (k, n) block of k <= 3 adjacent rows and `give` takes lent blocks back.
+    constructor starts one of ``n``, by default empty).  `row()` lends an
+    (n,) row and `give(*rows)` takes lent rows back.
 
-    Rows are numbered in a fixed layout: rows 0-5 are two slabs of three
-    adjacent rows, the only place a block of two or three rows is lent, and
-    every later row is an array of its own.  A take gets the lowest free
-    rows that fit, and a slab or row gets storage, as long as the longest
-    chunk, the first time it is lent.  Where a block lands thus depends
-    only on the takes and gives of its own chunk, so a workspace holds the
-    rows of the largest chunk it has run, in whatever order its chunks
-    came.  No chunk holds more than two blocks at once (FHV's u and v, the
-    cap sampler's rows and spare), so a take that finds no slab raises.
+    The rows form a free list: a row is as long as the longest chunk so far,
+    `row()` lends the lowest-numbered free row and allocates a new one only
+    when none is free.  A workspace thus holds exactly the most rows any of
+    its chunks had lent at once, in whatever order its chunks came.  A
+    hidden vector lives in three rows, one per component.
     """
-
-    BLOCK_SLABS = 2
 
     def __init__(self, n: int = 0) -> None:
         self._size = 0
-        self._places: list[np.ndarray | None] = []
+        self._rows: list[np.ndarray] = []
         self.start(n)
 
     def start(self, n: int) -> None:
         if n > self._size:
-            self._places, self._size = [], n
+            self._rows, self._size = [], n
         self.n = n
-        self._busy: list[bool] = []  # by row number
-        self._lent: dict[int, range] = {}  # block address -> its row numbers
-
-    def take(self, k: int) -> np.ndarray:
-        busy = self._busy
-        if k == 1:
-            starts = itertools.count()
-        else:  # k adjacent rows of one slab
-            starts = (r for slab in range(0, 3 * self.BLOCK_SLABS, 3)
-                      for r in range(slab, slab + 4 - k))
-        first = next((r for r in starts if not any(busy[r:r + k])), None)
-        if first is None:
-            raise ValueError(f"no free slab for a block of {k} rows")
-        rows = range(first, first + k)
-        place, top = (divmod(first, 3) if first < 3 * self.BLOCK_SLABS
-                      else (first - 2 * self.BLOCK_SLABS, 0))
-        self._places += [None] * (place + 1 - len(self._places))
-        if self._places[place] is None:
-            height = 3 if place < self.BLOCK_SLABS else 1
-            self._places[place] = np.empty((height, self._size))
-        block = self._places[place][top:top + k]
-        busy += [False] * (first + k - len(busy))
-        for r in rows:
-            busy[r] = True
-        self._lent[block.ctypes.data] = rows
-        return block[:, :self.n]
+        self._free = list(range(len(self._rows)))
 
     def row(self) -> np.ndarray:
         """One lent (n,) row."""
-        return self.take(1)[0]
+        if self._free:
+            i = min(self._free)
+            self._free.remove(i)
+        else:
+            i = len(self._rows)
+            self._rows.append(np.empty(self._size))
+        return self._rows[i][:self.n]
 
-    def give(self, *arrays: np.ndarray) -> None:
-        """Take back lent blocks, each passed as lent or as a view that
-        starts where it does (its first row, its transpose)."""
-        for arr in arrays:
-            for r in self._lent.pop(arr.ctypes.data):
-                self._busy[r] = False
+    def give(self, *rows: np.ndarray) -> None:
+        """Take back lent rows."""
+        for r in rows:
+            self._free.append(next(i for i, own in enumerate(self._rows) if own is r.base))
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -263,36 +231,32 @@ def sample_unit_uniform(rng: np.random.Generator) -> UnitVector3:
 
 def sample_unit_batch(
     rng: np.random.Generator, n: int, ws: ChunkWorkspace | None = None
-) -> np.ndarray:
-    """(n, 3) array of independent uniform sphere draws, filled in place
-    into a (3, n) block of the started `ChunkWorkspace` ``ws`` and returned
-    as the block's transpose.  Without ``ws`` the block comes from a
-    workspace made for the call, and a C-ordered copy is returned."""
-    space = ChunkWorkspace(n) if ws is None else ws
-    out, scratch = space.take(3), space.row()
-    _zone_rows(rng, -1.0, out, scratch)
-    space.give(scratch)
-    return out.T if ws is not None else np.ascontiguousarray(out.T)
+):
+    """n independent uniform sphere draws: with the started `ChunkWorkspace`
+    ``ws``, a tuple of its three component rows (x, y, z) filled in place;
+    without it, a C-ordered (n, 3) array."""
+    rows = _new_rows(ws, n, 4)
+    _zone_rows(rng, -1.0, rows[:3], rows[3])
+    return _vectors(rows[:3], ws, rows[3:])
 
 
 def sample_cap_batch(
     rng: np.random.Generator, axis: UnitVector3, half_angle: float, n: int,
     ws: ChunkWorkspace | None = None,
-) -> np.ndarray:
-    """(n, 3) uniform draws from the spherical cap of the given half-angle
-    centered on ``axis``; ``ws`` as in `sample_unit_batch`."""
+):
+    """n uniform draws from the spherical cap of the given half-angle
+    centered on ``axis``; ``ws`` and the result as in `sample_unit_batch`."""
     if not 0.0 <= half_angle <= math.pi:
         raise ValueError("half_angle must lie in [0, pi]")
     frame = Plane.with_normal(axis)
     e1, e2, e3 = frame.e1.arr, frame.e2.arr, axis.arr
-    space = ChunkWorkspace(n) if ws is None else ws
-    out, spare = space.take(3), space.take(3)
-    x, y, z = _zone_rows(rng, math.cos(half_angle), out, spare[0])
+    rows = _new_rows(ws, n, 6)
+    x, y, z = _zone_rows(rng, math.cos(half_angle), rows[:3], rows[3])
     # component k is x*e1[k] + y*e2[k] + z*e3[k]: components 0 and 1 go to
-    # spare rows, component 2 is formed last in place of z
-    tmp = spare[2]
+    # rows 3 and 4, component 2 is formed last in place of z
+    tmp = rows[5]
     for k in (0, 1):
-        comp = np.multiply(x, e1[k], out=spare[k])
+        comp = np.multiply(x, e1[k], out=rows[3 + k])
         comp += np.multiply(y, e2[k], out=tmp)
         comp += np.multiply(z, e3[k], out=tmp)
     x *= e1[2]
@@ -300,9 +264,23 @@ def sample_cap_batch(
     x += y
     z *= e3[2]
     z += x
-    out[:2] = spare[:2]
-    space.give(spare)
-    return out.T if ws is not None else np.ascontiguousarray(out.T)
+    return _vectors((rows[3], rows[4], z), ws, (x, y, tmp))
+
+
+def _new_rows(ws: ChunkWorkspace | None, n: int, k: int):
+    """k rows of n floats: lent by the started `ChunkWorkspace` ``ws``, or
+    one plain (k, n) array without it."""
+    return np.empty((k, n)) if ws is None else tuple(ws.row() for _ in range(k))
+
+
+def _vectors(comps, ws: ChunkWorkspace | None, spent):
+    """Component rows (x, y, z) as the samplers return them: the rows
+    themselves with a workspace, which gets the ``spent`` rows back, and
+    a C-ordered (n, 3) array without one."""
+    if ws is None:
+        return np.column_stack(comps)
+    ws.give(*spent)
+    return comps
 
 
 def _uniform_into(rng: np.random.Generator, lo: float, hi: float, out: np.ndarray):
@@ -314,12 +292,11 @@ def _uniform_into(rng: np.random.Generator, lo: float, hi: float, out: np.ndarra
     return out
 
 
-def _zone_rows(rng: np.random.Generator, z_lo: float, out: np.ndarray,
-               scratch: np.ndarray) -> np.ndarray:
+def _zone_rows(rng: np.random.Generator, z_lo: float, out, scratch: np.ndarray):
     """Uniform draws from the zone z >= z_lo of the unit sphere into the
-    component rows of ``out`` (3, n): z ~ U(z_lo, 1), then u ~ U(0, 1) for
-    the azimuth 2 pi u, with r = sqrt(1 - z^2).  ``scratch`` is one more
-    (n,) row.
+    three contiguous component rows of ``out``: z ~ U(z_lo, 1), then
+    u ~ U(0, 1) for the azimuth 2 pi u, with r = sqrt(1 - z^2).
+    ``scratch`` is one more (n,) row.
 
     The azimuth goes through the tangent half-angle t = tan(pi u - pi/2),
     one fast libm call in place of a cos and a sin:

@@ -416,7 +416,7 @@ def _scan(
             at = np.full(len(points), 0.0 if phi is None else float(phi))
         else:
             at, _ = _maximize(lambda x, i: value(x, i) - _bound(name, x),
-                              len(points), (0.0, PI), nodes, tol)
+                              len(points), (0.0, PI), nodes, tol, order)
         return value(at, which), _bound(name, at)
 
     return evaluate
@@ -467,6 +467,20 @@ def scan_values(
 # exactly the iterates it would take alone.
 
 
+def _grid(f: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int, xs: np.ndarray,
+          order: int) -> np.ndarray:
+    """f at every grid point ``xs`` of each of n problems, as an (n, len(xs))
+    array.  Problems go in blocks of about one quadrature block of (point,
+    node) pairs, so the scan's temporaries do not grow with n; every point
+    is reduced on its own, so the blocks do not change its bits."""
+    nodes = len(xs)
+    step = max(1, BLOCK_PAIRS // (nodes * order))
+    every = np.arange(n)
+    return np.concatenate([
+        f(np.tile(xs, len(b)), np.repeat(b, nodes)).reshape(len(b), nodes)
+        for b in (every[s:s + step] for s in range(0, n, step))])
+
+
 def _bisect_boundary(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, tol: float
 ) -> np.ndarray:
@@ -495,13 +509,7 @@ def _violation_windows(
     f = _margins(name, models, variable, phi=phi, order=order)
     lo, hi = domain
     xs = np.linspace(lo, hi, nodes)
-    # problems per scan block: about one quadrature block of (point, node)
-    # pairs, so the scan's temporaries do not grow with the number of models
-    step = max(1, BLOCK_PAIRS // (nodes * order))
-    every = np.arange(len(models))
-    positive = np.concatenate([
-        f(np.tile(xs, len(b)), np.repeat(b, nodes)).reshape(len(b), nodes) > 0.0
-        for b in (every[s:s + step] for s in range(0, len(models), step))])
+    positive = _grid(f, len(models), xs, order) > 0.0
     found = positive.any(axis=1)
     # grid index of each (problem, lower or upper) end and of its outer
     # neighbour; an end on the domain edge has none and stays put
@@ -587,14 +595,14 @@ def _parabolic_vertex(
 
 def _maximize(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int,
-    domain: tuple[float, float], nodes: int, tol: float,
+    domain: tuple[float, float], nodes: int, tol: float, order: int = DEFAULT_PLANE_NODES,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Maximizers and maxima of n problems over one domain: grid scan to
-    seed a bracket, golden-section refinement, then a parabolic vertex fit."""
+    """Maximizers and maxima of n problems over one domain: blocked grid
+    scan (`_grid`) to seed a bracket, golden-section refinement, then a
+    parabolic vertex fit."""
     lo, hi = domain
     xs = np.linspace(lo, hi, nodes)
-    every = np.arange(n)
-    k = np.argmax(f(np.tile(xs, n), np.repeat(every, nodes)).reshape(n, nodes), axis=1)
+    k = np.argmax(_grid(f, n, xs, order), axis=1)
     x, fx = _golden_max(f, xs[np.maximum(k - 1, 0)], xs[np.minimum(k + 1, nodes - 1)],
                         max(tol, 1e-6))
     vertex, value = _parabolic_vertex(f, x, fx, 3e-5, lo, hi)
@@ -610,7 +618,7 @@ def _max_violations(
     """`max_violation` of each model of one family, in lockstep: arrays of
     the maximizers and of the maxima."""
     return _maximize(_margins(name, models, variable, order=order), len(models), domain,
-                     nodes, tol)
+                     nodes, tol, order)
 
 
 def max_violation(

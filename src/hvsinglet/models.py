@@ -90,12 +90,12 @@ class ConstantP:
     def p_mean(self) -> np.ndarray:
         return np.asarray(self.p0, dtype=float)
 
-    def sample(self, rng: np.random.Generator, n: int,
-               ws: ChunkWorkspace | None = None) -> np.ndarray:
-        """(n, 3) rows of p0; ``ws`` as in `geometry.sample_unit_batch`."""
-        out = (ChunkWorkspace(n) if ws is None else ws).take(3)
-        out[...] = np.asarray(self.p0, dtype=float)[:, None]
-        return out.T if ws is not None else np.ascontiguousarray(out.T)
+    def sample(self, rng: np.random.Generator, n: int, ws: ChunkWorkspace | None = None):
+        """n copies of p0; ``ws`` and the result as in
+        `geometry.sample_unit_batch`."""
+        if ws is None:
+            return np.tile(np.asarray(self.p0, dtype=float), (n, 1))
+        return _copy_rows(self.p0, ws)
 
 
 @dataclass(frozen=True)
@@ -124,10 +124,10 @@ class CapP:
         shrink = 0.5 * (1.0 + math.cos(self.half_angle))
         return self.magnitude * shrink * self.axis.arr
 
-    def sample(self, rng: np.random.Generator, n: int,
-               ws: ChunkWorkspace | None = None) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, n: int, ws: ChunkWorkspace | None = None):
         p = sample_cap_batch(rng, self.axis, self.half_angle, n, ws)
-        p *= self.magnitude
+        for comp in (p if ws is not None else (p,)):
+            comp *= self.magnitude
         return p
 
 
@@ -344,20 +344,22 @@ def coeffs(params: ModelParams, hidden: dict[str, np.ndarray], a, b,
     """Coefficients (A, B, C) of the family's table for rows of hidden state
     and settings: the one kernel behind every table, sampler and witness.
 
-    ``hidden`` maps "u", "v" (FHV), "u" (THV) or "p" (SHV) to (n, 3) rows
-    or single 3-vectors, and is empty for QM; ``a`` and ``b`` are fixed
-    3-vectors or (n, 3) rows.  A, B and C come back as (n,) rows, except
-    that families with flat marginals return A = B = 0.0 as scalars, and a
-    C that depends on fixed settings alone is a scalar too.  The cubic
-    family reads only u, since its partner is v = -u.
+    ``hidden`` maps "u", "v" (FHV), "u" (THV) or "p" (SHV) to hidden
+    vectors: (n, 3) arrays or single 3-vectors without a workspace, and the
+    tuples of component rows `sample_hidden_batch` leaves with one.  It is
+    empty for QM.  ``a`` and ``b`` are fixed 3-vectors or (n, 3) arrays.
+    A, B and C come back as (n,) rows, except that families with flat
+    marginals return A = B = 0.0 as scalars, and a C that depends on fixed
+    settings alone is a scalar too.  The cubic family reads only u, since
+    its partner is v = -u.
 
     Every step is one numpy operation on component rows, in the order of
     the formulas in the module docstring, with dots summed in component
-    order.  With a `ChunkWorkspace` ``ws`` holding the hidden rows (as
-    `sample_hidden_batch` leaves them) and fixed ``a``, ``b``, the hidden
-    rows are used up and given back, and A, B, C are workspace rows.
-    Without one, the hidden rows are first copied into a workspace made for
-    the call, so the caller's arrays are left as they were.
+    order.  With a `ChunkWorkspace` ``ws`` holding the hidden rows and
+    fixed ``a``, ``b``, the hidden rows are used up and given back, and A,
+    B, C are workspace rows.  Without one, the hidden vectors are first
+    copied into component rows of a workspace made for the call, so the
+    caller's arrays are left as they were.
     """
     fam = params.family
     a, b = np.transpose(a), np.transpose(b)  # component rows: (3,) or (3, n)
@@ -371,30 +373,30 @@ def coeffs(params: ModelParams, hidden: dict[str, np.ndarray], a, b,
     if fam is ModelFamily.FHV:
         terms = []
         for key, f, s in (("u", params.f_spec, a), ("v", params.f_b, b)):
-            rows = hidden[key].T
+            rows = hidden[key]
             x = _dot3_rows(rows, s, ws.row(), spare=rows)
             if f.power == 3:
                 np.multiply(_cube_into(x, rows[0]), f.coeff, out=x)
             else:
                 x *= f.coeff
             x *= params.epsilon
-            ws.give(rows)
+            ws.give(*rows)
             terms.append(x)
         return terms[0], terms[1], -ab / (1.0 + params.eta)
     if fam is ModelFamily.SHV:
-        p = hidden["p"].T
+        p = hidden["p"]
         C = _dot3_rows(p, np.cross(a, b, axis=0), ws.row(), spare=p)
-        ws.give(p)
+        ws.give(*p)
         C += ab
         np.negative(C, out=C)
         C /= math.sqrt(1.0 + params.p_m**2)
         return 0.0, 0.0, C
     if fam is ModelFamily.THV:
-        u = hidden["u"].T
+        u = hidden["u"]
         ub = ws.row()
         ua = _dot3_rows(u, a, ws.row(), spare=(ub, ub, ub))
         _dot3_rows(u, b, ub, spare=u)
-        ws.give(u)
+        ws.give(*u)
         C = _cube_into(ua, ws.row())
         C *= params.zeta
         C *= _cube_into(ub, ua)
@@ -405,12 +407,13 @@ def coeffs(params: ModelParams, hidden: dict[str, np.ndarray], a, b,
     raise InvalidModelError(f"no joint table for family {fam.value}")
 
 
-def _copy_rows(x, ws: ChunkWorkspace) -> np.ndarray:
-    """(n, 3) rows or a 3-vector ``x`` copied into a (3, n) block of ``ws``,
-    returned as the block's transpose, as `sample_hidden_batch` leaves it."""
-    block = ws.take(3)
-    block[...] = np.reshape(x, (-1, 3)).T
-    return block.T
+def _copy_rows(x, ws: ChunkWorkspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, 3) rows or a 3-vector ``x`` copied into three component rows of
+    ``ws``, as `sample_hidden_batch` leaves a hidden vector."""
+    rows = tuple(ws.row() for _ in range(3))
+    for row, comp in zip(rows, np.reshape(x, (-1, 3)).T):
+        row[...] = comp
+    return rows
 
 
 def _dot3_rows(x, y, out: np.ndarray | None = None, spare=(None, None, None)):
@@ -539,11 +542,11 @@ def sample_hidden_batch(
     params: ModelParams, n: int, rng: np.random.Generator,
     ws: ChunkWorkspace | None = None,
 ) -> dict[str, np.ndarray]:
-    """n hidden states as (n, 3) rows keyed as `coeffs` reads them (empty
+    """n hidden states as (n, 3) arrays keyed as `coeffs` reads them (empty
     for QM).  Takes no detector settings, so the hidden distribution cannot
-    depend on them.  With a started `ChunkWorkspace` ``ws`` the rows are
-    workspace blocks, and the cubic family's partner v = -u, which `coeffs`
-    never reads, is left out."""
+    depend on them.  With a started `ChunkWorkspace` ``ws`` each hidden
+    vector is a tuple of its three component rows in ``ws``, and the cubic
+    family's partner v = -u, which `coeffs` never reads, is left out."""
     if params.family is ModelFamily.FHV:
         return {"u": sample_unit_batch(rng, n, ws), "v": sample_unit_batch(rng, n, ws)}
     if params.family is ModelFamily.THV:

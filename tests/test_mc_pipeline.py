@@ -215,7 +215,7 @@ class TestWorkspace:
             outcomes = draw_outcomes(cells, k, fresh)
             ws.start(k)
             in_ws = sample_hidden_batch(params, k, drawn, ws)
-            assert {key: _bits(v, k) for key, v in in_ws.items()} == {
+            assert {key: _bits(np.column_stack(v), k) for key, v in in_ws.items()} == {
                 key: _bits(hidden[key], k) for key in in_ws}
             cells_ws = table_cells(*coeffs(params, in_ws, a.arr, b.arr, ws), ws=ws)
             assert [_bits(c, k) for c in cells_ws] == [_bits(c, k) for c in cells]
@@ -444,6 +444,24 @@ class TestWorkerCount:
         pooled = _peak(lambda: mc_correlator(params, POOL_SETTINGS, 2 * MC_CHUNK, 1, 2))
         reference = _peak(lambda: _ref_mc(params, POOL_SETTINGS, MC_CHUNK, 1, 1))
         assert pooled <= reference
+
+    @pytest.mark.parametrize("family,rows", [
+        ("fhv", 7), ("thv", 5), ("shv-cap", 6), ("shv-const", 5), ("qm", 2)])
+    def test_warm_workspace_holds_the_most_rows_lent_at_once(self, family, rows):
+        # the most rows one chunk lends at once: for fhv, u and v (three rows
+        # each) and the sampler's scratch row
+        n, params = 10_000, POOL_FAMILIES[family]
+        # made before tracing: the first generator imports numpy.random internals
+        rngs = [np.random.default_rng(seed) for seed in (0, 1)]
+        tracemalloc.start()
+        try:
+            ws = ChunkWorkspace()
+            for rng in rngs:
+                _shard_counts(params, POOL_SETTINGS, n, rng, ws)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held // (8 * n) == rows
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_second_map_reuses_the_first_maps_workspaces(self, workers, monkeypatch,

@@ -438,6 +438,17 @@ class TestSearchLayerMemory:
         small, large = peak(step), peak(4 * step)
         assert large <= 1.5 * small
 
+        # the maximizer's seed scan goes through the same blocked grid
+        def max_peak(n):
+            tracemalloc.start()
+            try:
+                _max_violations("branciard", family[:n], "phi", (0.0, PI), order=order)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert max_peak(4 * step) <= 1.5 * max_peak(step)
+
     def test_audit_grid_cache_stays_small(self):
         for zeta in np.linspace(0.0, 1.8, 200).tolist():
             thv_positivity_margin.__wrapped__(zeta)
