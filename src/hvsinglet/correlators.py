@@ -18,9 +18,9 @@ from .models import (
     ModelFamily,
     ModelParams,
     Settings,
-    coeffs,
+    _draw_projections,
+    _projection_coeffs,
     draw_outcomes,
-    sample_hidden_batch,
     table_cells,
 )
 
@@ -29,8 +29,8 @@ DEFAULT_PLANE_NODES = 256
 # per (pairs, 3) array, so a search's peak memory does not grow with its grid.
 BLOCK_PAIRS = 2**15
 MIN_MC_SAMPLES = 100
-# Largest Monte-Carlo chunk drawn at once from a shard's generator: about
-# 3 MB per (chunk, 3) array, so memory is O(MC_CHUNK) whatever n is.  Part
+# Largest Monte-Carlo chunk drawn at once from a shard's generator: 1 MB
+# per workspace row, so memory is O(MC_CHUNK) whatever n is.  Part
 # of the (seed, shards) contract once a shard holds more samples than this.
 MC_CHUNK = 2**17
 
@@ -59,30 +59,52 @@ class PlaneAverageSpec:
             raise ValueError("quadrature_order must be at least 4")
 
 
+class _Columns:
+    """The per-model parameter columns a batch of models of one family
+    reads in `_pair_correlator_arrays`, built once per batch: eta (FHV),
+    zeta (THV), pbar and p_m (SHV), one entry per model."""
+
+    def __init__(self, models) -> None:
+        self.family = fam = models[0].family
+        if fam is ModelFamily.FHV:
+            self.eta = np.array([m.eta for m in models], dtype=float)
+        elif fam is ModelFamily.THV:
+            self.zeta = np.array([m.zeta for m in models], dtype=float)
+        elif fam is ModelFamily.SHV:
+            self.p_mean = np.array([m.p_mean() for m in models], dtype=float)
+            self.p_m = np.array([m.p_m for m in models], dtype=float)
+
+
+def _columns(models) -> _Columns:
+    """``models`` as `_Columns`, built unless it already is."""
+    return models if isinstance(models, _Columns) else _Columns(models)
+
+
 def _pair_correlator_arrays(models, a: np.ndarray, b: np.ndarray, which=slice(None)):
     """Correlator (hidden variables already averaged out) for row-paired
     settings ``a``, ``b`` that broadcast to shape (n, ..., 3).
 
-    ``models`` holds models of one family; row i uses ``models[which[i]]``
-    (by default ``models[i]``, or the only model for every row).
+    ``models`` holds models of one family, or their prebuilt `_Columns`;
+    row i uses ``models[which[i]]`` (by default ``models[i]``, or the only
+    model for every row).
     """
     ab = np.sum(a * b, axis=-1)
-    fam = models[0].family
+    cols = _columns(models)
+    fam = cols.family
 
-    def column(get, *tail):
-        values = np.array([get(m) for m in models], dtype=float)[which]
-        return values.reshape((-1,) + (1,) * (ab.ndim - 1) + tail)
+    def column(values, *tail):
+        return values[which].reshape((-1,) + (1,) * (ab.ndim - 1) + tail)
 
     if fam is ModelFamily.QM:
         return -ab
     if fam is ModelFamily.FHV:
-        return -ab / (1.0 + column(lambda m: m.eta))
+        return -ab / (1.0 + column(cols.eta))
     if fam is ModelFamily.SHV:
-        pbar = column(ModelParams.p_mean, 3)
+        pbar = column(cols.p_mean, 3)
         cross_term = np.sum(np.cross(a, b) * pbar, axis=-1)
-        return -(ab + cross_term) / np.sqrt(1.0 + column(lambda m: m.p_m) ** 2)
+        return -(ab + cross_term) / np.sqrt(1.0 + column(cols.p_m) ** 2)
     if fam is ModelFamily.THV:
-        z = column(lambda m: m.zeta)
+        z = column(cols.zeta)
         return -(1.0 - 3.0 * z / 35.0) * ab + (2.0 * z / 35.0) * ab**3
     raise InvalidModelError(f"no analytic correlator for family {fam.value}")
 
@@ -161,12 +183,15 @@ def _shard_counts(
     ws: ChunkWorkspace | None = None,
 ) -> tuple[int, int]:
     """Draw one shard of ``m`` samples from ``rng`` in chunks of at most
-    ``MC_CHUNK``: hidden states, then each joint table, then the joint
-    outcome.  Returns the counts of sigma = +1 and of sigma*tau = +1.
+    ``MC_CHUNK``: the hidden states' projections onto the settings, then
+    each joint table, then the joint outcome.  Returns the counts of
+    sigma = +1 and of sigma*tau = +1.
 
-    Every array of a chunk lives in the workspace ``ws`` (by default one
-    made for this call), so memory is O(MC_CHUNK) and a warm loop allocates
-    nothing.
+    The hidden draw is `models._draw_projections`: the projections each
+    table reads, drawn from their laws in the settings frame, not 3-D
+    hidden vectors.  Every array of a chunk lives in the workspace ``ws``
+    (by default one made for this call), so memory is O(MC_CHUNK) and a
+    warm loop allocates nothing.
     """
     a, b = s.a.arr, s.b.arr
     ws = ws or ChunkWorkspace()
@@ -174,8 +199,8 @@ def _shard_counts(
     for start in range(0, m, MC_CHUNK):
         k = min(MC_CHUNK, m - start)
         ws.start(k)
-        hidden = sample_hidden_batch(params, k, rng, ws)
-        cells = table_cells(*coeffs(params, hidden, a, b, ws), ws=ws)
+        proj = _draw_projections(params, a, b, rng, ws)
+        cells = table_cells(*_projection_coeffs(params, proj, a, b, ws), ws=ws)
         sigma, product = draw_outcomes(cells, k, rng, ws)
         plus += int(np.count_nonzero(sigma))
         same += int(np.count_nonzero(product))
@@ -185,8 +210,9 @@ def _shard_counts(
 def mc_correlator(
     params: ModelParams, s: Settings, n: int, seed: int, shards: int = 1
 ) -> MCEstimate:
-    """Empirical correlator: draw hidden states, form each joint table, draw
-    outcomes, and average sigma*tau.
+    """Empirical correlator: draw hidden states (as the projections each
+    table reads), form each joint table, draw outcomes, and average
+    sigma*tau.
 
     Work is split over ``shards`` deterministic substreams; each shard is
     drawn from its own generator in chunks of at most ``MC_CHUNK`` samples
@@ -237,8 +263,10 @@ def _plane_avg_block(
     The (request, node) grid is evaluated in blocks of at most
     ``BLOCK_PAIRS`` pairs, so memory stays bounded whatever n is.  Every
     request is reduced on its own row, so its value does not depend on which
-    other requests share the call.
+    other requests share the call.  ``models`` is as in
+    `_pair_correlator_arrays`; its columns are built once for all blocks.
     """
+    models = _columns(models)
     theta = theta0 + np.arange(order) * (2.0 * math.pi / order)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     out = np.empty(len(phi))

@@ -308,10 +308,7 @@ def _zone_rows(rng: np.random.Generator, z_lo: float, out, scratch: np.ndarray):
     x, y, z = out
     _uniform_into(rng, z_lo, 1.0, z)
     t = np.tan(_uniform_into(rng, -HALF_PI, HALF_PI, y), out=y)
-    w = np.multiply(z, z, out=scratch)
-    np.subtract(1.0, w, out=w)
-    np.maximum(w, 0.0, out=w)
-    np.sqrt(w, out=w)
+    w = _radius_into(z, scratch)
     np.multiply(t, t, out=x)
     x += 1.0
     w /= x  # r / (1 + t^2)
@@ -320,3 +317,36 @@ def _zone_rows(rng: np.random.Generator, z_lo: float, out, scratch: np.ndarray):
     t *= w
     t *= -2.0
     return out
+
+
+def _zone_projection(rng: np.random.Generator, z_lo: float, par: float, perp: float,
+                     ws: ChunkWorkspace):
+    """One projection of uniform draws w from the zone z >= z_lo, without
+    the points themselves: for the zone axis c and a direction d with
+    par = c.d and perp = |c x d|, w.d = par z + perp r cos(2 pi u).
+
+    It reads the uniforms of `_zone_rows` in its order, z ~ U(z_lo, 1)
+    then u ~ U(0, 1), and gets cos(2 pi u) = (t^2 - 1) / (1 + t^2) through
+    the same tangent half-angle t = tan(pi u - pi/2).  Returns the rows
+    (z, w.d), lent by the started `ChunkWorkspace` ``ws``.
+    """
+    z, t = _uniform_into(rng, z_lo, 1.0, ws.row()), ws.row()
+    np.tan(_uniform_into(rng, -HALF_PI, HALF_PI, t), out=t)
+    w = _radius_into(z, ws.row())
+    w *= perp
+    np.multiply(t, t, out=t)
+    t += 1.0
+    w /= t  # perp r / (1 + t^2)
+    t -= 2.0
+    t *= w
+    t += np.multiply(z, par, out=w)
+    ws.give(w)
+    return z, t
+
+
+def _radius_into(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """r = sqrt(1 - z^2) of zone draws, clipped at 0, into ``out``."""
+    np.multiply(z, z, out=out)
+    np.subtract(1.0, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.sqrt(out, out=out)

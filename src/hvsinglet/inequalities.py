@@ -30,6 +30,7 @@ from .models import ModelFamily, ModelParams, Settings, lhv_feasible_c_range, ta
 from .correlators import (
     BLOCK_PAIRS,
     DEFAULT_PLANE_NODES,
+    _Columns,
     _pair_correlator_arrays,
     _plane_avg_block,
     analytic_correlator,
@@ -250,8 +251,10 @@ def _value_function(
     Leggett averages over ``planes`` ((models, orientations, 2, 2, 3); by
     default each model's scoring planes) by quadrature and keeps the best
     orientation.  Branciard sums over the triad.  CHSH uses ``settings`` (by
-    default the optimal ones) and ignores phi.
+    default the optimal ones) and ignores phi.  The models' parameter
+    columns are built once here and indexed by ``which`` in every block.
     """
+    cols = _Columns(models)
     if name == "chsh":
         if settings is None:
             settings = chsh_optimal_settings()
@@ -260,7 +263,7 @@ def _value_function(
 
         def value(phi, which):
             rows = np.broadcast_to(right, (len(which), 4, 3))
-            c = _pair_correlator_arrays(models, left, rows, which)
+            c = _pair_correlator_arrays(cols, left, rows, which)
             return np.abs(c[:, 0] + c[:, 1] + c[:, 2] - c[:, 3])
 
     elif name == "leggett":
@@ -269,19 +272,19 @@ def _value_function(
         k = planes.shape[1] * 2  # planes per point
         flat = planes.reshape(-1, 2, 3)
         owner = np.repeat(np.arange(len(planes)), k)
-        zero = _plane_avg_block(models, owner, flat[:, 0], flat[:, 1],
+        zero = _plane_avg_block(cols, owner, flat[:, 0], flat[:, 1],
                                 np.zeros(len(flat)), order).reshape(len(planes), -1, 2)
 
         def value(phi, which):
             rows = (which[:, None] * k + np.arange(k)).ravel()
-            c = _plane_avg_block(models, owner[rows], flat[rows, 0], flat[rows, 1],
+            c = _plane_avg_block(cols, owner[rows], flat[rows, 0], flat[rows, 1],
                                  np.repeat(phi, k), order).reshape(len(phi), -1, 2)
             return np.max(np.sum(np.abs(c + zero[which]), axis=-1), axis=-1)
 
     elif name == "branciard":
 
         def value(phi, which):
-            corr = _pair_correlator_arrays(models, _TRIAD, _branciard_companions(phi), which)
+            corr = _pair_correlator_arrays(cols, _TRIAD, _branciard_companions(phi), which)
             return np.sum(np.abs(corr[:, 0] + corr[:, 1]), axis=-1) / 3.0
 
     else:

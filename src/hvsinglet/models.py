@@ -15,7 +15,10 @@ with family-specific single-party terms A, B and correlation term C:
     LHV  A = u.a,        B = v.b,   C free within positivity (Malus marginals)
 
 Hidden-variable samplers never see detector settings, so setting independence
-of the hidden distribution is enforced by the call signature.
+of the hidden distribution is enforced by the call signature.  A table reads
+its hidden state only through projections onto the settings (u.a, v.b, u.b
+or p.(a x b)); the Monte-Carlo loop draws those projections directly from
+their laws, the images of the same setting-independent hidden laws.
 """
 
 from __future__ import annotations
@@ -27,7 +30,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import ChunkWorkspace, UnitVector3, dot, sample_cap_batch, sample_unit_batch
+from .geometry import (
+    ChunkWorkspace,
+    UnitVector3,
+    _uniform_into,
+    _zone_projection,
+    dot,
+    sample_cap_batch,
+    sample_unit_batch,
+)
 
 TABLE_TOL = 1e-12
 CONDITIONAL_FLOOR = 1e-14
@@ -97,6 +108,10 @@ class ConstantP:
             return np.tile(np.asarray(self.p0, dtype=float), (n, 1))
         return _copy_rows(self.p0, ws)
 
+    def projection(self, rng: np.random.Generator, d: np.ndarray, ws: ChunkWorkspace):
+        """p.d of every draw: one scalar, since the field is constant."""
+        return _dot3_rows(np.asarray(self.p0, dtype=float), d)
+
 
 @dataclass(frozen=True)
 class CapP:
@@ -129,6 +144,15 @@ class CapP:
         for comp in (p if ws is not None else (p,)):
             comp *= self.magnitude
         return p
+
+    def projection(self, rng: np.random.Generator, d: np.ndarray, ws: ChunkWorkspace):
+        """p.d of ``ws.n`` draws, drawn as one projection about the cap
+        axis (`geometry._zone_projection`), not as 3-D points: a row."""
+        c, m = self.axis.arr, self.magnitude
+        z, proj = _zone_projection(rng, math.cos(self.half_angle), m * _dot3_rows(c, d),
+                                   m * float(np.linalg.norm(np.cross(c, d))), ws)
+        ws.give(z)
+        return proj
 
 
 PSpec = ConstantP | CapP
@@ -342,7 +366,9 @@ class ProbabilityTable:
 def coeffs(params: ModelParams, hidden: dict[str, np.ndarray], a, b,
            ws: ChunkWorkspace | None = None):
     """Coefficients (A, B, C) of the family's table for rows of hidden state
-    and settings: the one kernel behind every table, sampler and witness.
+    and settings: the projections of the hidden vectors onto the settings,
+    then the family's formula `_projection_coeffs`, the one kernel behind
+    every table, sampler and witness.
 
     ``hidden`` maps "u", "v" (FHV), "u" (THV) or "p" (SHV) to hidden
     vectors: (n, 3) arrays or single 3-vectors without a workspace, and the
@@ -361,42 +387,100 @@ def coeffs(params: ModelParams, hidden: dict[str, np.ndarray], a, b,
     copied into component rows of a workspace made for the call, so the
     caller's arrays are left as they were.
     """
-    fam = params.family
     a, b = np.transpose(a), np.transpose(b)  # component rows: (3,) or (3, n)
-    ab = _dot3_rows(a, b)
-    if fam is ModelFamily.QM:
-        return 0.0, 0.0, -ab
-    if ws is None:
+    if hidden and ws is None:
         ws = ChunkWorkspace(max((len(x) for x in (*hidden.values(), a.T, b.T)
                                  if np.ndim(x) == 2), default=1))
         hidden = {key: _copy_rows(x, ws) for key, x in hidden.items()}
-    if fam is ModelFamily.FHV:
-        terms = []
-        for key, f, s in (("u", params.f_spec, a), ("v", params.f_b, b)):
-            rows = hidden[key]
-            x = _dot3_rows(rows, s, ws.row(), spare=rows)
-            if f.power == 3:
-                np.multiply(_cube_into(x, rows[0]), f.coeff, out=x)
-            else:
-                x *= f.coeff
-            x *= params.epsilon
-            ws.give(*rows)
-            terms.append(x)
-        return terms[0], terms[1], -ab / (1.0 + params.eta)
-    if fam is ModelFamily.SHV:
-        p = hidden["p"]
-        C = _dot3_rows(p, np.cross(a, b, axis=0), ws.row(), spare=p)
-        ws.give(*p)
-        C += ab
-        np.negative(C, out=C)
-        C /= math.sqrt(1.0 + params.p_m**2)
-        return 0.0, 0.0, C
+    return _projection_coeffs(params, _hidden_projections(params, hidden, a, b, ws),
+                              a, b, ws)
+
+
+def _hidden_projections(params: ModelParams, hidden, a, b, ws: ChunkWorkspace):
+    """The projections `_projection_coeffs` reads, as dot products of the
+    hidden vectors' component rows with the settings' (`coeffs`): u.a and
+    v.b (FHV), u.a and u.b (THV), p.(a x b) (SHV), none (QM).  The hidden
+    rows are used up and given back; the projections are rows of ``ws``."""
+    fam = params.family
     if fam is ModelFamily.THV:
         u = hidden["u"]
         ub = ws.row()
         ua = _dot3_rows(u, a, ws.row(), spare=(ub, ub, ub))
         _dot3_rows(u, b, ub, spare=u)
         ws.give(*u)
+        return ua, ub
+    if fam is ModelFamily.FHV:
+        return _project(hidden["u"], a, ws), _project(hidden["v"], b, ws)
+    if fam is ModelFamily.SHV:
+        return (_project(hidden["p"], np.cross(a, b, axis=0), ws),)
+    return ()
+
+
+def _project(rows, d, ws: ChunkWorkspace) -> np.ndarray:
+    """Dot products of the component rows ``rows`` with ``d`` in a new row
+    of ``ws``; ``rows`` are used up and given back."""
+    x = _dot3_rows(rows, d, ws.row(), spare=rows)
+    ws.give(*rows)
+    return x
+
+
+def _draw_projections(params: ModelParams, a: np.ndarray, b: np.ndarray,
+                      rng: np.random.Generator, ws: ChunkWorkspace):
+    """The projections of `_hidden_projections` for ``ws.n`` hidden draws,
+    drawn from their laws in the frame of the settings ``a``, ``b``
+    (3-vectors) instead of from 3-D hidden vectors.  The hidden laws are
+    rotation-invariant about a known axis, so by Archimedes' hat-box
+    theorem:
+
+        FHV  u.a, v.b ~ U(-1, 1), two independent rows
+        THV  u.a = z ~ U(-1, 1), u.b = z (a.b) + sqrt(1 - z^2) |a x b| cos psi
+        SHV  p.(a x b) about the cap axis (`CapP.projection`), or one
+             scalar for a constant field
+        QM   none
+
+    with one uniform azimuth psi (`geometry._zone_projection`).  Only the
+    Monte-Carlo loop reads these; every other table projects real hidden
+    vectors.  The rows are lent by the started `ChunkWorkspace` ``ws``.
+    """
+    fam = params.family
+    if fam is ModelFamily.FHV:
+        return tuple(_uniform_into(rng, -1.0, 1.0, ws.row()) for _ in range(2))
+    if fam is ModelFamily.THV:
+        return _zone_projection(rng, -1.0, _dot3_rows(a, b),
+                                float(np.linalg.norm(np.cross(a, b))), ws)
+    if fam is ModelFamily.SHV:
+        return (params.p_spec.projection(rng, np.cross(a, b), ws),)
+    return ()
+
+
+def _projection_coeffs(params: ModelParams, proj, a, b, ws: ChunkWorkspace | None):
+    """The family's formula for (A, B, C) from its projection rows ``proj``
+    (`_hidden_projections`, `_draw_projections`) and the settings' component
+    rows ``a``, ``b``, in the order of the module docstring.  The rows of
+    ``proj`` are used up: A, B and C are formed in them and in rows of
+    ``ws``, and the rest are given back."""
+    fam = params.family
+    ab = _dot3_rows(a, b)
+    if fam is ModelFamily.QM:
+        return 0.0, 0.0, -ab
+    if fam is ModelFamily.FHV:
+        for x, f in zip(proj, (params.f_spec, params.f_b)):
+            if f.power == 3:
+                cube = _cube_into(x, ws.row())
+                np.multiply(cube, f.coeff, out=x)
+                ws.give(cube)
+            else:
+                x *= f.coeff
+            x *= params.epsilon
+        return proj[0], proj[1], -ab / (1.0 + params.eta)
+    if fam is ModelFamily.SHV:
+        # a constant p-field gives one scalar p.(a x b) and a scalar C
+        (C,) = proj
+        out = C if np.ndim(C) else None
+        C = np.negative(np.add(C, ab, out=out), out=out)
+        return 0.0, 0.0, np.divide(C, math.sqrt(1.0 + params.p_m**2), out=out)
+    if fam is ModelFamily.THV:
+        ua, ub = proj
         C = _cube_into(ua, ws.row())
         C *= params.zeta
         C *= _cube_into(ub, ua)
@@ -447,8 +531,9 @@ def table_cells(A, B, C, ws: ChunkWorkspace | None = None):
     pp = mm and pm = mp, with the same bits as the general formula, since
     adding or subtracting 0.0 is exact.  With a `ChunkWorkspace` ``ws``,
     array coefficients from `coeffs` are used up and given back, and the
-    cells are workspace rows; without one, numpy makes a new array for each
-    step and the coefficients are left as they were.
+    cells are workspace rows (mm takes A's row, which it reads first);
+    without one, numpy makes a new array for each step and the coefficients
+    are left as they were.
     """
     rows = ws is not None and any(np.ndim(x) for x in (A, B, C))
 
@@ -462,15 +547,16 @@ def table_cells(A, B, C, ws: ChunkWorkspace | None = None):
         pm /= 4.0
         _check_cells(pp, pm)
         return pp, pm, pm, pp
+    reused = A if rows and np.ndim(A) else None
     cells = []
     for signs in _CELL_SIGNS:
-        cell, out = 1.0, new()
+        cell, out = 1.0, reused if len(cells) == 3 and reused is not None else new()
         for x, sign in zip((A, B, C), signs):
             cell = (np.add if sign > 0 else np.subtract)(cell, x, out=out)
         cell /= 4.0
         cells.append(cell)
     if rows:
-        ws.give(*(x for x in (A, B, C) if np.ndim(x)))
+        ws.give(*(x for x in (A, B, C) if np.ndim(x) and x is not reused))
     _check_cells(*cells)
     return tuple(cells)
 
@@ -583,17 +669,23 @@ def draw_outcomes(cells, n: int, rng: np.random.Generator,
     (sigma == +1, sigma*tau == +1): sigma = +1 iff r < pp+pm, and
     sigma*tau = +1 iff r < pp or r >= pp+pm+mp.  The uniforms, the
     partial sums and the flags live in rows of the `ChunkWorkspace` ``ws``
-    (by default one made for the call).
+    (by default one made for the call).  Row cells from `table_cells` in
+    the caller's ``ws`` are used up: mm, which the draw never reads, is
+    given back before r is drawn, and the partial sums are formed in pp's
+    row once r < pp is taken.
     """
-    pp, pm, mp, _ = cells
+    pp, pm, mp, mm = cells
+    used_up = ws is not None and np.ndim(pp) > 0
     if ws is None:
         ws = ChunkWorkspace(n)
+    if used_up and mm is not pp:
+        ws.give(mm)
     r = rng.random(out=ws.row())
-    s1 = pp + pm if np.ndim(pp) == 0 else np.add(pp, pm, out=ws.row())
     sigma, same, late = ws.row().view(np.bool_)[:3 * n].reshape(3, n)
+    np.less(r, pp, out=same)
+    s1 = pp + pm if np.ndim(pp) == 0 else np.add(pp, pm, out=pp if used_up else ws.row())
     np.less(r, s1, out=sigma)
     s1 += mp
-    np.less(r, pp, out=same)
     same |= np.greater_equal(r, s1, out=late)
     return sigma, same
 

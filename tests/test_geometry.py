@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hvsinglet.geometry import (
+    ChunkWorkspace,
     Plane,
     Triad,
     UnitVector3,
     X,
     Y,
     Z,
+    _zone_projection,
     branciard_settings,
     chsh_optimal_settings,
     cross,
@@ -250,6 +252,28 @@ class TestHalfAngleSampler:
             local = _cos_sin_reference(ref, math.cos(half), self.CHUNK)
             assert np.max(np.abs(got - local @ basis)) <= 2e-15
             assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_projection_matches_cap_points_on_the_same_stream(self):
+        # d in the (e1, axis) half-plane: the projection's azimuth starts at e1,
+        # as the cap sampler's does, so the two agree point by point
+        axis, half, beta = UnitVector3.normalized(0.3, -0.5, 0.8), 1.1, 0.9
+        d = math.cos(beta) * axis.arr + math.sin(beta) * Plane.with_normal(axis).e1.arr
+        for seed in range(self.CHUNKS):
+            rng, ref = make_rng(seed), make_rng(seed)
+            ws = ChunkWorkspace(self.CHUNK)
+            z, proj = _zone_projection(rng, math.cos(half), math.cos(beta), math.sin(beta), ws)
+            points = sample_cap_batch(ref, axis, half, self.CHUNK)
+            assert np.max(np.abs(proj - points @ d)) <= 4e-15
+            assert np.max(np.abs(z - points @ axis.arr)) <= 4e-15
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("z_uniform", [0.0, 0.5, 1.0 - 2.0**-53])
+    def test_edge_uniforms_give_finite_projections(self, z_uniform):
+        az = [0.0, 0.5, 1.0 - 2.0**-53]
+        z, proj = _zone_projection(_StubRng([z_uniform] * 3, az), -1.0, 0.6, 0.8,
+                                   ChunkWorkspace(3))
+        ref = _cos_sin_reference(_StubRng([z_uniform] * 3, az), -1.0, 3)
+        assert np.max(np.abs(proj - (0.6 * ref[:, 2] + 0.8 * ref[:, 0]))) <= 2e-15
 
     def test_azimuth_moments(self):
         n = self.CHUNK * self.CHUNKS

@@ -22,6 +22,7 @@ from hvsinglet.correlators import (
     _pool_map,
     _shard_counts,
     mc_correlator,
+    sphere_moment_oracle,
 )
 from hvsinglet.harness import _mc_trial_failures, parse_config, report_to_json, run_verify
 from hvsinglet.geometry import ChunkWorkspace, Plane, UnitVector3, X, Y, Z, sample_unit_batch
@@ -44,55 +45,54 @@ from hvsinglet.models import (
 )
 
 # ------------------------------ reference ----------------------------------
-# Column stacks, outer products, np.sum(x*y, axis=-1) dots, pow-based f, a
-# cumulative sum over the four cells and a fancy index: the arithmetic the
-# pipeline had before it became one kernel.
-
-
-def _ref_unit_batch(rng, n):
-    z = rng.uniform(-1.0, 1.0, n)
-    az = rng.uniform(0.0, 2.0 * math.pi, n)
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([r * np.cos(az), r * np.sin(az), z])
-
-
-def _ref_p_batch(p_spec, rng, n):
-    if isinstance(p_spec, ConstantP):
-        return np.tile(np.asarray(p_spec.p0, dtype=float), (n, 1))
-    frame = Plane.with_normal(p_spec.axis)
-    z = rng.uniform(math.cos(p_spec.half_angle), 1.0, n)
-    az = rng.uniform(0.0, 2.0 * math.pi, n)
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    cap = (np.outer(r * np.cos(az), frame.e1.arr) + np.outer(r * np.sin(az), frame.e2.arr)
-           + np.outer(z, p_spec.axis.arr))
-    return p_spec.magnitude * cap
+# The settings-frame draws written as plain numpy expressions, in the
+# kernel's arithmetic order: rng.uniform rows, the tangent half-angle
+# azimuth, the family formulas, a cumulative sum over the four cells and a
+# fancy index.
 
 
 def _rowdot(x, y):
     return np.sum(x * y, axis=-1)
 
 
+def _ref_zone_projection(rng, z_lo, par, perp, n):
+    """(z, par z + perp sqrt(1 - z^2) cos psi), psi through t = tan(pi u - pi/2)."""
+    z = rng.uniform(z_lo, 1.0, n)
+    t = np.tan(rng.uniform(-math.pi / 2, math.pi / 2, n))
+    q = t * t + 1.0
+    return z, (q - 2.0) * (np.sqrt(np.maximum(1.0 - z * z, 0.0)) * perp / q) + z * par
+
+
+def _ref_f(f, x):
+    return (x * x * x if f.power == 3 else x) * f.coeff
+
+
 def _ref_cells(params, rng, a, b, n):
     fam = params.family
-    zero = np.zeros(n)
+    ab = _rowdot(a, b)
+    A = B = 0.0
     if fam is ModelFamily.FHV:
-        u, v = _ref_unit_batch(rng, n), _ref_unit_batch(rng, n)
-        f, g = params.f_spec, params.f_b
-        A = params.epsilon * (f.coeff * _rowdot(u, a) ** f.power)
-        B = params.epsilon * (g.coeff * _rowdot(v, b) ** g.power)
-        C = -_rowdot(a, b) / (1.0 + params.eta) * np.ones(n)
+        ua, vb = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+        A = _ref_f(params.f_spec, ua) * params.epsilon
+        B = _ref_f(params.f_b, vb) * params.epsilon
+        C = -ab / (1.0 + params.eta)
     elif fam is ModelFamily.SHV:
-        p = _ref_p_batch(params.p_spec, rng, n)
-        C = -(_rowdot(a, b) + _rowdot(np.cross(a, b), p)) / math.sqrt(1.0 + params.p_m**2)
-        A = B = zero
+        spec, c = params.p_spec, np.cross(a, b)
+        if isinstance(spec, ConstantP):
+            pc = _rowdot(np.asarray(spec.p0), c)
+        else:
+            m, axis = spec.magnitude, spec.axis.arr
+            pc = _ref_zone_projection(rng, math.cos(spec.half_angle), m * _rowdot(axis, c),
+                                      m * np.linalg.norm(np.cross(axis, c)), n)[1]
+        C = -(pc + ab) / math.sqrt(1.0 + params.p_m**2)
     elif fam is ModelFamily.THV:
-        u = _ref_unit_batch(rng, n)
-        C = -(_rowdot(a, b) - params.zeta * _rowdot(u, a) ** 3 * _rowdot(u, b) ** 3)
-        A = B = zero
+        ua, ub = _ref_zone_projection(rng, -1.0, ab, np.linalg.norm(np.cross(a, b)), n)
+        C = -(ab - ua * ua * ua * params.zeta * (ub * ub * ub))
     else:
-        C, A, B = np.full(n, -float(_rowdot(a, b))), zero, zero
-    return np.column_stack([(1.0 + A + B + C) / 4.0, (1.0 + A - B - C) / 4.0,
-                            (1.0 - A + B - C) / 4.0, (1.0 - A - B + C) / 4.0])
+        C = -ab
+    cells = [(1.0 + A + B + C) / 4.0, (1.0 + A - B - C) / 4.0,
+             (1.0 - A + B - C) / 4.0, (1.0 - A - B + C) / 4.0]
+    return np.column_stack([np.broadcast_to(c, (n,)) for c in cells])
 
 
 def _ref_mc(params, s, n, seed, shards):
@@ -177,24 +177,107 @@ class TestEquivalence:
             assert [t.pp, t.pm, t.mp, t.mm] == expected
 
 
+class TestUnmovedStreams:
+    # qm and a constant p-field draw no hidden randomness, so drawing
+    # projections in place of hidden vectors left their streams and their
+    # estimates as the 3-D pipeline made them: these are its outputs
+    @pytest.mark.parametrize("params,n,seed,shards,mean,stderr", [
+        (ModelParams.qm(), 1000, 3, 1, -0.46, 0.02809251126526764),
+        (ModelParams.qm(), 2 * MC_CHUNK + 11, 17, 3,
+         -0.4352730255001812, 0.0017583619745621362),
+        (ModelParams.shv(ConstantP((0.2, -0.3, 0.4))), 1000, 3, 1,
+         -0.088, 0.03151585710795835),
+        (ModelParams.shv(ConstantP((0.2, -0.3, 0.4))), 2 * MC_CHUNK + 11, 17, 3,
+         -0.06255459556369324, 0.0019492627107888624),
+    ], ids=["qm", "qm-chunks", "shv-const", "shv-const-chunks"])
+    def test_estimates_are_those_of_the_3d_pipeline(self, params, n, seed, shards,
+                                                    mean, stderr):
+        est = mc_correlator(params, POOL_SETTINGS, n, seed, shards)
+        assert (est.mean, est.stderr) == (mean, stderr)
+
+
+# ------------------------ projection laws -----------------------------------
+
+LAW_N = 2**16
+LAW_SETTINGS = {
+    "generic": (UnitVector3.normalized(0.3, 0.4, 0.866), UnitVector3.normalized(0.9, -0.1, 0.2)),
+    "a=b": (UnitVector3.normalized(0.3, 0.4, 0.866),) * 2,
+    "a=-b": (UnitVector3.normalized(0.3, 0.4, 0.866), -UnitVector3.normalized(0.3, 0.4, 0.866)),
+}
+LAW_FAMILIES = {
+    "fhv": ModelParams.fhv(0.7),
+    "thv": ModelParams.thv(1.2),
+    "cap": ModelParams.shv(CapP(UnitVector3.normalized(0.0, 0.6, 0.8), 0.7, 0.7)),
+    "cap-0": ModelParams.shv(CapP(UnitVector3.normalized(0.5, -0.5, 0.7), 0.0, 0.6)),
+    "cap-pi": ModelParams.shv(CapP(UnitVector3.normalized(0.5, -0.5, 0.7), math.pi, 0.6)),
+}
+
+
+def _moments(proj):
+    """Per-sample values whose means the drawn and the 3-D projections share."""
+    if len(proj) == 1:
+        (p,) = proj
+        return {"p": p, "pp": p * p}
+    x, y = proj
+    return {"x": x, "y": y, "xx": x * x, "yy": y * y, "xy": x * y,
+            "x3y3": x * x * x * (y * y * y)}
+
+
+class TestProjectionLaws:
+    """The settings-frame draws against the dot products of the 3-D
+    sampler's hidden vectors, and against exact moments, each within 5
+    standard errors, at n = 2^16."""
+
+    @pytest.mark.parametrize("where", sorted(LAW_SETTINGS))
+    @pytest.mark.parametrize("family", sorted(LAW_FAMILIES))
+    def test_drawn_projections_match_3d_dot_products(self, family, where):
+        params, (a, b) = LAW_FAMILIES[family], LAW_SETTINGS[where]
+        ws = ChunkWorkspace(LAW_N)
+        drawn = _moments([np.array(x) for x in models_module._draw_projections(
+            params, a.arr, b.arr, np.random.default_rng(1), ws)])
+        hidden = sample_hidden_batch(params, LAW_N, np.random.default_rng(2))
+        if family == "fhv":
+            solid = _moments([hidden["u"] @ a.arr, hidden["v"] @ b.arr])
+        elif family == "thv":
+            solid = _moments([hidden["u"] @ a.arr, hidden["u"] @ b.arr])
+        else:
+            solid = _moments([hidden["p"] @ np.cross(a.arr, b.arr)])
+
+        def close(x, want, se):
+            return abs(float(np.mean(x)) - want) <= 5.0 * se + 1e-12
+
+        def se(x):
+            return float(np.std(x)) / math.sqrt(LAW_N)
+
+        for key, x in drawn.items():
+            y = solid[key]
+            assert close(x, float(np.mean(y)), math.hypot(se(x), se(y))), key
+        ab = float(a.arr @ b.arr)
+        exact = {"x": 0.0, "y": 0.0, "xx": 1.0 / 3.0, "yy": 1.0 / 3.0,
+                 "xy": ab / 3.0 if family == "thv" else 0.0,
+                 "x3y3": sphere_moment_oracle(a, b) if family == "thv" else 0.0,
+                 "p": float(params.p_mean() @ np.cross(a.arr, b.arr))}
+        for key, x in drawn.items():
+            if key in exact:
+                assert close(x, exact[key], se(x)), key
+
+
 class TestShardCounts:
     @given(params_st, unit, unit, st.integers(0, 2**32 - 1), st.integers(1, 4000))
     @settings(max_examples=60, deadline=None)
     def test_counts_match_one_direct_draw(self, params, a, b, seed, n):
-        s = Settings(a, b)
-        got = _shard_counts(params, s, n, np.random.default_rng(seed))
+        got = _shard_counts(params, Settings(a, b), n, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
-        hidden = sample_hidden_batch(params, n, rng)
-        plus, same = draw_outcomes(table_cells(*coeffs(params, hidden, a.arr, b.arr)), n, rng)
+        cells = _ref_cells(params, rng, a.arr, b.arr, n)
+        plus, same = draw_outcomes(tuple(cells.T), n, rng)
         assert got == (int(np.sum(plus)), int(np.sum(same)))
 
     def test_full_chunk_sigma_count_matches_direct_draw(self):
         params, s = ModelParams.fhv(1.0), Settings(X, UnitVector3.normalized(1.0, 2.0, 2.0))
         plus, _ = _shard_counts(params, s, MC_CHUNK, np.random.default_rng(5))
         rng = np.random.default_rng(5)
-        hidden = sample_hidden_batch(params, MC_CHUNK, rng)
-        cells = table_cells(*coeffs(params, hidden, s.a.arr, s.b.arr))
-        assert plus == int(np.sum(draw_outcomes(cells, MC_CHUNK, rng)[0]))
+        cells = _ref_cells(params, rng, s.a.arr, s.b.arr, MC_CHUNK)
+        assert plus == int(np.sum(draw_outcomes(tuple(cells.T), MC_CHUNK, rng)[0]))
 
 
 def _bits(x, n):
@@ -446,10 +529,11 @@ class TestWorkerCount:
         assert pooled <= reference
 
     @pytest.mark.parametrize("family,rows", [
-        ("fhv", 7), ("thv", 5), ("shv-cap", 6), ("shv-const", 5), ("qm", 2)])
+        ("fhv", 5), ("thv", 4), ("shv-cap", 4), ("shv-const", 2), ("qm", 2)])
     def test_warm_workspace_holds_the_most_rows_lent_at_once(self, family, rows):
-        # the most rows one chunk lends at once: for fhv, u and v (three rows
-        # each) and the sampler's scratch row
+        # the most rows one chunk lends at once: for fhv, pp, pm and mp, the
+        # uniforms r and the flags (mm is given back before r is drawn); a
+        # constant p-field forms a scalar table, as qm does
         n, params = 10_000, POOL_FAMILIES[family]
         # made before tracing: the first generator imports numpy.random internals
         rngs = [np.random.default_rng(seed) for seed in (0, 1)]
