@@ -1,8 +1,8 @@
-"""The Monte-Carlo pipeline (hidden draw, `coeffs` table, partial-sum outcome
-draw, chunked per-shard reduction) against a reference written the way the
-scalar-twin implementation computed it, plus the kernel's table check, the
-batched witness, the chunked memory bound and the thread pool's
-independence of its worker count."""
+"""The Monte-Carlo pipeline (settings-frame projection draw, table formula,
+partial-sum outcome draw, chunked per-shard reduction) against a plain numpy
+reference of the same draws, the projection laws against the 3-D samplers,
+plus the kernel's table check, the batched witness, the chunked memory bound
+and the thread pool's independence of its worker count."""
 
 import math
 import sys
@@ -25,7 +25,7 @@ from hvsinglet.correlators import (
     sphere_moment_oracle,
 )
 from hvsinglet.harness import _mc_trial_failures, parse_config, report_to_json, run_verify
-from hvsinglet.geometry import ChunkWorkspace, Plane, UnitVector3, X, Y, Z, sample_unit_batch
+from hvsinglet.geometry import ChunkWorkspace, UnitVector3, X, Y, Z, sample_unit_batch
 from hvsinglet.models import (
     CapP,
     ConstantP,
