@@ -188,8 +188,7 @@ class ChunkWorkspace:
     The rows form a free list: a row is as long as the longest chunk so far,
     `row()` lends the lowest-numbered free row and allocates a new one only
     when none is free.  A workspace thus holds exactly the most rows any of
-    its chunks had lent at once, in whatever order its chunks came.  A
-    hidden vector lives in three rows, one per component.
+    its chunks had lent at once, in whatever order its chunks came.
     """
 
     def __init__(self, n: int = 0) -> None:
@@ -229,58 +228,22 @@ def sample_unit_uniform(rng: np.random.Generator) -> UnitVector3:
     return UnitVector3.from_array(sample_unit_batch(rng, 1)[0])
 
 
-def sample_unit_batch(
-    rng: np.random.Generator, n: int, ws: ChunkWorkspace | None = None
-):
-    """n independent uniform sphere draws: with the started `ChunkWorkspace`
-    ``ws``, a tuple of its three component rows (x, y, z) filled in place;
-    without it, a C-ordered (n, 3) array."""
-    rows = _new_rows(ws, n, 4)
-    _zone_rows(rng, -1.0, rows[:3], rows[3])
-    return _vectors(rows[:3], ws, rows[3:])
+def sample_unit_batch(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n independent uniform sphere draws as a C-ordered (n, 3) array."""
+    return np.column_stack(_zone_rows(rng, -1.0, n))
 
 
 def sample_cap_batch(
-    rng: np.random.Generator, axis: UnitVector3, half_angle: float, n: int,
-    ws: ChunkWorkspace | None = None,
-):
+    rng: np.random.Generator, axis: UnitVector3, half_angle: float, n: int
+) -> np.ndarray:
     """n uniform draws from the spherical cap of the given half-angle
-    centered on ``axis``; ``ws`` and the result as in `sample_unit_batch`."""
+    centered on ``axis``, as in `sample_unit_batch`."""
     if not 0.0 <= half_angle <= math.pi:
         raise ValueError("half_angle must lie in [0, pi]")
     frame = Plane.with_normal(axis)
     e1, e2, e3 = frame.e1.arr, frame.e2.arr, axis.arr
-    rows = _new_rows(ws, n, 6)
-    x, y, z = _zone_rows(rng, math.cos(half_angle), rows[:3], rows[3])
-    # component k is x*e1[k] + y*e2[k] + z*e3[k]: components 0 and 1 go to
-    # rows 3 and 4, component 2 is formed last in place of z
-    tmp = rows[5]
-    for k in (0, 1):
-        comp = np.multiply(x, e1[k], out=rows[3 + k])
-        comp += np.multiply(y, e2[k], out=tmp)
-        comp += np.multiply(z, e3[k], out=tmp)
-    x *= e1[2]
-    y *= e2[2]
-    x += y
-    z *= e3[2]
-    z += x
-    return _vectors((rows[3], rows[4], z), ws, (x, y, tmp))
-
-
-def _new_rows(ws: ChunkWorkspace | None, n: int, k: int):
-    """k rows of n floats: lent by the started `ChunkWorkspace` ``ws``, or
-    one plain (k, n) array without it."""
-    return np.empty((k, n)) if ws is None else tuple(ws.row() for _ in range(k))
-
-
-def _vectors(comps, ws: ChunkWorkspace | None, spent):
-    """Component rows (x, y, z) as the samplers return them: the rows
-    themselves with a workspace, which gets the ``spent`` rows back, and
-    a C-ordered (n, 3) array without one."""
-    if ws is None:
-        return np.column_stack(comps)
-    ws.give(*spent)
-    return comps
+    x, y, z = _zone_rows(rng, math.cos(half_angle), n)
+    return np.column_stack([x * e1[k] + y * e2[k] + z * e3[k] for k in range(3)])
 
 
 def _uniform_into(rng: np.random.Generator, lo: float, hi: float, out: np.ndarray):
@@ -292,11 +255,10 @@ def _uniform_into(rng: np.random.Generator, lo: float, hi: float, out: np.ndarra
     return out
 
 
-def _zone_rows(rng: np.random.Generator, z_lo: float, out, scratch: np.ndarray):
-    """Uniform draws from the zone z >= z_lo of the unit sphere into the
-    three contiguous component rows of ``out``: z ~ U(z_lo, 1), then
-    u ~ U(0, 1) for the azimuth 2 pi u, with r = sqrt(1 - z^2).
-    ``scratch`` is one more (n,) row.
+def _zone_rows(rng: np.random.Generator, z_lo: float, n: int) -> np.ndarray:
+    """n uniform draws from the zone z >= z_lo of the unit sphere as the
+    (3, n) component rows (x, y, z): z ~ U(z_lo, 1), then u ~ U(0, 1) for
+    the azimuth 2 pi u, with r = sqrt(1 - z^2).
 
     The azimuth goes through the tangent half-angle t = tan(pi u - pi/2),
     one fast libm call in place of a cos and a sin:
@@ -305,10 +267,11 @@ def _zone_rows(rng: np.random.Generator, z_lo: float, out, scratch: np.ndarray):
     uniforms in the same order, and the points agree with the cos/sin
     form to an ulp or two.  |t| <= 1.7e16 (at u = 0), so t^2 is finite.
     """
-    x, y, z = out
+    rows = np.empty((4, n))
+    x, y, z, w = rows
     _uniform_into(rng, z_lo, 1.0, z)
     t = np.tan(_uniform_into(rng, -HALF_PI, HALF_PI, y), out=y)
-    w = _radius_into(z, scratch)
+    _radius_into(z, w)
     np.multiply(t, t, out=x)
     x += 1.0
     w /= x  # r / (1 + t^2)
@@ -316,7 +279,7 @@ def _zone_rows(rng: np.random.Generator, z_lo: float, out, scratch: np.ndarray):
     x *= w
     t *= w
     t *= -2.0
-    return out
+    return rows[:3]
 
 
 def _zone_projection(rng: np.random.Generator, z_lo: float, par: float, perp: float,

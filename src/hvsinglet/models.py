@@ -101,12 +101,9 @@ class ConstantP:
     def p_mean(self) -> np.ndarray:
         return np.asarray(self.p0, dtype=float)
 
-    def sample(self, rng: np.random.Generator, n: int, ws: ChunkWorkspace | None = None):
-        """n copies of p0; ``ws`` and the result as in
-        `geometry.sample_unit_batch`."""
-        if ws is None:
-            return np.tile(np.asarray(self.p0, dtype=float), (n, 1))
-        return _copy_rows(self.p0, ws)
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n copies of p0 as an (n, 3) array."""
+        return np.tile(np.asarray(self.p0, dtype=float), (n, 1))
 
     def projection(self, rng: np.random.Generator, d: np.ndarray, ws: ChunkWorkspace):
         """p.d of every draw: one scalar, since the field is constant."""
@@ -139,10 +136,10 @@ class CapP:
         shrink = 0.5 * (1.0 + math.cos(self.half_angle))
         return self.magnitude * shrink * self.axis.arr
 
-    def sample(self, rng: np.random.Generator, n: int, ws: ChunkWorkspace | None = None):
-        p = sample_cap_batch(rng, self.axis, self.half_angle, n, ws)
-        for comp in (p if ws is not None else (p,)):
-            comp *= self.magnitude
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n draws of the field as an (n, 3) array."""
+        p = sample_cap_batch(rng, self.axis, self.half_angle, n)
+        p *= self.magnitude
         return p
 
     def projection(self, rng: np.random.Generator, d: np.ndarray, ws: ChunkWorkspace):
@@ -225,6 +222,12 @@ class ModelParams:
             raise InvalidModelError("eta must be finite and nonnegative")
         if not (math.isfinite(self.zeta) and self.zeta >= 0.0):
             raise InvalidModelError("zeta must be finite and nonnegative")
+        if self.family is ModelFamily.SHV:
+            with np.errstate(over="ignore"):  # the norm of a huge p0 overflows
+                p_m = self.p_m
+            if not math.isfinite(p_m * p_m):
+                raise InvalidModelError("p-field sup norm out of range: p_m must stay below "
+                                        "about 1.34e154, so that p_m^2 is finite")
         if self.family is ModelFamily.THV and self.zeta > 0.0:
             if thv_positivity_margin(self.zeta) < -1e-9:
                 raise InvalidModelError(
@@ -363,70 +366,46 @@ class ProbabilityTable:
 # --------------------------- joint probabilities ---------------------------
 
 
-def coeffs(params: ModelParams, hidden: dict[str, np.ndarray], a, b,
-           ws: ChunkWorkspace | None = None):
+def coeffs(params: ModelParams, hidden: dict[str, np.ndarray], a, b):
     """Coefficients (A, B, C) of the family's table for rows of hidden state
     and settings: the projections of the hidden vectors onto the settings,
     then the family's formula `_projection_coeffs`, the one kernel behind
     every table, sampler and witness.
 
     ``hidden`` maps "u", "v" (FHV), "u" (THV) or "p" (SHV) to hidden
-    vectors: (n, 3) arrays or single 3-vectors without a workspace, and the
-    tuples of component rows `sample_hidden_batch` leaves with one.  It is
-    empty for QM.  ``a`` and ``b`` are fixed 3-vectors or (n, 3) arrays.
-    A, B and C come back as (n,) rows, except that families with flat
-    marginals return A = B = 0.0 as scalars, and a C that depends on fixed
-    settings alone is a scalar too.  The cubic family reads only u, since
-    its partner is v = -u.
+    vectors, (n, 3) arrays or single 3-vectors; it is empty for QM.  ``a``
+    and ``b`` are fixed 3-vectors or (n, 3) arrays.  A, B and C come back
+    as (n,) rows, except that families with flat marginals return
+    A = B = 0.0 as scalars, and a C that depends on fixed settings alone is
+    a scalar too.  The cubic family reads only u, since its partner is
+    v = -u.
 
     Every step is one numpy operation on component rows, in the order of
     the formulas in the module docstring, with dots summed in component
-    order.  With a `ChunkWorkspace` ``ws`` holding the hidden rows and
-    fixed ``a``, ``b``, the hidden rows are used up and given back, and A,
-    B, C are workspace rows.  Without one, the hidden vectors are first
-    copied into component rows of a workspace made for the call, so the
-    caller's arrays are left as they were.
+    order: u.a and v.b (FHV), u.a and u.b (THV), p.(a x b) (SHV), none
+    (QM).  The projections are rows of a `ChunkWorkspace` made for the
+    call, so the caller's arrays are only read.
     """
     a, b = np.transpose(a), np.transpose(b)  # component rows: (3,) or (3, n)
-    if hidden and ws is None:
-        ws = ChunkWorkspace(max((len(x) for x in (*hidden.values(), a.T, b.T)
-                                 if np.ndim(x) == 2), default=1))
-        hidden = {key: _copy_rows(x, ws) for key, x in hidden.items()}
-    return _projection_coeffs(params, _hidden_projections(params, hidden, a, b, ws),
-                              a, b, ws)
-
-
-def _hidden_projections(params: ModelParams, hidden, a, b, ws: ChunkWorkspace):
-    """The projections `_projection_coeffs` reads, as dot products of the
-    hidden vectors' component rows with the settings' (`coeffs`): u.a and
-    v.b (FHV), u.a and u.b (THV), p.(a x b) (SHV), none (QM).  The hidden
-    rows are used up and given back; the projections are rows of ``ws``."""
+    ws = ChunkWorkspace(max((len(x) for x in (*hidden.values(), a.T, b.T)
+                             if np.ndim(x) == 2), default=1))
     fam = params.family
-    if fam is ModelFamily.THV:
-        u = hidden["u"]
-        ub = ws.row()
-        ua = _dot3_rows(u, a, ws.row(), spare=(ub, ub, ub))
-        _dot3_rows(u, b, ub, spare=u)
-        ws.give(*u)
-        return ua, ub
     if fam is ModelFamily.FHV:
-        return _project(hidden["u"], a, ws), _project(hidden["v"], b, ws)
-    if fam is ModelFamily.SHV:
-        return (_project(hidden["p"], np.cross(a, b, axis=0), ws),)
-    return ()
-
-
-def _project(rows, d, ws: ChunkWorkspace) -> np.ndarray:
-    """Dot products of the component rows ``rows`` with ``d`` in a new row
-    of ``ws``; ``rows`` are used up and given back."""
-    x = _dot3_rows(rows, d, ws.row(), spare=rows)
-    ws.give(*rows)
-    return x
+        pairs = (("u", a), ("v", b))
+    elif fam is ModelFamily.THV:
+        pairs = (("u", a), ("u", b))
+    elif fam is ModelFamily.SHV:
+        pairs = (("p", np.cross(a, b, axis=0)),)
+    else:
+        pairs = ()
+    proj = tuple(_dot3_rows(np.reshape(hidden[key], (-1, 3)).T, d, ws.row())
+                 for key, d in pairs)
+    return _projection_coeffs(params, proj, a, b, ws)
 
 
 def _draw_projections(params: ModelParams, a: np.ndarray, b: np.ndarray,
                       rng: np.random.Generator, ws: ChunkWorkspace):
-    """The projections of `_hidden_projections` for ``ws.n`` hidden draws,
+    """The projections `coeffs` forms from hidden vectors, for ``ws.n`` draws,
     drawn from their laws in the frame of the settings ``a``, ``b``
     (3-vectors) instead of from 3-D hidden vectors.  The hidden laws are
     rotation-invariant about a known axis, so by Archimedes' hat-box
@@ -453,9 +432,9 @@ def _draw_projections(params: ModelParams, a: np.ndarray, b: np.ndarray,
     return ()
 
 
-def _projection_coeffs(params: ModelParams, proj, a, b, ws: ChunkWorkspace | None):
+def _projection_coeffs(params: ModelParams, proj, a, b, ws: ChunkWorkspace):
     """The family's formula for (A, B, C) from its projection rows ``proj``
-    (`_hidden_projections`, `_draw_projections`) and the settings' component
+    (`coeffs`, `_draw_projections`) and the settings' component
     rows ``a``, ``b``, in the order of the module docstring.  The rows of
     ``proj`` are used up: A, B and C are formed in them and in rows of
     ``ws``, and the rest are given back."""
@@ -491,23 +470,13 @@ def _projection_coeffs(params: ModelParams, proj, a, b, ws: ChunkWorkspace | Non
     raise InvalidModelError(f"no joint table for family {fam.value}")
 
 
-def _copy_rows(x, ws: ChunkWorkspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n, 3) rows or a 3-vector ``x`` copied into three component rows of
-    ``ws``, as `sample_hidden_batch` leaves a hidden vector."""
-    rows = tuple(ws.row() for _ in range(3))
-    for row, comp in zip(rows, np.reshape(x, (-1, 3)).T):
-        row[...] = comp
-    return rows
-
-
-def _dot3_rows(x, y, out: np.ndarray | None = None, spare=(None, None, None)):
+def _dot3_rows(x, y, out: np.ndarray | None = None):
     """Dot products of component rows ``x`` and ``y`` ((3, n) rows or
     3-vectors), summed in component order, into ``out`` (by default a new
-    array).  Products 1 and 2 go to ``spare[1]`` and ``spare[2]`` (by
-    default new arrays); passing ``x`` itself uses its rows up."""
+    array)."""
     out = np.multiply(x[0], y[0], out=out)
     for k in (1, 2):
-        out += np.multiply(x[k], y[k], out=spare[k])
+        out += x[k] * y[k]
     return out
 
 
@@ -625,21 +594,18 @@ def fhv_conditional_closed_form(
 
 
 def sample_hidden_batch(
-    params: ModelParams, n: int, rng: np.random.Generator,
-    ws: ChunkWorkspace | None = None,
+    params: ModelParams, n: int, rng: np.random.Generator
 ) -> dict[str, np.ndarray]:
     """n hidden states as (n, 3) arrays keyed as `coeffs` reads them (empty
     for QM).  Takes no detector settings, so the hidden distribution cannot
-    depend on them.  With a started `ChunkWorkspace` ``ws`` each hidden
-    vector is a tuple of its three component rows in ``ws``, and the cubic
-    family's partner v = -u, which `coeffs` never reads, is left out."""
+    depend on them."""
     if params.family is ModelFamily.FHV:
-        return {"u": sample_unit_batch(rng, n, ws), "v": sample_unit_batch(rng, n, ws)}
+        return {"u": sample_unit_batch(rng, n), "v": sample_unit_batch(rng, n)}
     if params.family is ModelFamily.THV:
-        u = sample_unit_batch(rng, n, ws)
-        return {"u": u} if ws is not None else {"u": u, "v": -u}
+        u = sample_unit_batch(rng, n)
+        return {"u": u, "v": -u}
     if params.family is ModelFamily.SHV:
-        return {"p": params.p_spec.sample(rng, n, ws)}
+        return {"p": params.p_spec.sample(rng, n)}
     if params.family is ModelFamily.QM:
         return {}
     raise InvalidModelError(f"family {params.family.value} has no hidden sampler")
@@ -667,12 +633,13 @@ def draw_outcomes(cells, n: int, rng: np.random.Generator,
     single uniform r compared with the partial sums pp, pp+pm and
     pp+pm+mp, added in that order.  Returns the boolean rows
     (sigma == +1, sigma*tau == +1): sigma = +1 iff r < pp+pm, and
-    sigma*tau = +1 iff r < pp or r >= pp+pm+mp.  The uniforms, the
-    partial sums and the flags live in rows of the `ChunkWorkspace` ``ws``
-    (by default one made for the call).  Row cells from `table_cells` in
-    the caller's ``ws`` are used up: mm, which the draw never reads, is
-    given back before r is drawn, and the partial sums are formed in pp's
-    row once r < pp is taken.
+    sigma*tau = +1 iff r < pp or r >= pp+pm+mp.  The uniforms, the flags
+    and the partial sums of row cells live in rows of the `ChunkWorkspace`
+    ``ws`` (by default one made for the call); scalar cells give scalar
+    partial sums.  Row cells from `table_cells` in the caller's ``ws`` are
+    used up: mm, which the draw never reads, is given back before r is
+    drawn unless it shares pp's row (flat marginals), and the partial sums
+    are formed in pp's row once r < pp is taken.
     """
     pp, pm, mp, mm = cells
     used_up = ws is not None and np.ndim(pp) > 0

@@ -9,6 +9,7 @@ and ``verify`` is never run, so each example costs milliseconds.
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -95,3 +96,45 @@ def test_any_config_document_exits_with_a_documented_code(task, doc, tmp_path, c
     if code == 2:
         assert err.startswith("error: invalid configuration:") and err.count("\n") == 1
 
+
+
+# p-fields whose sup norm squared overflows: every route to one exits 2 with
+# one line naming the sup norm, instead of a traceback, an infinite p_m in the
+# report, or a zero correlator
+CAP = {"kind": "cap", "axis": [0, 0, 1], "half_angle": 0.5}
+HUGE_P_FIELDS = {
+    "cap-pm-mc": (["correlator"], {"model": {"family": "shv", "p": {**CAP, "pm": 1e160}},
+                                   "sampling": {"n": 1000}}),
+    "cap-pm-prob": (["prob"], {"model": {"family": "shv", "p": {**CAP, "pm": 1e200}}}),
+    "constant-p0": (["correlator"], {"model": {"family": "shv", "p": {"p0": [0, 0, 1e200]}}}),
+    "pm-flag": (["correlator", "--model", "shv", "--pm", "1e200"], None),
+    "pm-scan": (["scan"], {"model": {"family": "shv"},
+                           "scan": {"inequality": "chsh", "variable": "p_m", "start": 0.0,
+                                    "stop": 1e200, "steps": 3}}),
+}
+
+
+def _run(argv, doc, tmp_path):
+    if doc is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    return main([*argv, "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("argv, doc", HUGE_P_FIELDS.values(), ids=HUGE_P_FIELDS.keys())
+def test_p_field_whose_square_overflows_exits_2(argv, doc, tmp_path, capsys):
+    assert _run(argv, doc, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration: p-field sup norm")
+    assert err.count("\n") == 1
+
+
+def test_large_p_field_below_the_bound_still_runs(tmp_path, capsys):
+    doc = {"model": {"family": "shv", "p": {"p0": [0, 0, 1e150]}},
+           "settings": {"a": [1, 0, 0], "b": [0.6, 0.8, 0]}}
+    assert _run(["correlator"], doc, tmp_path) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out").read_text())
+    # C = -[a.b + p.(a x b)] / sqrt(1 + p_m^2) = -(0.6 + 0.8e150) / 1e150
+    assert report["model"]["p_m"] == 1e150
+    assert report["analytic"] == pytest.approx(-0.8, abs=1e-12)

@@ -35,6 +35,8 @@ from hvsinglet.models import (
     ModelFamily,
     ModelParams,
     Settings,
+    _draw_projections,
+    _projection_coeffs,
     coeffs,
     conditional,
     draw_outcomes,
@@ -288,19 +290,20 @@ class TestWorkspace:
     @given(params_st, unit, unit, st.integers(0, 2**32 - 1), st.integers(1, 3000))
     @settings(max_examples=80, deadline=None)
     def test_reused_workspace_gives_the_bits_of_fresh_calls(self, params, a, b, seed, n):
-        # two chunks in one workspace, the second reusing the first's rows,
-        # against calls that each make their own
+        # two chunks of the settings-frame chain in one workspace, the second
+        # reusing the first's rows, against chunks that each get a fresh
+        # workspace and form their cells and outcomes without it
         fresh, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+        a, b = a.arr, b.arr
         ws = ChunkWorkspace()
         for k in (n, max(1, n // 3)):
-            hidden = sample_hidden_batch(params, k, fresh)
-            cells = table_cells(*coeffs(params, hidden, a.arr, b.arr))
+            own = ChunkWorkspace(k)
+            proj = _draw_projections(params, a, b, fresh, own)
+            cells = table_cells(*_projection_coeffs(params, proj, a, b, own))
             outcomes = draw_outcomes(cells, k, fresh)
             ws.start(k)
-            in_ws = sample_hidden_batch(params, k, drawn, ws)
-            assert {key: _bits(np.column_stack(v), k) for key, v in in_ws.items()} == {
-                key: _bits(hidden[key], k) for key in in_ws}
-            cells_ws = table_cells(*coeffs(params, in_ws, a.arr, b.arr, ws), ws=ws)
+            proj_ws = _draw_projections(params, a, b, drawn, ws)
+            cells_ws = table_cells(*_projection_coeffs(params, proj_ws, a, b, ws), ws=ws)
             assert [_bits(c, k) for c in cells_ws] == [_bits(c, k) for c in cells]
             assert [_bits(o, k) for o in draw_outcomes(cells_ws, k, drawn, ws)] == [
                 _bits(o, k) for o in outcomes]
@@ -324,6 +327,46 @@ class TestWorkspace:
 
         # less than half a row apart
         assert abs(held([const, cap]) - held([cap, const])) < 4 * n
+
+
+def _read_only(x):
+    x = np.array(x, dtype=float)
+    x.flags.writeable = False
+    return x
+
+
+READ_ONLY_FAMILIES = {
+    "fhv": ModelParams.fhv(0.7),
+    "fhv-cube": ModelParams.fhv(1.3, FSpec(0.4, 3), FSpec(0.3, 1)),
+    "thv": ModelParams.thv(1.0),
+    "shv-const": ModelParams.shv(ConstantP((0.1, -0.2, 0.3))),
+    "shv-cap": ModelParams.shv(CapP(UnitVector3.normalized(0.0, 0.6, 0.8), 0.7, 0.6)),
+    "qm": ModelParams.qm(),
+}
+
+
+class TestCoeffsReadsOnly:
+    """`coeffs` forms its projections in rows of its own, so read-only hidden
+    state and settings go in and come out byte for byte as they were."""
+
+    @pytest.mark.parametrize("params", READ_ONLY_FAMILIES.values(),
+                             ids=READ_ONLY_FAMILIES.keys())
+    @pytest.mark.parametrize("route", ["rows", "fixed-settings", "single"])
+    def test_read_only_inputs_are_left_as_they_were(self, params, route):
+        rng, n = np.random.default_rng(8), 64
+        hidden = sample_hidden_batch(params, n, rng)
+        a, b = sample_unit_batch(rng, n), sample_unit_batch(rng, n)
+        if route != "rows":
+            a, b = a[0], b[0]
+        if route == "single":  # what `joint` passes: one 3-vector each
+            hidden = {k: x[0] for k, x in hidden.items()}
+        inputs = [_read_only(x) for x in (*hidden.values(), a, b)]
+        before = [x.tobytes() for x in inputs]
+        got = coeffs(params, dict(zip(hidden, inputs)), inputs[-2], inputs[-1])
+        assert [x.tobytes() for x in inputs] == before
+        want = coeffs(params, {k: np.copy(x) for k, x in hidden.items()}, np.copy(a),
+                      np.copy(b))
+        assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
 
 
 class TestTableCheck:
