@@ -97,7 +97,6 @@ def test_any_config_document_exits_with_a_documented_code(task, doc, tmp_path, c
         assert err.startswith("error: invalid configuration:") and err.count("\n") == 1
 
 
-
 # p-fields whose sup norm squared overflows: every route to one exits 2 with
 # one line naming the sup norm, instead of a traceback, an infinite p_m in the
 # report, or a zero correlator
