@@ -10,16 +10,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
-    OUTPUT_FORMATS,
     SCAN_CSV_HEADER,
     TASKS,
     ConfigError,
     RunConfig,
-    check_parameter_family,
     parse_config,
     report_to_json,
     run_scan,
@@ -28,6 +25,23 @@ from .harness import (
     scan_rows_to_csv,
 )
 from .models import InvalidModelError
+
+# Each value flag: the config entry it sets (block, or None at the top level,
+# and key) and its help.  Values stay strings, so the entry's own parser
+# checks them and a flag accepts what the config file accepts.  --pm is not
+# here: it rescales whichever p-field the model has, so `parse_config`
+# takes it on its own.
+FLAGS = {
+    "model": ("model", "family", "model family: fhv, shv, thv, or qm"),
+    "eta": ("model", "eta", "first-family damping parameter"),
+    "zeta": ("model", "zeta", "cubic-family strength"),
+    "phi": (None, "phi", "relative angle (radians; 'deg' suffix allowed)"),
+    "n": ("sampling", "n", "Monte-Carlo sample count"),
+    "seed": ("sampling", "seed", "stream seed (default 0)"),
+    "shards": ("sampling", "shards", "Monte-Carlo substream count"),
+    "out": ("output", "path", "output file path (default stdout)"),
+    "format": ("output", "format", "output format: json or csv"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,22 +54,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("task", choices=TASKS)
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--model", help="model family: fhv, shv, thv, or qm")
-    parser.add_argument("--eta", type=float, help="first-family damping parameter")
-    parser.add_argument("--zeta", type=float, help="cubic-family strength")
-    parser.add_argument("--pm", type=float, help="sup norm of the p-field (shv)")
-    parser.add_argument("--phi", help="relative angle (radians; 'deg' suffix allowed)")
-    parser.add_argument("--n", type=int, help="Monte-Carlo sample count")
-    parser.add_argument("--seed", type=int, help="stream seed (default 0)")
-    parser.add_argument("--shards", type=int, help="Monte-Carlo substream count")
-    parser.add_argument("--out", help="output file path (default stdout)")
-    parser.add_argument("--format", choices=OUTPUT_FORMATS, dest="fmt")
+    for flag, (_, _, text) in FLAGS.items():
+        parser.add_argument(f"--{flag}", help=text)
+    parser.add_argument("--pm", help="sup norm of the p-field (shv)")
     return parser
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flag overrides into the raw config document, then parse once so
-    all validation sees the final values."""
+    """Write each flag given into the config document as the entry it sets,
+    then parse once, so flags and file entries pass the same checks."""
     doc: dict = {}
     if args.config:
         try:
@@ -64,42 +71,14 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-
-    def block(key: str) -> dict:
-        sub = doc.setdefault(key, {})
-        if not isinstance(sub, dict):
-            raise ConfigError(f"config key {key!r} must be an object")
-        return sub
-
-    if args.model is not None:
-        block("model")["family"] = args.model.lower()
-    if args.eta is not None:
-        block("model")["eta"] = args.eta
-    if args.zeta is not None:
-        block("model")["zeta"] = args.zeta
-    if args.phi is not None:
-        doc["phi"] = args.phi
-    if args.n is not None:
-        block("sampling")["n"] = args.n
-    if args.seed is not None:
-        block("sampling")["seed"] = args.seed
-    if args.shards is not None:
-        block("sampling")["shards"] = args.shards
-    if args.out is not None:
-        block("output")["path"] = args.out
-    if args.fmt is not None:
-        block("output")["format"] = args.fmt
-    for key in ("model", "sampling", "output"):
-        if key in doc and not doc[key]:
-            del doc[key]
-
-    config = parse_config(doc, task=args.task)
-    if args.pm is not None:
-        check_parameter_family("p_m", config.params.family)
-        config = replace(config, params=config.params.with_pm(args.pm))
-    return config
+    for flag, (block, key, _) in FLAGS.items():
+        value = getattr(args, flag)
+        if value is None or not isinstance(doc, dict):  # parse_config rejects a non-object
+            continue
+        target = doc if block is None else doc.setdefault(block, {})
+        if isinstance(target, dict):
+            target[key] = value
+    return parse_config(doc, task=args.task, pm=args.pm)
 
 
 def _emit(text: str, out: str | None) -> None:

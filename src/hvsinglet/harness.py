@@ -15,7 +15,8 @@ import io
 import json
 import math
 import platform
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -95,47 +96,11 @@ SCAN_CSV_HEADER = "variable,value_of_variable,inequality,value,bound,margin,viol
 
 TASKS = ("prob", "correlator", "chsh", "leggett", "branciard", "scan", "verify")
 
-# The one family that reads each model key or scan variable; other families
-# ignore it, so a run given it there would silently drop it (or a scan would
-# print identical rows).
-PARAMETER_FAMILY = {
-    "eta": ModelFamily.FHV,
-    "f": ModelFamily.FHV,
-    "f_b": ModelFamily.FHV,
-    "zeta": ModelFamily.THV,
-    "p": ModelFamily.SHV,
-    "p_m": ModelFamily.SHV,
-}
-
-# The tasks that read each optional config entry (settings, sampling keys and
-# blocks); any other task would silently ignore it.
-TASK_READERS = {
-    "a": ("prob", "correlator", "chsh"),
-    "b": ("prob", "correlator", "chsh"),
-    "a_prime": ("chsh",),
-    "b_prime": ("chsh",),
-    "n": ("correlator",),
-    "seed": ("prob", "correlator", "verify"),
-    "shards": ("correlator",),
-    "hidden": ("prob",),
-    "scan": ("scan",),
-    "verify": ("verify",),
-}
-
 OUTPUT_FORMATS = ("json", "csv")
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
-
-
-def check_parameter_family(name: str, family: ModelFamily) -> None:
-    """Reject a model parameter the given family does not read."""
-    owner = PARAMETER_FAMILY.get(name)
-    if owner is not None and family is not owner:
-        raise ConfigError(
-            f"{name!r} is a {owner.value} parameter; the {family.value} model ignores it"
-        )
 
 
 # ------------------------------ config parsing ------------------------------
@@ -163,85 +128,80 @@ def parse_integer(value, what: str) -> int:
     return int(number)
 
 
-def parse_angle(value) -> float:
+def parse_angle(value, what: str = "angle") -> float:
     """Angles are radians by default; strings may carry a 'deg' or 'rad'
     suffix to make the unit explicit."""
     if isinstance(value, str):
         text = value.strip().lower()
         if text.endswith("deg"):
-            return math.radians(parse_number(text[:-3], "angle"))
+            return math.radians(parse_number(text[:-3], what))
         if text.endswith("rad"):
-            return parse_number(text[:-3], "angle")
-    return parse_number(value, "angle")
+            return parse_number(text[:-3], what)
+    return parse_number(value, what)
 
 
-def parse_unit_vector(value) -> UnitVector3:
+def _triple(value, what: str) -> tuple[float, float, float]:
     if not (isinstance(value, (list, tuple)) and len(value) == 3):
-        raise ConfigError(f"expected a 3-component vector, got {value!r}")
+        raise ConfigError(f"{what} must be a 3-component vector, got {value!r}")
+    return tuple(parse_number(c, f"{what} component") for c in value)
+
+
+def parse_unit_vector(value, what: str = "vector") -> UnitVector3:
+    components = _triple(value, what)
     try:
-        return UnitVector3.from_array([parse_number(c, "vector component") for c in value])
+        return UnitVector3.from_array(components)
     except ValueError as exc:
-        raise ConfigError(f"bad vector {value!r}: {exc}") from exc
+        raise ConfigError(f"bad {what} {value!r}: {exc}") from exc
 
 
-def _object(block, what: str, known: set[str]) -> dict:
-    """A config object holding only ``known`` keys."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"{what} must be an object, got {block!r}")
-    if extra := set(block) - known:
-        raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
-    return block
+def _at_least(low, parse=parse_integer):
+    def parse_bounded(value, what: str):
+        number = parse(value, what)
+        if number < low:
+            raise ConfigError(f"{what} must be at least {low}")
+        return number
+    return parse_bounded
 
 
-def _parse_f(block, what: str) -> FSpec:
-    block = _object(block, what, {"coeff", "power"})
-    return FSpec(
-        coeff=parse_number(block.get("coeff", 0.5), f"{what} coeff"),
-        power=parse_integer(block.get("power", 1), f"{what} power"),
-    )
+def _one_of(names: tuple[str, ...]):
+    def parse_name(value, what: str) -> str:
+        if value not in names:
+            raise ConfigError(f"unknown {what} {value!r}")
+        return value
+    return parse_name
 
 
-def _parse_p(block):
+def _path(value, what: str) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _block(cls, what: str):
+    """Parser of a nested block whose entries fill dataclass ``cls``."""
+    return lambda block, _: cls(**_read(block, what))
+
+
+def _p_field(block, _) -> ConstantP | CapP:
     kind = block.get("kind", "constant") if isinstance(block, dict) else "constant"
-    if kind == "constant":
-        block = _object(block, "p", {"kind", "p0"})
-        p0 = block.get("p0", [0.0, 0.0, 0.5])
-        if not (isinstance(p0, (list, tuple)) and len(p0) == 3):
-            raise ConfigError(f"p0 must be a 3-component vector, got {p0!r}")
-        return ConstantP(tuple(parse_number(c, "p0 component") for c in p0))
-    if kind == "cap":
-        block = _object(block, "p", {"kind", "axis", "half_angle", "pm"})
-        return CapP(
-            axis=parse_unit_vector(block.get("axis", [0.0, 0.0, 1.0])),
-            half_angle=parse_angle(block.get("half_angle", PI / 6)),
-            magnitude=parse_number(block.get("pm", 0.5), "cap pm"),
-        )
-    raise ConfigError(f"unknown p kind {kind!r}")
+    if kind not in ("constant", "cap"):
+        raise ConfigError(f"unknown p kind {kind!r}")
+    return (CapP if kind == "cap" else ConstantP)(**_read(block, f"{kind} p"))
 
 
-def parse_model(block: dict) -> ModelParams:
-    _object(block, "model", {"family", "eta", "zeta", "f", "f_b", "p"})
-    family_name = str(block.get("family", "qm")).lower()
+def parse_model(block) -> ModelParams:
+    """The model a config ``model`` block describes; its family (qm when
+    absent) decides which of the other keys it reads."""
+    name = str(block.get("family", "qm")).lower() if isinstance(block, dict) else "qm"
     try:
-        family = ModelFamily(family_name)
+        family = ModelFamily(name)
     except ValueError:
-        raise ConfigError(f"unknown model family {family_name!r}") from None
+        raise ConfigError(f"unknown model family {name!r}") from None
     if family in (ModelFamily.BHV, ModelFamily.LHV):
-        raise ConfigError(
-            f"family {family_name!r} has no closed parameterization; "
-            "use the library API"
-        )
-    for key in block:
-        check_parameter_family(key, family)
+        raise ConfigError(f"family {name!r} has no closed parameterization; "
+                          "use the library API")
     try:
-        return ModelParams(
-            family=family,
-            eta=parse_number(block.get("eta", 0.0), "eta"),
-            zeta=parse_number(block.get("zeta", 0.0), "zeta"),
-            f_spec=_parse_f(block.get("f", {}), "f"),
-            f_spec_b=_parse_f(block["f_b"], "f_b") if "f_b" in block else None,
-            p_spec=_parse_p(block.get("p", {})),
-        )
+        return ModelParams(family, **_read(block, "model", family))
     except InvalidModelError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -261,18 +221,6 @@ class ScanSpec:
     stop: float
     steps: int
 
-    def __post_init__(self) -> None:
-        if self.inequality not in INEQUALITIES:
-            raise ConfigError(f"unknown inequality {self.inequality!r}")
-        if self.variable not in SCAN_VARIABLES:
-            raise ConfigError(f"unknown scan variable {self.variable!r}")
-        if self.steps < 2:
-            raise ConfigError("scan needs at least 2 steps")
-        if self.variable == "phi":
-            if self.inequality == "chsh":
-                raise ConfigError("chsh has no phi dependence")
-            _check_phi_config(self.inequality, (self.start, self.stop))
-
 
 @dataclass(frozen=True)
 class VerifySpec:
@@ -285,14 +233,6 @@ class VerifySpec:
     trials: int = 100
     cases: int = 10_000
 
-    def __post_init__(self) -> None:
-        if self.sigma < 0.0:
-            raise ConfigError("verify sigma must be nonnegative")
-        if self.mc_trial_n < MIN_MC_SAMPLES:
-            raise ConfigError(f"verify mc_trial_n must be at least {MIN_MC_SAMPLES}")
-        if min(self.mc_n, self.trials, self.cases) < 1:
-            raise ConfigError("verify mc_n, trials and cases must be positive")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -302,7 +242,7 @@ class RunConfig:
     b: UnitVector3 | None = None
     a_prime: UnitVector3 | None = None
     b_prime: UnitVector3 | None = None
-    hidden: dict | None = None
+    hidden: HiddenState | None = None
     phi: float | None = None
     n: int | None = None
     seed: int = 0
@@ -312,116 +252,188 @@ class RunConfig:
     fmt: str | None = None
     verify: VerifySpec = field(default_factory=VerifySpec)
 
-    def __post_init__(self) -> None:
-        if self.task not in TASKS:
-            raise ConfigError(f"unknown task {self.task!r}")
-        if self.n is not None and self.n < MIN_MC_SAMPLES:
-            raise ConfigError(f"n must be at least {MIN_MC_SAMPLES}")
-        if self.shards < 1:
-            raise ConfigError("shards must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if self.task == "scan":
-            if self.scan is None:
-                raise ConfigError("scan task requires a scan block")
-            check_parameter_family(self.scan.variable, self.params.family)
-        if self.task in PHI_DOMAINS and self.phi is None:
-            raise ConfigError(f"{self.task} task requires phi")
-        if self.fmt not in (None, *OUTPUT_FORMATS):
-            raise ConfigError(f"output format must be json or csv, got {self.fmt!r}")
-        if self.fmt == "csv" and self.task != "scan":
-            raise ConfigError(f"csv output is for scan only; {self.task} writes json")
-        if self.phi is not None:
-            inequality = self.scan.inequality if self.task == "scan" else self.task
-            if self.task == "scan" and self.scan.variable == "phi":
-                raise ConfigError("phi is the scan variable; a fixed phi would be ignored")
-            if inequality not in PHI_DOMAINS:
-                raise ConfigError(f"phi is not used by {inequality}")
-            _check_phi_config(inequality, self.phi)
+
+class Entry(NamedTuple):
+    parse: Callable | None  # parse(value, what); None: the code reading the block reads it
+    readers: tuple | None = None  # tasks (families for model and hidden keys); None: all
+    field: str | None = None  # the field it fills, when not named after the key
 
 
-def parse_config(doc: dict, task: str | None = None) -> RunConfig:
-    known = {
-        "task", "model", "settings", "hidden", "phi",
-        "sampling", "scan", "verify", "output",
-    }
+FHV, SHV, THV = ModelFamily.FHV, ModelFamily.SHV, ModelFamily.THV
+SETTINGS_TASKS = ("prob", "correlator", "chsh")
+
+# The config contract: every block, the keys it may hold, their parsers and
+# who reads each.  `_read` rejects any other key and any key its reader does
+# not read, and parses only the keys present, so each default lives in its
+# dataclass.  verify reads no model: it builds its own.
+CONFIG = {
+    "config": {"task": Entry(None),
+               "model": Entry(lambda block, _: parse_model(block),
+                              tuple(task for task in TASKS if task != "verify"), "params"),
+               "settings": Entry(None),
+               "hidden": Entry(None, ("prob",)),
+               "phi": Entry(parse_angle, ("leggett", "branciard", "scan")),
+               "sampling": Entry(None),
+               "scan": Entry(None, ("scan",)),
+               "verify": Entry(_block(VerifySpec, "verify"), ("verify",)),
+               "output": Entry(None)},
+    "settings": {"a": Entry(parse_unit_vector, SETTINGS_TASKS),
+                 "b": Entry(parse_unit_vector, SETTINGS_TASKS),
+                 "a_prime": Entry(parse_unit_vector, ("chsh",)),
+                 "b_prime": Entry(parse_unit_vector, ("chsh",))},
+    "sampling": {"n": Entry(_at_least(MIN_MC_SAMPLES), ("correlator",)),
+                 "seed": Entry(_at_least(0), ("prob", "correlator", "verify")),
+                 "shards": Entry(_at_least(1), ("correlator",))},
+    "scan": {"inequality": Entry(_one_of(INEQUALITIES)),
+             "variable": Entry(_one_of(SCAN_VARIABLES)),
+             "start": Entry(parse_angle),
+             "stop": Entry(parse_angle),
+             "steps": Entry(_at_least(2))},
+    "verify": {"sigma": Entry(_at_least(0.0, parse_number)),
+               "mc_n": Entry(_at_least(1)),
+               "mc_trial_n": Entry(_at_least(MIN_MC_SAMPLES)),
+               "trials": Entry(_at_least(1)),
+               "cases": Entry(_at_least(1))},
+    "output": {"path": Entry(_path, None, "out"),
+               "format": Entry(_one_of(OUTPUT_FORMATS), None, "fmt")},
+    "model": {"family": Entry(None),
+              "eta": Entry(parse_number, (FHV,)),
+              "zeta": Entry(parse_number, (THV,)),
+              "f": Entry(_block(FSpec, "f"), (FHV,), "f_spec"),
+              "f_b": Entry(_block(FSpec, "f"), (FHV,), "f_spec_b"),
+              "p": Entry(_p_field, (SHV,), "p_spec")},
+    "hidden": {"u": Entry(parse_unit_vector, (FHV, THV)),
+               "v": Entry(parse_unit_vector, (FHV, THV)),
+               "p": Entry(_triple, (SHV,))},
+    "f": {"coeff": Entry(parse_number), "power": Entry(parse_integer)},
+    "constant p": {"kind": Entry(None), "p0": Entry(_triple)},
+    "cap p": {"kind": Entry(None), "axis": Entry(parse_unit_vector),
+              "half_angle": Entry(parse_angle), "pm": Entry(parse_number, None, "magnitude")},
+}
+
+
+def _check_read(what: str, key: str, reader, name: str | None = None) -> None:
+    """Reject entry ``key`` of block ``what`` unless ``reader`` reads it;
+    ``name`` is how the entry was given, when not by its key."""
+    readers = CONFIG[what][key].readers
+    if readers is None or reader in readers:
+        return
+    name = name or key
+    if isinstance(reader, ModelFamily):
+        raise ConfigError(f"{name!r} is a {'/'.join(readers)} parameter; "
+                          f"the {reader.value} model ignores it")
+    raise ConfigError(f"{name!r} is read only by {'/'.join(readers)}, not by {reader}")
+
+
+def _read(block, what: str, reader=None) -> dict:
+    """The entries of config block ``what`` that ``block`` holds, parsed and
+    keyed by the field each fills."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{what} must be an object, got {block!r}")
+    rows = CONFIG[what]
+    if extra := block.keys() - rows.keys():
+        raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
+    for key, value in block.items():
+        if key in CONFIG and not isinstance(value, dict):  # a nested block
+            raise ConfigError(f"{key} must be an object, got {value!r}")
+        _check_read(what, key, reader)
+    return {rows[key].field or key: rows[key].parse(value, key if what == "config" else f"{what} {key}")
+            for key, value in block.items() if rows[key].parse is not None}
+
+
+def _hidden_state(block, family: ModelFamily) -> HiddenState:
+    """The hidden state a ``hidden`` block fixes for the family."""
+    entries = _read(block, "hidden", family)
+    if family is ModelFamily.QM:
+        raise ConfigError("the qm model has no hidden state; drop the hidden block")
+    # the cubic family locks v = -u, so it needs only u
+    needs = [key for key, row in CONFIG["hidden"].items()
+             if family in row.readers and (family, key) != (THV, "v")]
+    if any(key not in entries for key in needs):
+        raise ConfigError(f"{family.value} hidden block needs {' and '.join(needs)}")
+    if family is THV:
+        u = entries["u"]
+        if "v" in entries and np.max(np.abs(entries["v"].arr + u.arr)) > NORM_TOL:
+            raise ConfigError("thv hidden v must be -u (the cubic family locks v = -u)")
+        entries["v"] = -u
+    return HiddenState(**entries)
+
+
+def parse_config(doc: dict, task: str | None = None, *, pm=None) -> RunConfig:
+    """The run a config document describes, for ``task`` when a command
+    names it.  ``pm`` is the ``--pm`` sup norm, which rescales the model's
+    p-field whatever its kind.  `CONFIG` parses and checks each entry; the
+    rules here tie entries together."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    if extra := set(doc) - known:
-        raise ConfigError(f"unknown config keys: {sorted(extra)}")
-
     if task is not None and doc.get("task", task) != task:
         raise ConfigError(f"config task {doc['task']!r} does not match the {task} command")
     task = task or doc.get("task")
     if task is None:
         raise ConfigError("no task given")
+    if task not in TASKS:
+        raise ConfigError(f"unknown task {task!r}")
+    if doc.get("model") == {}:  # an empty model block sets nothing, so every task takes it
+        doc = {key: value for key, value in doc.items() if key != "model"}
 
-    settings = _object(doc.get("settings", {}), "settings", {"a", "b", "a_prime", "b_prime"})
-    sampling = _object(doc.get("sampling", {}), "sampling", {"n", "seed", "shards"})
-
-    scan = None
+    fields = _read(doc, "config", task)
+    for what in ("settings", "sampling", "output"):
+        fields.update(_read(doc.get(what, {}), what, task))
     if "scan" in doc:
-        block = _object(doc["scan"], "scan",
-                        {"inequality", "variable", "start", "stop", "steps"})
-        try:
-            scan = ScanSpec(
-                inequality=str(block["inequality"]),
-                variable=str(block["variable"]),
-                start=parse_angle(block["start"]),
-                stop=parse_angle(block["stop"]),
-                steps=parse_integer(block["steps"], "scan steps"),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"scan block missing {exc.args[0]!r}") from exc
+        entries = _read(doc["scan"], "scan")
+        if missing := [key for key in CONFIG["scan"] if key not in entries]:
+            raise ConfigError(f"scan block missing {missing[0]!r}")
+        fields["scan"] = ScanSpec(**entries)
+    config = RunConfig(task, **fields)
+    family, scan = config.params.family, config.scan
 
-    verify_block = _object(doc.get("verify", {}), "verify",
-                           {"sigma", "mc_n", "mc_trial_n", "trials", "cases"})
-    verify = VerifySpec(
-        sigma=parse_number(verify_block.get("sigma", 4.0), "verify sigma"),
-        mc_n=parse_integer(verify_block.get("mc_n", 1_000_000), "verify mc_n"),
-        mc_trial_n=parse_integer(verify_block.get("mc_trial_n", 100_000), "verify mc_trial_n"),
-        trials=parse_integer(verify_block.get("trials", 100), "verify trials"),
-        cases=parse_integer(verify_block.get("cases", 10_000), "verify cases"),
-    )
-
-    output = _object(doc.get("output", {}), "output", {"path", "format"})
-    hidden = _object(doc["hidden"], "hidden", {"u", "v", "p"}) if "hidden" in doc else None
-
-    for key in sorted(TASK_READERS.keys() & {*settings, *sampling, *doc}):
-        if task not in TASK_READERS[key]:
-            raise ConfigError(f"{key!r} is read only by {'/'.join(TASK_READERS[key])}, "
-                              f"not by {task}")
-    if "shards" in sampling and "n" not in sampling:
+    if "shards" in fields and "n" not in fields:
         raise ConfigError("shards needs n (shards split the Monte-Carlo samples)")
-    params = parse_model(doc.get("model", {}))
-    if "seed" in sampling:
-        if task == "correlator" and "n" not in sampling:
+    if "seed" in fields:
+        if task == "correlator" and "n" not in fields:
             raise ConfigError("seed needs n (it seeds the Monte-Carlo samples)")
         if task == "prob" and "hidden" in doc:
             raise ConfigError("seed draws the hidden state, but the hidden block fixes it")
-        if task == "prob" and params.family is ModelFamily.QM:
+        if task == "prob" and family is ModelFamily.QM:
             raise ConfigError("seed draws the hidden state, and the qm model has none")
+    if task == "chsh" and 0 < len(CONFIG["settings"].keys() & fields.keys()) < 4:
+        raise ConfigError("chsh needs all four settings or none")
+    if config.fmt == "csv" and task != "scan":
+        raise ConfigError(f"csv output is for scan only; {task} writes json")
 
-    def vec(key):
-        return parse_unit_vector(settings[key]) if key in settings else None
+    if task == "scan":
+        if scan is None:
+            raise ConfigError("scan task requires a scan block")
+        variable, model = scan.variable, doc.get("model", {})
+        if variable == "phi":
+            if scan.inequality == "chsh":
+                raise ConfigError("chsh has no phi dependence")
+            _check_phi_config(scan.inequality, (scan.start, scan.stop))
+        else:  # the model must read what the scan sweeps
+            _check_read("model", "p" if variable == "p_m" else variable, family, variable)
+        fixed = {"phi": "phi" in doc, "p_m": pm is not None or "pm" in model.get("p", {})}
+        if fixed.get(variable, variable in model):
+            raise ConfigError(f"{variable} is the scan variable; a fixed {variable} "
+                              "would be ignored")
+    if task in PHI_DOMAINS and config.phi is None:
+        raise ConfigError(f"{task} task requires phi")
+    if config.phi is not None:
+        inequality = scan.inequality if scan else task
+        if inequality not in PHI_DOMAINS:
+            raise ConfigError(f"phi is not used by {inequality}")
+        _check_phi_config(inequality, config.phi)
 
-    return RunConfig(
-        task=str(task),
-        params=params,
-        a=vec("a"),
-        b=vec("b"),
-        a_prime=vec("a_prime"),
-        b_prime=vec("b_prime"),
-        hidden=hidden,
-        phi=parse_angle(doc["phi"]) if "phi" in doc else None,
-        n=parse_integer(sampling["n"], "n") if "n" in sampling else None,
-        seed=parse_integer(sampling.get("seed", 0), "seed"),
-        shards=parse_integer(sampling.get("shards", 1), "shards"),
-        scan=scan,
-        out=output.get("path"),
-        fmt=output.get("format"),
-        verify=verify,
-    )
+    if "hidden" in doc:
+        config = replace(config, hidden=_hidden_state(doc["hidden"], family))
+    if pm is not None:
+        _check_read("config", "model", task)
+        _check_read("model", "p", family, "p_m")
+        try:
+            params = config.params.with_pm(CONFIG["cap p"]["pm"].parse(pm, "pm"))
+        except InvalidModelError as exc:
+            raise ConfigError(str(exc)) from exc
+        config = replace(config, params=params)
+    return config
 
 
 # ------------------------------ single runs --------------------------------
@@ -447,48 +459,14 @@ def _vector_echo(v: UnitVector3) -> list[float]:
     return [v.x, v.y, v.z]
 
 
-# The hidden-block keys each family reads; the cubic family's v may only
-# restate its partner -u.
-HIDDEN_KEYS = {
-    ModelFamily.FHV: {"u", "v"},
-    ModelFamily.THV: {"u", "v"},
-    ModelFamily.SHV: {"p"},
-}
-
-
 def _resolve_hidden(config: RunConfig) -> tuple[HiddenState | None, str]:
-    """Hidden state for a table evaluation: taken from the config when given,
+    """Hidden state for a table evaluation: the config's when it fixes one,
     otherwise sampled from the model's own distribution with the run seed."""
-    family = config.params.family
-    block = config.hidden
-    if block is None:
-        if family is ModelFamily.QM:
-            return None, "none"
-        return sample_hidden(config.params, make_rng(config.seed)), "sampled"
-    if family not in HIDDEN_KEYS:
-        raise ConfigError(f"the {family.value} model has no hidden state; drop the hidden block")
-    if extra := set(block) - HIDDEN_KEYS[family]:
-        raise ConfigError(f"the {family.value} model ignores hidden keys {sorted(extra)}")
-    if family is ModelFamily.FHV:
-        if "u" not in block or "v" not in block:
-            raise ConfigError("fhv hidden block needs u and v")
-        return (
-            HiddenState.uv(parse_unit_vector(block["u"]), parse_unit_vector(block["v"])),
-            "config",
-        )
-    if family is ModelFamily.THV:
-        if "u" not in block:
-            raise ConfigError("thv hidden block needs u")
-        u = parse_unit_vector(block["u"])
-        if "v" in block and np.max(np.abs(parse_unit_vector(block["v"]).arr + u.arr)) > NORM_TOL:
-            raise ConfigError("thv hidden v must be -u (the cubic family locks v = -u)")
-        return HiddenState.uv(u, -u), "config"
-    if "p" not in block:
-        raise ConfigError("shv hidden block needs p")
-    p = block["p"]
-    if not (isinstance(p, (list, tuple)) and len(p) == 3):
-        raise ConfigError(f"hidden p must be a 3-component vector, got {p!r}")
-    return HiddenState.carrier([parse_number(c, "hidden p component") for c in p]), "config"
+    if config.hidden is not None:
+        return config.hidden, "config"
+    if config.params.family is ModelFamily.QM:
+        return None, "none"
+    return sample_hidden(config.params, make_rng(config.seed)), "sampled"
 
 
 def _hidden_echo(h: HiddenState | None) -> dict | None:
@@ -539,14 +517,9 @@ def run_single(config: RunConfig) -> dict:
         return doc
 
     if config.task == "chsh":
-        custom = [config.a, config.b, config.a_prime, config.b_prime]
-        if all(v is not None for v in custom):
-            settings = tuple(custom)
-        elif any(v is not None for v in custom):
-            raise ConfigError("chsh needs all four settings or none")
-        else:
-            settings = None
-        rep = margin("chsh", params, settings=settings)
+        custom = (config.a, config.b, config.a_prime, config.b_prime)
+        rep = margin("chsh", params,
+                     settings=custom if all(v is not None for v in custom) else None)
     elif config.task == "leggett":
         rep = margin("leggett", params, phi=config.phi)
     elif config.task == "branciard":

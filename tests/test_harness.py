@@ -178,7 +178,7 @@ class TestRunScan:
     def test_degenerate_range_repeats_rows(self):
         cfg = parse_config({
             "task": "scan",
-            "model": {"family": "fhv", "eta": 0.1},
+            "model": {"family": "fhv"},
             "scan": {"inequality": "chsh", "variable": "eta",
                      "start": 0.3, "stop": 0.3, "steps": 2},
         })
@@ -332,6 +332,17 @@ class TestInvalidInputExit2:
         ["chsh", "--seed", "1"],
         ["leggett", "--phi", "0.3", "--seed", "1"],
         ["branciard", "--phi", "0.3", "--seed", "1"],
+        ["correlator", "--n", "1.5"],
+        ["correlator", "--eta", "x"],
+        ["correlator", "--model", "fhv", "--eta", "x"],
+        ["correlator", "--format", "xml"],
+        ["correlator", "--n", "500", "--seed", "x"],
+        ["correlator", "--model", "shv", "--pm", "x"],
+        ["scan", "--config", str(CONFIGS / "chsh_eta_scan.json"), "--eta", "0.7"],
+        ["verify", "--model", "shv"],
+        ["verify", "--eta", "0.1"],
+        ["verify", "--zeta", "0.5"],
+        ["verify", "--pm", "0.7"],
     ])
     def test_rejected_with_one_line(self, argv, capsys):
         assert main(argv) == 2
@@ -361,9 +372,48 @@ class TestInvalidInputExit2:
         {"model": {"family": "fhv"}, "output": {"format": "xml"},
          "scan": {"inequality": "chsh", "variable": "eta",
                   "start": 0.0, "stop": 1.0, "steps": 3}},
+        {"model": {"family": "fhv", "eta": 0.7},
+         "scan": {"inequality": "chsh", "variable": "eta",
+                  "start": 0.0, "stop": 1.0, "steps": 3}},
+        {"model": {"family": "thv", "zeta": 0.5},
+         "scan": {"inequality": "leggett", "variable": "zeta",
+                  "start": 0.0, "stop": 1.0, "steps": 3}, "phi": 0.3},
+        {"model": {"family": "shv", "p": {"kind": "cap", "pm": 0.3}},
+         "scan": {"inequality": "chsh", "variable": "p_m",
+                  "start": 0.0, "stop": 1.0, "steps": 3}},
     ])
     def test_scan_config_rejected(self, doc, tmp_path, capsys):
         assert main(["scan", "--config", _write_cfg(tmp_path, doc)]) == 2
+
+    def test_pm_flag_on_a_p_m_scan_rejected(self, tmp_path, capsys):
+        doc = {"model": {"family": "shv"}, "scan": {"inequality": "chsh", "variable": "p_m",
+                                                    "start": 0.0, "stop": 1.0, "steps": 3}}
+        assert main(["scan", "--config", _write_cfg(tmp_path, doc), "--pm", "0.3"]) == 2
+        assert capsys.readouterr().err == ("error: invalid configuration: p_m is the scan "
+                                           "variable; a fixed p_m would be ignored\n")
+
+    def test_constant_p0_on_a_p_m_scan_accepted(self, tmp_path, capsys):
+        # the scan rescales p0 to each p_m and keeps its direction
+        doc = {"model": {"family": "shv", "p": {"p0": [0.3, 0.4, 0.5]}},
+               "scan": {"inequality": "leggett", "variable": "p_m",
+                        "start": 0.0, "stop": 1.0, "steps": 3}, "phi": 1.0}
+        assert main(["scan", "--config", _write_cfg(tmp_path, doc)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_verify_rejects_a_model_it_would_ignore(self):
+        with pytest.raises(ConfigError, match="not by verify"):
+            parse_config({"task": "verify", "model": {"family": "qm"}})
+        # an empty model block sets nothing, so verify still takes it
+        assert parse_config({"task": "verify", "model": {}}) == parse_config({"task": "verify"})
+
+    def test_flag_values_parse_as_config_values(self, tmp_path, capsys):
+        assert main(["correlator", "--n", "1e5", "--out", str(tmp_path / "flag.json")]) == 0
+        doc = {"sampling": {"n": 1e5}}
+        assert main(["correlator", "--config", _write_cfg(tmp_path, doc),
+                     "--out", str(tmp_path / "file.json")]) == 0
+        flag = (tmp_path / "flag.json").read_text()
+        assert json.loads(flag)["mc"]["n"] == 100_000
+        assert flag == (tmp_path / "file.json").read_text()
 
     def test_scan_sampling_seed_rejected(self, tmp_path, capsys):
         doc = {**json.loads((CONFIGS / "chsh_eta_scan.json").read_text()),
@@ -451,6 +501,28 @@ class TestInvalidInputExit2:
                 parse_config({"task": "prob", key: block})
         with pytest.raises(ConfigError, match="must be an object"):
             parse_model({"family": "fhv", "f": block})
+
+    @pytest.mark.parametrize("doc", [
+        {"task": "prob", "model": {"family": "shv"}, "hidden": {"p": [0, 0, 0.1], "u": [0, 0, 1]}},
+        {"task": "prob", "model": {"family": "fhv"}, "hidden": {"u": [0, 0, 1], "p": [0, 0, 1]}},
+        {"task": "prob", "model": {"family": "fhv"}, "hidden": {"u": [0, 0, 1]}},
+        {"task": "prob", "model": {"family": "fhv"}, "hidden": {"v": [0, 0, 1]}},
+        {"task": "prob", "model": {"family": "thv"}, "hidden": {"v": [0, 0, -1]}},
+        {"task": "prob", "model": {"family": "shv"}, "hidden": {}},
+        {"task": "prob", "model": {"family": "thv"},
+         "hidden": {"u": [0, 0, 1], "v": [1, 0, 0]}},
+        {"task": "chsh", "settings": {"a": [1, 0, 0], "b": [0, 1, 0]}},
+        {"task": "chsh", "settings": {"a_prime": [1, 0, 0], "b_prime": [0, 1, 0]}},
+    ], ids=["u-on-shv", "p-on-fhv", "fhv-without-v", "fhv-without-u", "thv-without-u",
+            "shv-without-p", "thv-v-not-minus-u", "chsh-a-b-only", "chsh-primes-only"])
+    def test_parse_config_alone_rejects_what_a_run_would(self, doc):
+        with pytest.raises(ConfigError):
+            parse_config(doc)
+
+    def test_hidden_block_is_parsed(self):
+        cfg = parse_config({"task": "prob", "model": {"family": "thv", "zeta": 1.0},
+                            "hidden": {"u": [0, 0, 2]}})
+        assert cfg.hidden.u.z == 1.0 and cfg.hidden.v.z == -1.0
 
     def test_bad_verify_knobs_rejected(self, capsys):
         with pytest.raises(ConfigError):
