@@ -337,7 +337,8 @@ def _read(block, what: str, reader=None) -> dict:
         if key in CONFIG and not isinstance(value, dict):  # a nested block
             raise ConfigError(f"{key} must be an object, got {value!r}")
         _check_read(what, key, reader)
-    return {rows[key].field or key: rows[key].parse(value, key if what == "config" else f"{what} {key}")
+    label = "" if what == "config" else f"{what} "
+    return {rows[key].field or key: rows[key].parse(value, label + key)
             for key, value in block.items() if rows[key].parse is not None}
 
 

@@ -61,7 +61,8 @@ BASES = {
                                "scan": _scan("branciard", "zeta", 0.0, 0.5), "phi": 0.4}),
     "scan-shv-p_m": ("scan", {"model": {"family": "shv", "p": {**CAP, "pm": None}},
                               "scan": _scan("leggett", "p_m", 0.1, 0.5), "phi": 0.4}),
-    "scan-qm-phi": ("scan", {"model": MODELS["qm"], "scan": _scan("branciard", "phi", 0.2, 1.0)}),
+    "scan-qm-phi": ("scan", {"model": MODELS["qm"],
+                             "scan": _scan("branciard", "phi", 0.2, 1.0)}),
     "verify": ("verify", {"verify": VERIFY_KNOBS, "sampling": {"seed": 1}}),
 }
 

@@ -404,7 +404,8 @@ class TestInvalidInputExit2:
         with pytest.raises(ConfigError, match="not by verify"):
             parse_config({"task": "verify", "model": {"family": "qm"}})
         # an empty model block sets nothing, so verify still takes it
-        assert parse_config({"task": "verify", "model": {}}) == parse_config({"task": "verify"})
+        empty = parse_config({"task": "verify", "model": {}})
+        assert empty == parse_config({"task": "verify"})
 
     def test_flag_values_parse_as_config_values(self, tmp_path, capsys):
         assert main(["correlator", "--n", "1e5", "--out", str(tmp_path / "flag.json")]) == 0
@@ -503,8 +504,10 @@ class TestInvalidInputExit2:
             parse_model({"family": "fhv", "f": block})
 
     @pytest.mark.parametrize("doc", [
-        {"task": "prob", "model": {"family": "shv"}, "hidden": {"p": [0, 0, 0.1], "u": [0, 0, 1]}},
-        {"task": "prob", "model": {"family": "fhv"}, "hidden": {"u": [0, 0, 1], "p": [0, 0, 1]}},
+        {"task": "prob", "model": {"family": "shv"},
+         "hidden": {"p": [0, 0, 0.1], "u": [0, 0, 1]}},
+        {"task": "prob", "model": {"family": "fhv"},
+         "hidden": {"u": [0, 0, 1], "p": [0, 0, 1]}},
         {"task": "prob", "model": {"family": "fhv"}, "hidden": {"u": [0, 0, 1]}},
         {"task": "prob", "model": {"family": "fhv"}, "hidden": {"v": [0, 0, 1]}},
         {"task": "prob", "model": {"family": "thv"}, "hidden": {"v": [0, 0, -1]}},
