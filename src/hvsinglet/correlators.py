@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,60 +126,41 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Idle pool workspaces, shared by every map in the process: a map takes one
-# per thread and gives them back, so rows are allocated once per worker,
-# not once per map.  Guarded by _IDLE_LOCK.
+# Idle shard workspaces, shared by every shard in the process: a shard pops
+# one (or makes one when none is idle) and appends it back, so rows are
+# allocated once per shard running at once, not once per call.  list.pop and
+# list.append are atomic, so the list needs no lock.
 _IDLE_WORKSPACES: list[ChunkWorkspace] = []
-_IDLE_LOCK = threading.Lock()
+# Units a map keeps in flight per worker thread: a map submits its units in
+# windows of this many per worker, so its bookkeeping does not grow with the
+# number of units.
+_WINDOW_PER_WORKER = 64
 
 
-def _pool_map(fn, units: list, ws: ChunkWorkspace | None = None) -> list:
-    """``[fn(u, ws) for u in units]`` on min(len(units), usable CPUs)
-    threads, each unit given the `ChunkWorkspace` of the thread running it;
-    numpy releases the GIL in its bulk draws and ufuncs.
+def _pool_map(fn, units):
+    """``map(fn, units)`` on min(len(units), usable CPUs) threads, inline
+    when that is one; numpy releases the GIL in its bulk draws and ufuncs.
 
-    Results come back in unit order, so a caller that combines them in that
-    order gets the same bits for any thread count.  The map borrows one
-    workspace per thread from the process's idle list, hands it from unit
-    to unit and gives it back at the end, so memory is O(threads x
-    MC_CHUNK), held from the first map on.  Given a workspace, the map runs
-    inline on the calling thread: a unit passes its own to the maps it
-    starts, so nesting never adds threads.
+    Results are yielded in unit order, so a caller that combines them in
+    that order gets the same bits for any thread count.  Units are submitted
+    in windows of ``_WINDOW_PER_WORKER`` per thread, so at most one window's
+    units and results are held at once.
     """
-    if ws is not None:
-        return [fn(u, ws) for u in units]
     workers = max(1, min(len(units), _usable_cpus()))
-    with _IDLE_LOCK:
-        spaces = [_IDLE_WORKSPACES.pop() for _ in range(min(workers, len(_IDLE_WORKSPACES)))]
-    spaces += [ChunkWorkspace() for _ in range(workers - len(spaces))]
-    try:
-        if workers == 1:
-            return [fn(u, spaces[0]) for u in units]
-        # imported here: importing them costs ~10 ms, a twentieth of start-up
-        from concurrent.futures import ThreadPoolExecutor
-        from queue import SimpleQueue
+    if workers == 1:
+        yield from map(fn, units)
+        return
+    # imported here: importing it costs ~10 ms, a twentieth of start-up
+    from concurrent.futures import ThreadPoolExecutor
 
-        idle = SimpleQueue()
-        for own in spaces:
-            idle.put(own)
-
-        def run(unit):
-            own = idle.get()
-            try:
-                return fn(unit, own)
-            finally:
-                idle.put(own)
-
-        with ThreadPoolExecutor(workers) as pool:
-            return list(pool.map(run, units))
-    finally:
-        with _IDLE_LOCK:
-            _IDLE_WORKSPACES.extend(spaces)
+    window = _WINDOW_PER_WORKER * workers
+    with ThreadPoolExecutor(workers) as pool:
+        for start in range(0, len(units), window):
+            yield from pool.map(fn, units[start:start + window])
 
 
 def _shard_counts(
-    params: ModelParams, s: Settings, m: int, rng: np.random.Generator,
-    ws: ChunkWorkspace | None = None,
+    params: ModelParams, s: Settings, m: int, rng: np.random.Generator
 ) -> tuple[int, int]:
     """Draw one shard of ``m`` samples from ``rng`` in chunks of at most
     ``MC_CHUNK``: the hidden states' projections onto the settings, then
@@ -189,21 +169,28 @@ def _shard_counts(
 
     The hidden draw is `models._draw_projections`: the projections each
     table reads, drawn from their laws in the settings frame, not 3-D
-    hidden vectors.  Every array of a chunk lives in the workspace ``ws``
-    (by default one made for this call), so memory is O(MC_CHUNK) and a
-    warm loop allocates nothing.
+    hidden vectors.  Every array of a chunk lives in a `ChunkWorkspace` the
+    shard takes from ``_IDLE_WORKSPACES`` and gives back when it ends, so
+    memory is O(MC_CHUNK) per running shard and a warm loop allocates
+    nothing.
     """
     a, b = s.a.arr, s.b.arr
-    ws = ws or ChunkWorkspace()
+    try:
+        ws = _IDLE_WORKSPACES.pop()
+    except IndexError:
+        ws = ChunkWorkspace()
     plus = same = 0
-    for start in range(0, m, MC_CHUNK):
-        k = min(MC_CHUNK, m - start)
-        ws.start(k)
-        proj = _draw_projections(params, a, b, rng, ws)
-        cells = table_cells(*_projection_coeffs(params, proj, a, b, ws), ws=ws)
-        sigma, product = draw_outcomes(cells, k, rng, ws)
-        plus += int(np.count_nonzero(sigma))
-        same += int(np.count_nonzero(product))
+    try:
+        for start in range(0, m, MC_CHUNK):
+            k = min(MC_CHUNK, m - start)
+            ws.start(k)
+            proj = _draw_projections(params, a, b, rng, ws)
+            cells = table_cells(*_projection_coeffs(params, proj, a, b, ws), ws=ws)
+            sigma, product = draw_outcomes(cells, k, rng, ws)
+            plus += int(np.count_nonzero(sigma))
+            same += int(np.count_nonzero(product))
+    finally:
+        _IDLE_WORKSPACES.append(ws)
     return plus, same
 
 
@@ -219,31 +206,22 @@ def mc_correlator(
     and reduced chunk by chunk into its integer count of sigma*tau = +1.
     Shards run on `_pool_map` threads and their counts add exactly, so the
     result is bit-reproducible for a fixed (seed, shards) pair whatever the
-    thread count, and memory does not grow with ``n``.
+    thread count, and memory grows neither with ``n`` nor with ``shards``.
     """
-    return _mc_estimate(params, s, n, seed, shards)
-
-
-def _mc_estimate(
-    params: ModelParams, s: Settings, n: int, seed: int, shards: int,
-    ws: ChunkWorkspace | None = None,
-) -> MCEstimate:
-    """`mc_correlator`, as a `_pool_map` unit: given the unit's
-    `ChunkWorkspace` ``ws``, the shards run inline in it."""
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"n must be at least {MIN_MC_SAMPLES}")
     if shards < 1:
         raise ValueError("shards must be positive")
-    # shards past the n-th hold no sample; spawned children are prefix-stable,
-    # so spawning only the first min(shards, n) keeps every stream
-    streams = np.random.SeedSequence(seed).spawn(min(shards, n))
     base, extra = divmod(n, shards)
 
-    def shard(i: int, own: ChunkWorkspace) -> int:
-        rng = np.random.Generator(np.random.PCG64(streams[i]))
-        return _shard_counts(params, s, base + (1 if i < extra else 0), rng, own)[1]
+    def shard(i: int) -> int:
+        # SeedSequence(seed).spawn(shards)[i], built only when the shard runs
+        stream = np.random.SeedSequence(seed, spawn_key=(i,))
+        rng = np.random.Generator(np.random.PCG64(stream))
+        return _shard_counts(params, s, base + (1 if i < extra else 0), rng)[1]
 
-    same = sum(_pool_map(shard, list(range(len(streams))), ws))
+    # shards past the n-th hold no sample, so only the first min(shards, n) run
+    same = sum(_pool_map(shard, range(min(shards, n))))
     # sigma*tau is +-1, so its sum is 2*same - n and its sum of squares n:
     # integers, exact whatever the shard order
     total, total_sq = float(2 * same - n), float(n)

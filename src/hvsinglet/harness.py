@@ -33,6 +33,7 @@ from .models import (
     ModelFamily,
     ModelParams,
     Settings,
+    _check_hidden_p,
     coeffs,
     joint,
     outcome_dependence_witness,
@@ -42,7 +43,6 @@ from .models import (
 )
 from .correlators import (
     MIN_MC_SAMPLES,
-    _mc_estimate,
     _pool_map,
     _shard_counts,
     _sphere_moments,
@@ -412,6 +412,12 @@ def parse_config(doc: dict, task: str | None = None, *, pm=None) -> RunConfig:
             _check_phi_config(scan.inequality, (scan.start, scan.stop))
         else:  # the model must read what the scan sweeps
             _check_read("model", "p" if variable == "p_m" else variable, family, variable)
+        # a scan's rows come from closed forms, which the response function
+        # averages out of
+        if unread := [key for key in ("f", "f_b") if key in model]:
+            readers = [t for t in CONFIG["config"]["model"].readers if t != "scan"]
+            raise ConfigError(f"{unread[0]!r} is read only by {'/'.join(readers)}, "
+                              "not by scan")
         fixed = {"phi": "phi" in doc, "p_m": pm is not None or "pm" in model.get("p", {})}
         if fixed.get(variable, variable in model):
             raise ConfigError(f"{variable} is the scan variable; a fixed {variable} "
@@ -434,6 +440,11 @@ def parse_config(doc: dict, task: str | None = None, *, pm=None) -> RunConfig:
         except InvalidModelError as exc:
             raise ConfigError(str(exc)) from exc
         config = replace(config, params=params)
+    if config.hidden is not None and config.hidden.p is not None:
+        try:
+            _check_hidden_p(config.params, config.hidden.p_arr)
+        except InvalidModelError as exc:
+            raise ConfigError(str(exc)) from exc
     return config
 
 
@@ -715,7 +726,7 @@ def _mc_trial_failures(
     first; the independent estimates then run on `_pool_map` threads."""
     draws = [(_random_params(family, rng), _random_settings(rng), int(rng.integers(0, 2**31)))
              for _ in range(trials)]
-    estimates = _pool_map(lambda d, ws: _mc_estimate(d[0], d[1], n, d[2], 1, ws), draws)
+    estimates = _pool_map(lambda d: mc_correlator(d[0], d[1], n, d[2]), draws)
     failures = 0
     for (params, s, _), est in zip(draws, estimates):
         target = analytic_correlator(params, s)

@@ -530,6 +530,12 @@ def table_cells(A, B, C, ws: ChunkWorkspace | None = None):
     return tuple(cells)
 
 
+def _check_hidden_p(params: ModelParams, p: np.ndarray) -> None:
+    """Reject a hidden p longer than the p-field's sup norm p_m."""
+    if float(np.linalg.norm(p)) > params.p_m + 1e-12:
+        raise InvalidModelError("hidden state has |p| > p_m")
+
+
 def joint(params: ModelParams, h: HiddenState | None, s: Settings) -> ProbabilityTable:
     """The family's table for one hidden draw (None for QM): `coeffs` on a
     batch of one."""
@@ -540,8 +546,7 @@ def joint(params: ModelParams, h: HiddenState | None, s: Settings) -> Probabilit
         raise InvalidModelError(f"{fam.value} requires a hidden state")
     elif fam is ModelFamily.SHV:
         hidden = {"p": h.p_arr}
-        if float(np.linalg.norm(hidden["p"])) > params.p_m + 1e-12:
-            raise InvalidModelError("hidden state has |p| > p_m")
+        _check_hidden_p(params, hidden["p"])
     else:
         hidden = {k: getattr(h, k).arr for k in ("u", "v") if getattr(h, k) is not None}
     # a batch of one: the coefficient rows hold one value each

@@ -55,7 +55,7 @@ BASES = {
        for m in MODELS},
     **{f"leggett-{m}": ("leggett", {"model": MODELS[m], "phi": 0.4}) for m in MODELS},
     **{f"branciard-{m}": ("branciard", {"model": MODELS[m], "phi": 0.4}) for m in MODELS},
-    "scan-fhv-eta": ("scan", {"model": {**MODELS["fhv"], "eta": None},
+    "scan-fhv-eta": ("scan", {"model": {"family": "fhv"},
                               "scan": _scan("leggett", "eta", 0.0, 0.02), "phi": 0.4}),
     "scan-thv-zeta": ("scan", {"model": {"family": "thv"},
                                "scan": _scan("branciard", "zeta", 0.0, 0.5), "phi": 0.4}),
@@ -107,14 +107,8 @@ PERTURB = {
 }
 
 # Entries a task reads without changing what it writes, by the tasks that
-# do so.  output.path moves the output, it does not change it.  No fhv
-# margin depends on the response f (its correlator is -a.b/(1+eta) whatever
-# f is), and a scan does not echo the model; the sample
-# configs/chsh_eta_scan.json spells f out, so scans keep accepting it.
-ALLOWED = {
-    ("output", "path"): TASKS,
-    **{("model", f, leaf): ("scan",) for f in ("f", "f_b") for leaf in ("coeff", "power")},
-}
+# do so.  output.path moves the output, it does not change it.
+ALLOWED = {("output", "path"): TASKS}
 
 # A block a perturbation adds starts from these entries, so that the run
 # cannot exit 2 only because the block is incomplete.

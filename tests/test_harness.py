@@ -23,6 +23,7 @@ from hvsinglet.models import ModelFamily
 
 FAST_VERIFY = {"trials": 3, "mc_trial_n": 2000, "cases": 500, "mc_n": 20_000}
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+CHSH_ETA_SCAN = json.loads((CONFIGS / "chsh_eta_scan.json").read_text())
 
 
 class TestParsing:
@@ -343,8 +344,14 @@ class TestInvalidInputExit2:
         ["verify", "--eta", "0.1"],
         ["verify", "--zeta", "0.5"],
         ["verify", "--pm", "0.7"],
+        ["scan", "--config", {**CHSH_ETA_SCAN, "model": {
+            "family": "fhv", "f": {"coeff": 0.5, "power": 1}}}],
+        ["scan", "--config", {**CHSH_ETA_SCAN, "model": {
+            "family": "fhv", "f_b": {"coeff": 0.5, "power": 1}}}],
     ])
-    def test_rejected_with_one_line(self, argv, capsys):
+    def test_rejected_with_one_line(self, argv, capsys, tmp_path):
+        # a dict stands for a config file holding it
+        argv = [_write_cfg(tmp_path, a) if isinstance(a, dict) else a for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid configuration:")
@@ -516,8 +523,10 @@ class TestInvalidInputExit2:
          "hidden": {"u": [0, 0, 1], "v": [1, 0, 0]}},
         {"task": "chsh", "settings": {"a": [1, 0, 0], "b": [0, 1, 0]}},
         {"task": "chsh", "settings": {"a_prime": [1, 0, 0], "b_prime": [0, 1, 0]}},
+        {"task": "prob", "model": {"family": "shv"}, "hidden": {"p": [0, 0, 0.9]}},
     ], ids=["u-on-shv", "p-on-fhv", "fhv-without-v", "fhv-without-u", "thv-without-u",
-            "shv-without-p", "thv-v-not-minus-u", "chsh-a-b-only", "chsh-primes-only"])
+            "shv-without-p", "thv-v-not-minus-u", "chsh-a-b-only", "chsh-primes-only",
+            "p-beyond-pm"])
     def test_parse_config_alone_rejects_what_a_run_would(self, doc):
         with pytest.raises(ConfigError):
             parse_config(doc)

@@ -308,25 +308,27 @@ class TestWorkspace:
             assert [_bits(o, k) for o in draw_outcomes(cells_ws, k, drawn, ws)] == [
                 _bits(o, k) for o in outcomes]
 
-    def test_storage_does_not_depend_on_the_order_of_chunks(self):
+    def test_storage_does_not_depend_on_the_order_of_chunks(self, idle_workspaces):
         # a pool worker runs verify's shv trials, constant and cap fields mixed,
-        # in an order the seed sets: the rows it keeps must not follow that order
+        # in an order the seed sets: the rows the idle workspace keeps must not
+        # follow that order
         n = 10_000
         const, cap = ModelParams.shv(ConstantP((0.2, -0.3, 0.4))), ModelParams.shv(
             CapP(UnitVector3.normalized(0.0, 0.6, 0.8), 0.7, 0.7))
 
         def held(order):
+            idle_workspaces.clear()
             tracemalloc.start()
             try:
-                ws = ChunkWorkspace()
                 for params in order:
-                    _shard_counts(params, Settings(X, Z), n, np.random.default_rng(0), ws)
+                    _shard_counts(params, Settings(X, Z), n, np.random.default_rng(0))
                 return tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
 
-        # less than half a row apart
+        # less than half a row apart, each order kept in one workspace
         assert abs(held([const, cap]) - held([cap, const])) < 4 * n
+        assert len(idle_workspaces) == 1
 
 
 def _read_only(x):
@@ -418,9 +420,9 @@ class TestWitness:
 
 @pytest.fixture
 def idle_workspaces(monkeypatch):
-    """An empty idle-workspace list for the pool, in place of the process's
-    own.  A map keeps its workspaces there, so a memory test clears it
-    before each measurement to see the map allocate them."""
+    """An empty idle-workspace list for the shards, in place of the
+    process's own.  A shard gives its workspace back there, so a memory test
+    clears it before each measurement to see the shards allocate them."""
     idle = []
     monkeypatch.setattr(correlators_module, "_IDLE_WORKSPACES", idle)
     return idle
@@ -450,11 +452,12 @@ class TestChunking:
         small, large = peak(2 * MC_CHUNK), peak(8 * MC_CHUNK)
         assert large <= 1.5 * small
 
-    def test_marginal_frequency_draw_memory_does_not_grow_with_n(self):
+    def test_marginal_frequency_draw_memory_does_not_grow_with_n(self, idle_workspaces):
         # the draw behind the verify claim props.fhv_marginal_zero_mean
         params, s = ModelParams.fhv(1.0), Settings(X, Y)
 
         def peak(n):
+            idle_workspaces.clear()
             tracemalloc.start()
             try:
                 _shard_counts(params, s, n, np.random.default_rng(2))
@@ -477,6 +480,34 @@ class TestChunking:
         at_n, beyond = _peak(lambda: run(n)), _peak(lambda: run(10**5))
         assert runs[10**5] == runs[n]
         assert beyond <= 1.5 * at_n
+
+    def test_memory_does_not_grow_with_shards_past_the_window(self, monkeypatch,
+                                                              idle_workspaces):
+        # a map keeps one window of units in flight and each shard builds its
+        # stream when it runs, so ten times the shards past the window cost
+        # no more memory
+        _force_workers(monkeypatch, 2)
+        params, n = ModelParams.qm(), 20_000
+
+        def run(shards):
+            idle_workspaces.clear()
+            mc_correlator(params, POOL_SETTINGS, n, seed=5, shards=shards)
+
+        run(500)  # warm: the first map imports the thread pool
+        past, far_past = _peak(lambda: run(500)), _peak(lambda: run(5_000))
+        assert far_past <= 1.5 * past
+
+    def test_a_shard_that_raises_gives_its_workspace_back(self, monkeypatch,
+                                                          idle_workspaces):
+        def fail(*args):
+            raise RuntimeError("draw failed")
+
+        monkeypatch.setattr(correlators_module, "draw_outcomes", fail)
+        for _ in range(3):
+            with pytest.raises(RuntimeError, match="draw failed"):
+                _shard_counts(ModelParams.fhv(0.5), Settings(X, Z), 1000,
+                              np.random.default_rng(0))
+        assert len(idle_workspaces) == 1
 
 
 # ------------------------------ thread pool --------------------------------
@@ -541,21 +572,21 @@ class TestWorkerCount:
             reports.add(report_to_json(run_verify(cfg).as_dict()))
         assert len(reports) == 1
 
-    def test_units_run_on_their_own_threads_and_workspaces_and_nest_inline(self, monkeypatch):
+    def test_units_run_on_their_own_threads_in_unit_order(self, monkeypatch):
         _force_workers(monkeypatch, 2)
         both_running = threading.Barrier(2, timeout=30)
 
-        def unit(_, ws):
+        def unit(i):
             both_running.wait()
-            inner = _pool_map(lambda _, inner_ws: (threading.get_ident(), inner_ws), [0, 1, 2], ws)
-            return threading.get_ident(), ws, inner
+            return i, threading.get_ident()
 
-        results = _pool_map(unit, [0, 1])
-        assert len({t for t, _, _ in results}) == 2
-        assert threading.get_ident() not in {t for t, _, _ in results}
-        assert results[0][1] is not results[1][1]
-        for thread, ws, inner in results:
-            assert all(t == thread and w is ws for t, w in inner)
+        results = list(_pool_map(unit, [0, 1]))
+        assert [i for i, _ in results] == [0, 1]
+        assert len({t for _, t in results}) == 2
+        assert threading.get_ident() not in {t for _, t in results}
+        # units past the first window still come back in unit order
+        units = range(1_000)
+        assert list(_pool_map(lambda i: i * i, units)) == [i * i for i in units]
 
     @pytest.mark.parametrize("family", ["fhv", "thv", "shv-cap"])
     def test_two_workers_fit_in_one_reference_shard(self, family, monkeypatch,
@@ -570,7 +601,8 @@ class TestWorkerCount:
 
     @pytest.mark.parametrize("family,rows", [
         ("fhv", 5), ("thv", 4), ("shv-cap", 4), ("shv-const", 2), ("qm", 2)])
-    def test_warm_workspace_holds_the_most_rows_lent_at_once(self, family, rows):
+    def test_warm_workspace_holds_the_most_rows_lent_at_once(self, family, rows,
+                                                              idle_workspaces):
         # the most rows one chunk lends at once: for fhv, pp, pm and mp, the
         # uniforms r and the flags (mm is given back before r is drawn); a
         # constant p-field forms a scalar table, as qm does
@@ -579,29 +611,40 @@ class TestWorkerCount:
         rngs = [np.random.default_rng(seed) for seed in (0, 1)]
         tracemalloc.start()
         try:
-            ws = ChunkWorkspace()
             for rng in rngs:
-                _shard_counts(params, POOL_SETTINGS, n, rng, ws)
+                _shard_counts(params, POOL_SETTINGS, n, rng)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert held // (8 * n) == rows
+        assert len(idle_workspaces) == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_second_map_reuses_the_first_maps_workspaces(self, workers, monkeypatch,
                                                          idle_workspaces):
         _force_workers(monkeypatch, workers)
         params = POOL_FAMILIES["fhv"]
+        # each shard records the workspace its draw is given, then waits while
+        # holding it until every worker's shard holds one
+        used, all_holding = [], threading.Barrier(workers, timeout=30)
+        draw = correlators_module._draw_projections
 
-        def unit(i, ws):
-            _shard_counts(params, POOL_SETTINGS, MC_CHUNK, np.random.default_rng(i), ws)
-            return ws
+        def holding(params, a, b, rng, ws):
+            used.append(ws)
+            all_holding.wait()
+            return draw(params, a, b, rng, ws)
 
-        first = _pool_map(unit, [0, 1])
-        kept = list(idle_workspaces)
-        second = []
-        grown = _peak(lambda: second.extend(_pool_map(unit, [0, 1])))
+        monkeypatch.setattr(correlators_module, "_draw_projections", holding)
+
+        def unit(i):
+            _shard_counts(params, POOL_SETTINGS, MC_CHUNK, np.random.default_rng(i))
+
+        list(_pool_map(unit, [0, 1]))
+        first, kept = set(map(id, used)), list(idle_workspaces)
+        used.clear()
+        grown = _peak(lambda: list(_pool_map(unit, [0, 1])))
         assert len(kept) == workers
-        assert {id(ws) for ws in first} == {id(ws) for ws in second} == {id(ws) for ws in kept}
-        assert {id(ws) for ws in idle_workspaces} == {id(ws) for ws in kept}
+        assert first == set(map(id, used)) == set(map(id, kept))
+        assert set(map(id, idle_workspaces)) == set(map(id, kept))
+        assert len(idle_workspaces) <= workers
         assert grown < 8 * MC_CHUNK  # less than one float row of a chunk
