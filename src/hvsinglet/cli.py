@@ -1,7 +1,7 @@
 """Command-line front end: ``hv <task> [--config file.json] [overrides]``.
 
 Exit codes: 0 success, 1 verification claim failure, 2 invalid configuration,
-3 I/O error.
+3 I/O or memory failure.
 """
 
 from __future__ import annotations
@@ -130,6 +130,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: memory failure: {exc}", file=sys.stderr)
         return 3
 
 

@@ -1,6 +1,12 @@
 """Correlators for each model family: closed forms, seeded Monte-Carlo
-estimation, in-plane averages by periodic quadrature, and an independent
-sphere-moment oracle for the sixth-moment identity behind the cubic family.
+estimation, the in-plane orientation average by periodic quadrature, and an
+independent sphere-moment oracle for the sixth-moment identity behind the
+cubic family.
+
+Every closed form reads the settings only through a.b and a x b, so for a
+pair at relative angle phi inside a plane it does not depend on the pair's
+orientation; the quadrature of `plane_avg_correlator` is the independent
+route that checks this, not a step of the inequality search.
 """
 
 from __future__ import annotations
@@ -24,9 +30,6 @@ from .models import (
 )
 
 DEFAULT_PLANE_NODES = 256
-# Cap on the (request, node) pairs of one plane-average block: about 0.8 MB
-# per (pairs, 3) array, so a search's peak memory does not grow with its grid.
-BLOCK_PAIRS = 2**15
 MIN_MC_SAMPLES = 100
 # Largest Monte-Carlo chunk drawn at once from a shard's generator: 1 MB
 # per workspace row, so memory is O(MC_CHUNK) whatever n is.  Part
@@ -74,11 +77,6 @@ class _Columns:
             self.p_m = np.array([m.p_m for m in models], dtype=float)
 
 
-def _columns(models) -> _Columns:
-    """``models`` as `_Columns`, built unless it already is."""
-    return models if isinstance(models, _Columns) else _Columns(models)
-
-
 def _pair_correlator_arrays(models, a: np.ndarray, b: np.ndarray, which=slice(None)):
     """Correlator (hidden variables already averaged out) for row-paired
     settings ``a``, ``b`` that broadcast to shape (n, ..., 3).
@@ -88,7 +86,7 @@ def _pair_correlator_arrays(models, a: np.ndarray, b: np.ndarray, which=slice(No
     model for every row).
     """
     ab = np.sum(a * b, axis=-1)
-    cols = _columns(models)
+    cols = models if isinstance(models, _Columns) else _Columns(models)
     fam = cols.family
 
     def column(values, *tail):
@@ -104,7 +102,7 @@ def _pair_correlator_arrays(models, a: np.ndarray, b: np.ndarray, which=slice(No
         return -(ab + cross_term) / np.sqrt(1.0 + column(cols.p_m) ** 2)
     if fam is ModelFamily.THV:
         z = column(cols.zeta)
-        return -(1.0 - 3.0 * z / 35.0) * ab + (2.0 * z / 35.0) * ab**3
+        return -(1.0 - 3.0 * z / 35.0) * ab + (2.0 * z / 35.0) * (ab * ab * ab)
     raise InvalidModelError(f"no analytic correlator for family {fam.value}")
 
 
@@ -229,54 +227,24 @@ def mc_correlator(
     return MCEstimate(mean=total / n, stderr=math.sqrt(var / n), n=n, seed=seed)
 
 
-def _plane_avg_block(
-    models, which: np.ndarray, e1: np.ndarray, e2: np.ndarray, phi: np.ndarray,
-    order: int, theta0: float = 0.0,
-) -> np.ndarray:
-    """In-plane orientation averages for n independent requests at once:
-    request i averages the correlator of ``models[which[i]]`` over setting
-    pairs at relative angle ``phi[i]`` in the plane spanned by ``e1[i]``,
-    ``e2[i]`` ((n, 3) arrays).
-
-    The (request, node) grid is evaluated in blocks of at most
-    ``BLOCK_PAIRS`` pairs, so memory stays bounded whatever n is.  Every
-    request is reduced on its own row, so its value does not depend on which
-    other requests share the call.  ``models`` is as in
-    `_pair_correlator_arrays`; its columns are built once for all blocks.
-    """
-    models = _columns(models)
-    theta = theta0 + np.arange(order) * (2.0 * math.pi / order)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    out = np.empty(len(phi))
-    step = max(1, BLOCK_PAIRS // order)
-    for start in range(0, len(phi), step):
-        rows = slice(start, start + step)
-        # component-major (3, rows, order): elementwise ops run on contiguous rows
-        u1, u2 = e1[rows].T[:, :, None], e2[rows].T[:, :, None]
-        a = cos_t * u1 + sin_t * u2
-        tb = theta + phi[rows, None]
-        b = np.cos(tb) * u1 + np.sin(tb) * u2
-        out[rows] = np.mean(_pair_correlator_arrays(
-            models, np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1), which[rows]), axis=-1)
-    return out
-
-
 def plane_avg_correlator(
     params: ModelParams, spec: PlaneAverageSpec, theta0: float = 0.0
 ) -> float:
     """Correlator averaged over the orientation of the setting pair inside a
     plane, the two settings held at relative angle phi.
 
-    Uses the periodic trapezoid rule over the orientation angle, which is
-    spectrally accurate for the low-degree trigonometric integrands the
-    analytic correlators produce; ``theta0`` shifts the node phase and must
-    not change the result.
+    Uses the periodic trapezoid rule over ``spec.quadrature_order``
+    orientation angles, which is spectrally accurate for the low-degree
+    trigonometric integrands the analytic correlators produce; ``theta0``
+    shifts the node phase and must not change the result.
     """
-    one = np.zeros(1, dtype=int)
-    return float(_plane_avg_block(
-        (params,), one, spec.plane.e1.arr[None], spec.plane.e2.arr[None],
-        np.array([spec.phi]), spec.quadrature_order, theta0,
-    )[0])
+    order = spec.quadrature_order
+    theta = theta0 + np.arange(order) * (2.0 * math.pi / order)
+    e1, e2 = spec.plane.e1.arr, spec.plane.e2.arr
+    a = np.cos(theta)[:, None] * e1 + np.sin(theta)[:, None] * e2
+    tb = theta + spec.phi
+    b = np.cos(tb)[:, None] * e1 + np.sin(tb)[:, None] * e2
+    return float(np.mean(_pair_correlator_arrays((params,), a, b)))
 
 
 def sphere_moment_oracle(a: UnitVector3, b: UnitVector3, order: int = 24) -> float:

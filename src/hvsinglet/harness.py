@@ -852,7 +852,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
     r = rng()
     etas = [float(r.uniform(0.0, 0.99 * ETA_MAX_LEGGETT_FHV)) for _ in range(50)]
     windows = _violation_windows("leggett", [ModelParams.fhv(eta) for eta in etas], "phi",
-                                 (0.0, PI), tol=1e-10, order=32)
+                                 (0.0, PI), tol=1e-10)
     errors = []
     for eta, win in zip(etas, windows):
         s_lo, s_hi = leggett_fhv_window_sin(eta)
@@ -869,7 +869,6 @@ def run_verify(config: RunConfig) -> VerificationReport:
         "leggett.fhv.eta_threshold",
         "Largest eta with a Leggett violation: 2*pi^2 - 1 - 2*pi*sqrt(pi^2-1)",
         ETA_MAX_LEGGETT_FHV, 1e-8, "leggett", ModelParams.fhv(0.0), "eta", (0.0, 0.1),
-        order=32,
     ))
 
     r = rng()
@@ -894,7 +893,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
         "Largest zeta with a Leggett violation at the singlet's maximizing "
         "angle: 70*pi^4/(40*pi^6 - 18*pi^4 + 6*pi^2 - 1)",
         ZETA_MAX_LEGGETT_THV, 1e-8, "leggett", ModelParams.thv(0.0), "zeta", (0.0, 1.0),
-        phi=LEGGETT_QM_ARGMAX_PHI, order=32,
+        phi=LEGGETT_QM_ARGMAX_PHI,
     ))
 
     # --- Branciard ----------------------------------------------------------

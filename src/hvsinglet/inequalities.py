@@ -27,14 +27,7 @@ from .geometry import (
     xy_plane,
 )
 from .models import ModelFamily, ModelParams, Settings, lhv_feasible_c_range, table_cells
-from .correlators import (
-    BLOCK_PAIRS,
-    DEFAULT_PLANE_NODES,
-    _Columns,
-    _pair_correlator_arrays,
-    _plane_avg_block,
-    analytic_correlator,
-)
+from .correlators import _Columns, _pair_correlator_arrays, analytic_correlator
 
 PI = math.pi
 
@@ -241,18 +234,21 @@ def _branciard_companions(phi: np.ndarray) -> np.ndarray:
 
 
 def _value_function(
-    name: str, models, order: int = DEFAULT_PLANE_NODES,
-    planes: np.ndarray | None = None, settings=None,
+    name: str, models, planes: np.ndarray | None = None, settings=None,
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Inequality value of a batch of points: the returned function maps
     (phi, which) to values whose entry i scores ``models[which[i]]`` at
     ``phi[i]``.  ``models`` share one family.
 
-    Leggett averages over ``planes`` ((models, orientations, 2, 2, 3); by
-    default each model's scoring planes) by quadrature and keeps the best
-    orientation.  Branciard sums over the triad.  CHSH uses ``settings`` (by
-    default the optimal ones) and ignores phi.  The models' parameter
-    columns are built once here and indexed by ``which`` in every block.
+    Leggett scores each of ``planes`` ((models, orientations, 2, 2, 3); by
+    default each model's scoring planes) and keeps the best orientation.
+    Every correlator reads the settings only through a.b and a x b, which
+    for a pair at relative angle phi in a plane are cos(phi) and sin(phi)
+    times its normal whatever the pair's orientation, so the plane average
+    is the correlator of the one pair a = e1, b = cos(phi) e1 + sin(phi) e2:
+    one row per (point, plane).  Branciard sums over the triad.  CHSH uses
+    ``settings`` (by default the optimal ones) and ignores phi.  The models'
+    parameter columns are built once here and indexed by ``which``.
     """
     cols = _Columns(models)
     if name == "chsh":
@@ -269,17 +265,19 @@ def _value_function(
     elif name == "leggett":
         if planes is None:
             planes = np.array([_leggett_planes(m) for m in models])
-        k = planes.shape[1] * 2  # planes per point
-        flat = planes.reshape(-1, 2, 3)
-        owner = np.repeat(np.arange(len(planes)), k)
-        zero = _plane_avg_block(cols, owner, flat[:, 0], flat[:, 1],
-                                np.zeros(len(flat)), order).reshape(len(planes), -1, 2)
+        # (models, planes per point, 3): each plane's e1 and e2
+        e1, e2 = np.moveaxis(planes.reshape(len(planes), -1, 2, 3), 2, 0)
+
+        def plane_avg(phi, which):
+            a = e1[which]
+            b = np.cos(phi)[:, None, None] * a + np.sin(phi)[:, None, None] * e2[which]
+            return _pair_correlator_arrays(cols, a, b, which)
+
+        zero = plane_avg(np.zeros(len(planes)), np.arange(len(planes)))
 
         def value(phi, which):
-            rows = (which[:, None] * k + np.arange(k)).ravel()
-            c = _plane_avg_block(cols, owner[rows], flat[rows, 0], flat[rows, 1],
-                                 np.repeat(phi, k), order).reshape(len(phi), -1, 2)
-            return np.max(np.sum(np.abs(c + zero[which]), axis=-1), axis=-1)
+            c = (plane_avg(phi, which) + zero[which]).reshape(len(phi), -1, 2)
+            return np.max(np.sum(np.abs(c), axis=-1), axis=-1)
 
     elif name == "branciard":
 
@@ -307,14 +305,13 @@ def leggett_value(
     p: Plane,
     p_prime: Plane,
     phi: float,
-    order: int = DEFAULT_PLANE_NODES,
 ) -> float:
     """F(phi) = |C_p(phi) + C_p(0)| + |C_p'(phi) + C_p'(0)| with plane-averaged
     correlators over two orthogonal planes."""
     if abs(dot(p.n, p_prime.n)) > 1e-10:
         raise ValueError("plane normals must be orthogonal")
     planes = np.array([[[_plane_basis(p), _plane_basis(p_prime)]]])
-    return _one(_value_function("leggett", (params,), order, planes), phi)
+    return _one(_value_function("leggett", (params,), planes), phi)
 
 
 def leggett_bound(phi):
@@ -364,7 +361,6 @@ def margin(
     *,
     phi: float | None = None,
     settings: tuple[UnitVector3, UnitVector3, UnitVector3, UnitVector3] | None = None,
-    order: int = DEFAULT_PLANE_NODES,
 ) -> InequalityReport:
     """Assemble value, bound, margin, and violation flag for one inequality."""
     if name == "chsh":
@@ -379,7 +375,7 @@ def margin(
     else:
         raise ValueError(f"unknown inequality {name!r}")
     at = 0.0 if phi is None else float(phi)
-    value = _one(_value_function(name, (params,), order, settings=settings), at)
+    value = _one(_value_function(name, (params,), settings=settings), at)
     bound = float(_bound(name, np.array([at]))[0])
     m = value - bound
     return InequalityReport(name, value, bound, m, m > 0.0, config)
@@ -387,7 +383,7 @@ def margin(
 
 def _scan(
     name: str, models, variable: str, *,
-    phi: float | None, order: int, nodes: int, tol: float,
+    phi: float | None, nodes: int, tol: float,
 ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Values and bounds of one inequality along one scan variable, as a
     function (x, i) of a batch of points: point j scores the base model
@@ -405,7 +401,7 @@ def _scan(
     if variable == "phi":
         if name == "chsh":
             raise ValueError("chsh has no phi dependence")
-        value = _value_function(name, models, order)
+        value = _value_function(name, models)
         return lambda x, i: (value(x, i), _bound(name, x))
 
     rebind = {"eta": ModelParams.with_eta, "zeta": ModelParams.with_zeta,
@@ -414,23 +410,23 @@ def _scan(
     def evaluate(x: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         points = [rebind(models[k], v) for k, v in zip(i.tolist(), x.tolist())]
         which = np.arange(len(points))
-        value = _value_function(name, points, order)
+        value = _value_function(name, points)
         if name == "chsh" or phi is not None:
             at = np.full(len(points), 0.0 if phi is None else float(phi))
         else:
             at, _ = _maximize(lambda x, i: value(x, i) - _bound(name, x),
-                              len(points), (0.0, PI), nodes, tol, order)
+                              len(points), (0.0, PI), nodes, tol)
         return value(at, which), _bound(name, at)
 
     return evaluate
 
 
-def _margins(name: str, models, variable: str, *, phi: float | None = None,
-             order: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def _margins(name: str, models, variable: str, *,
+             phi: float | None = None) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Margin f(x, i) of a batch of points, scored as in ``_scan``."""
     # only the max VALUE matters here, and it is flat in phi near the
     # maximizer, so a coarse seed grid and loose tolerance lose nothing
-    evaluate = _scan(name, models, variable, phi=phi, order=order, nodes=64, tol=1e-5)
+    evaluate = _scan(name, models, variable, phi=phi, nodes=64, tol=1e-5)
     return lambda x, i: np.subtract(*evaluate(x, i))
 
 
@@ -442,23 +438,22 @@ def _first(xs) -> tuple[np.ndarray, np.ndarray]:
 
 def margin_function(
     name: str, params: ModelParams, variable: str, *,
-    phi: float | None = None, order: int = DEFAULT_PLANE_NODES,
+    phi: float | None = None,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Margin as a function of one scan variable: a 1-d array of its values
     in, the array of margins out, scored as in ``_scan``."""
-    f = _margins(name, (params,), variable, phi=phi, order=order)
+    f = _margins(name, (params,), variable, phi=phi)
     return lambda xs: f(*_first(xs))
 
 
 def scan_values(
     name: str, params: ModelParams, variable: str, xs: np.ndarray, *,
-    phi: float | None = None, order: int = DEFAULT_PLANE_NODES,
+    phi: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Value and classical bound at each grid value of one scan variable.
     Without a fixed phi, the angle-dependent inequalities are scored at the
     maximizing phi of each grid value, searched as in ``max_violation``."""
-    evaluate = _scan(name, (params,), variable, phi=phi, order=order,
-                     nodes=MAX_SEED_NODES, tol=1e-10)
+    evaluate = _scan(name, (params,), variable, phi=phi, nodes=MAX_SEED_NODES, tol=1e-10)
     return evaluate(*_first(xs))
 
 
@@ -470,14 +465,19 @@ def scan_values(
 # exactly the iterates it would take alone.
 
 
-def _grid(f: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int, xs: np.ndarray,
-          order: int) -> np.ndarray:
+# Cap on the (problem, grid point) pairs `_grid` scores in one call, so a
+# scan's temporaries do not grow with its problems.
+BLOCK_PAIRS = 2**12
+
+
+def _grid(f: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int,
+          xs: np.ndarray) -> np.ndarray:
     """f at every grid point ``xs`` of each of n problems, as an (n, len(xs))
-    array.  Problems go in blocks of about one quadrature block of (point,
-    node) pairs, so the scan's temporaries do not grow with n; every point
-    is reduced on its own, so the blocks do not change its bits."""
+    array.  Problems go in blocks of at most ``BLOCK_PAIRS`` points (at
+    least one problem), so the scan's temporaries do not grow with n; every
+    point is reduced on its own, so the blocks do not change its bits."""
     nodes = len(xs)
-    step = max(1, BLOCK_PAIRS // (nodes * order))
+    step = max(1, BLOCK_PAIRS // nodes)
     every = np.arange(n)
     return np.concatenate([
         f(np.tile(xs, len(b)), np.repeat(b, nodes)).reshape(len(b), nodes)
@@ -504,15 +504,15 @@ def _bisect_boundary(
 
 def _violation_windows(
     name: str, models, variable: str, domain: tuple[float, float], tol: float, *,
-    nodes: int = SCAN_NODES, phi: float | None = None, order: int = DEFAULT_PLANE_NODES,
+    nodes: int = SCAN_NODES, phi: float | None = None,
 ) -> list[ViolationWindow]:
     """`violation_window` of each model of one family, in lockstep: one grid
     scan of every problem, then one bisection of every end that is not on
     the domain edge."""
-    f = _margins(name, models, variable, phi=phi, order=order)
+    f = _margins(name, models, variable, phi=phi)
     lo, hi = domain
     xs = np.linspace(lo, hi, nodes)
-    positive = _grid(f, len(models), xs, order) > 0.0
+    positive = _grid(f, len(models), xs) > 0.0
     found = positive.any(axis=1)
     # grid index of each (problem, lower or upper) end and of its outer
     # neighbour; an end on the domain edge has none and stays put
@@ -532,13 +532,13 @@ def _violation_windows(
 def violation_window(
     name: str, params: ModelParams, variable: str, domain: tuple[float, float],
     tol: float = DEFAULT_TOL, *,
-    nodes: int = SCAN_NODES, phi: float | None = None, order: int = DEFAULT_PLANE_NODES,
+    nodes: int = SCAN_NODES, phi: float | None = None,
 ) -> ViolationWindow:
     """Bracketing scan plus bisection refinement of the positive-margin
     region.  Windows narrower than the scan spacing may be missed; the
     default grid resolves anything wider than ~0.01 rad on [0, pi]."""
     return _violation_windows(name, (params,), variable, domain, tol,
-                              nodes=nodes, phi=phi, order=order)[0]
+                              nodes=nodes, phi=phi)[0]
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -598,14 +598,14 @@ def _parabolic_vertex(
 
 def _maximize(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int,
-    domain: tuple[float, float], nodes: int, tol: float, order: int = DEFAULT_PLANE_NODES,
+    domain: tuple[float, float], nodes: int, tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Maximizers and maxima of n problems over one domain: blocked grid
     scan (`_grid`) to seed a bracket, golden-section refinement, then a
     parabolic vertex fit."""
     lo, hi = domain
     xs = np.linspace(lo, hi, nodes)
-    k = np.argmax(_grid(f, n, xs, order), axis=1)
+    k = np.argmax(_grid(f, n, xs), axis=1)
     x, fx = _golden_max(f, xs[np.maximum(k - 1, 0)], xs[np.minimum(k + 1, nodes - 1)],
                         max(tol, 1e-6))
     vertex, value = _parabolic_vertex(f, x, fx, 3e-5, lo, hi)
@@ -616,28 +616,27 @@ def _maximize(
 
 def _max_violations(
     name: str, models, variable: str, domain: tuple[float, float], tol: float = 1e-10, *,
-    nodes: int = MAX_SEED_NODES, order: int = DEFAULT_PLANE_NODES,
+    nodes: int = MAX_SEED_NODES,
 ) -> tuple[np.ndarray, np.ndarray]:
     """`max_violation` of each model of one family, in lockstep: arrays of
     the maximizers and of the maxima."""
-    return _maximize(_margins(name, models, variable, order=order), len(models), domain,
-                     nodes, tol, order)
+    return _maximize(_margins(name, models, variable), len(models), domain, nodes, tol)
 
 
 def max_violation(
     name: str, params: ModelParams, variable: str, domain: tuple[float, float],
-    tol: float = 1e-10, *, nodes: int = MAX_SEED_NODES, order: int = DEFAULT_PLANE_NODES,
+    tol: float = 1e-10, *, nodes: int = MAX_SEED_NODES,
 ) -> tuple[float, float]:
     """Maximizer and value of the margin over the domain: grid scan to seed a
     bracket, golden-section refinement, then a parabolic vertex fit."""
-    x, fx = _max_violations(name, (params,), variable, domain, tol, nodes=nodes, order=order)
+    x, fx = _max_violations(name, (params,), variable, domain, tol, nodes=nodes)
     return float(x[0]), float(fx[0])
 
 
 def threshold(
     name: str, params: ModelParams, variable: str, domain: tuple[float, float],
     tol: float = DEFAULT_TOL, *,
-    phi: float | None = None, nodes: int = 65, order: int = DEFAULT_PLANE_NODES,
+    phi: float | None = None, nodes: int = 65,
 ) -> ThresholdResult:
     """Largest parameter value below which the inequality is violated.
 
@@ -646,7 +645,7 @@ def threshold(
     bisected to ``tol``.  The scan also verifies the margin is monotone in
     sign: multiple crossings are rejected.
     """
-    f = _margins(name, (params,), variable, phi=phi, order=order)
+    f = _margins(name, (params,), variable, phi=phi)
     lo, hi = domain
     xs = np.linspace(lo, hi, nodes)
     signs = f(*_first(xs)) > 0.0

@@ -1,6 +1,6 @@
 """Boundary property test: any JSON config document handed to ``hv`` exits
 with a documented code (0 success, 1 claim failure, 2 invalid configuration,
-3 I/O error) and never escapes as a traceback.
+3 I/O or memory failure) and never escapes as a traceback.
 
 Documents mix the schema's own keys and plausible values with junk of every
 JSON type.  Sizes stay small (n <= 10^4 samples, few shards and scan steps),
@@ -137,3 +137,14 @@ def test_large_p_field_below_the_bound_still_runs(tmp_path, capsys):
     # C = -[a.b + p.(a x b)] / sqrt(1 + p_m^2) = -(0.6 + 0.8e150) / 1e150
     assert report["model"]["p_m"] == 1e150
     assert report["analytic"] == pytest.approx(-0.8, abs=1e-12)
+
+
+def test_scan_too_large_to_allocate_exits_3(tmp_path, capsys):
+    # 10^17 float64 steps is 711 PiB, above any user address space, so the
+    # allocation fails at once and no memory is ever touched
+    doc = {"model": {"family": "fhv"},
+           "scan": {"inequality": "leggett", "variable": "eta", "start": 0.0, "stop": 0.1,
+                    "steps": 10**17}}
+    assert _run(["scan"], doc, tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: memory failure:") and err.count("\n") == 1

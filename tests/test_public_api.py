@@ -84,28 +84,26 @@ SEARCH_SIGNATURES = {
     "violation_window": (
         "(name: 'str', params: 'ModelParams', variable: 'str', "
         "domain: 'tuple[float, float]', tol: 'float' = 1e-09, *, nodes: 'int' = 512, "
-        "phi: 'float | None' = None, order: 'int' = 256) -> 'ViolationWindow'"
+        "phi: 'float | None' = None) -> 'ViolationWindow'"
     ),
     "max_violation": (
         "(name: 'str', params: 'ModelParams', variable: 'str', "
-        "domain: 'tuple[float, float]', tol: 'float' = 1e-10, *, nodes: 'int' = 256, "
-        "order: 'int' = 256) -> 'tuple[float, float]'"
+        "domain: 'tuple[float, float]', tol: 'float' = 1e-10, *, nodes: 'int' = 256) "
+        "-> 'tuple[float, float]'"
     ),
     "threshold": (
         "(name: 'str', params: 'ModelParams', variable: 'str', "
         "domain: 'tuple[float, float]', tol: 'float' = 1e-09, *, "
-        "phi: 'float | None' = None, nodes: 'int' = 65, order: 'int' = 256) "
+        "phi: 'float | None' = None, nodes: 'int' = 65) "
         "-> 'ThresholdResult'"
     ),
     "margin_function": (
         "(name: 'str', params: 'ModelParams', variable: 'str', *, "
-        "phi: 'float | None' = None, order: 'int' = 256) "
-        "-> 'Callable[[np.ndarray], np.ndarray]'"
+        "phi: 'float | None' = None) -> 'Callable[[np.ndarray], np.ndarray]'"
     ),
     "scan_values": (
         "(name: 'str', params: 'ModelParams', variable: 'str', xs: 'np.ndarray', *, "
-        "phi: 'float | None' = None, order: 'int' = 256) "
-        "-> 'tuple[np.ndarray, np.ndarray]'"
+        "phi: 'float | None' = None) -> 'tuple[np.ndarray, np.ndarray]'"
     ),
 }
 

@@ -10,20 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvsinglet import models as models_module
-from hvsinglet.correlators import (
-    BLOCK_PAIRS,
-    DEFAULT_PLANE_NODES,
-    _pair_correlator_arrays,
-    _plane_avg_block,
-    analytic_correlator,
-)
+from hvsinglet.correlators import PlaneAverageSpec, analytic_correlator, plane_avg_correlator
 from hvsinglet.geometry import (
+    Plane,
     UnitVector3,
     branciard_settings,
     orthogonal_plane,
     vectors_in_plane,
 )
 from hvsinglet.inequalities import (
+    BLOCK_PAIRS,
+    MAX_SEED_NODES,
     SCAN_NODES,
     _bisect_boundary,
     _golden_max,
@@ -33,6 +30,7 @@ from hvsinglet.inequalities import (
     branciard_bound,
     default_leggett_planes,
     leggett_bound,
+    leggett_value,
     margin,
     margin_function,
     max_violation,
@@ -55,15 +53,18 @@ unit = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
     lambda v: 0.1 < math.sqrt(sum(c * c for c in v))
 ).map(lambda v: UnitVector3.normalized(*v))
 
-models = st.one_of(
-    st.just(ModelParams.qm()),
-    st.floats(0.0, 1.0).map(ModelParams.fhv),
-    st.floats(0.0, 1.8).map(ModelParams.thv),
-    st.builds(lambda d, m: ModelParams.shv(ConstantP(tuple(m * d.arr))),
-              unit, st.floats(0.0, 1.0)),
-    st.builds(lambda axis, half, m: ModelParams.shv(CapP(axis, half, m)),
-              unit, st.floats(0.0, PI / 2), st.floats(0.0, 1.0)),
-)
+# one strategy per family, the cross-term family as a constant and as a cap
+# p-field
+FAMILY_MODELS = {
+    "qm": st.just(ModelParams.qm()),
+    "fhv": st.floats(0.0, 1.0).map(ModelParams.fhv),
+    "thv": st.floats(0.0, 1.8).map(ModelParams.thv),
+    "shv-constant": st.builds(lambda d, m: ModelParams.shv(ConstantP(tuple(m * d.arr))),
+                              unit, st.floats(0.0, 1.0)),
+    "shv-cap": st.builds(lambda axis, half, m: ModelParams.shv(CapP(axis, half, m)),
+                         unit, st.floats(0.0, PI / 2), st.floats(0.0, 1.0)),
+}
+models = st.one_of(*FAMILY_MODELS.values())
 phis = st.lists(st.floats(0.0, PI), min_size=1, max_size=12)
 
 
@@ -104,14 +105,14 @@ class TestArrayMargins:
     @settings(max_examples=40, deadline=None)
     @given(params=models, xs=phis, name=st.sampled_from(["leggett", "branciard"]))
     def test_phi_grid_matches_scalar_margin(self, params, xs, name):
-        got = margin_function(name, params, "phi", order=ORDER)(np.array(xs))
-        want = [margin(name, params, phi=x, order=ORDER).margin for x in xs]
+        got = margin_function(name, params, "phi")(np.array(xs))
+        want = [margin(name, params, phi=x).margin for x in xs]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(params=models, xs=st.lists(st.floats(0.0, PI), min_size=1, max_size=4))
     def test_matches_node_by_node_reference(self, params, xs):
-        leggett = margin_function("leggett", params, "phi", order=ORDER)(np.array(xs))
+        leggett = margin_function("leggett", params, "phi")(np.array(xs))
         branciard = margin_function("branciard", params, "phi")(np.array(xs))
         for x, lg, br in zip(xs, leggett, branciard):
             assert lg == pytest.approx(_reference_leggett_margin(params, x), abs=1e-12)
@@ -134,24 +135,28 @@ class TestArrayMargins:
         base, variable, top = case
         values = [f * top for f in fractions]
         fixed = None if name == "chsh" else phi
-        got = margin_function(name, base, variable, phi=fixed, order=ORDER)(np.array(values))
+        got = margin_function(name, base, variable, phi=fixed)(np.array(values))
         rebind = {"eta": base.with_eta, "zeta": base.with_zeta, "p_m": base.with_pm}[variable]
-        want = [margin(name, rebind(v), phi=fixed, order=ORDER).margin for v in values]
+        want = [margin(name, rebind(v), phi=fixed).margin for v in values]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
-    def test_block_cap_splits_without_changing_values(self):
-        params = ModelParams.shv(ConstantP((0.1, 0.2, 0.3)))
-        order = 64
-        n = 3 * (BLOCK_PAIRS // order) + 5  # several full blocks and a partial one
-        rng = np.random.default_rng(3)
-        e1 = np.tile([1.0, 0.0, 0.0], (n, 1))
-        e2 = np.tile([0.0, 1.0, 0.0], (n, 1))
-        phi = rng.uniform(0.0, PI, n)
-        which = np.zeros(n, dtype=int)
-        whole = _plane_avg_block((params,), which, e1, e2, phi, order)
-        single = [_plane_avg_block((params,), which[:1], e1[:1], e2[:1], phi[i:i + 1], order)[0]
-                  for i in (0, n // 2, n - 1)]
-        assert list(whole[[0, n // 2, n - 1]]) == single
+
+class TestOrientationInvariance:
+    @pytest.mark.parametrize("family", FAMILY_MODELS)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), normal=unit, phi=st.floats(-PI, PI),
+           theta0=st.floats(0.0, 2.0 * PI))
+    def test_one_pair_value_matches_plane_average(self, family, data, normal, phi, theta0):
+        # the search scores each plane at the one pair a = e1; the 256-node
+        # orientation average at any node phase must give the same F
+        params = data.draw(FAMILY_MODELS[family])
+        p = Plane.with_normal(normal)
+        q = orthogonal_plane(p)
+        want = sum(
+            abs(plane_avg_correlator(params, PlaneAverageSpec(plane, phi), theta0)
+                + plane_avg_correlator(params, PlaneAverageSpec(plane, 0.0), theta0))
+            for plane in (p, q))
+        assert leggett_value(params, p, q, phi) == pytest.approx(want, rel=0.0, abs=1e-13)
 
 
 def _recording(f):
@@ -213,7 +218,7 @@ class TestLockstep:
 
     def test_margin_maximization_matches_one_at_a_time(self):
         family = [ModelParams.fhv(eta) for eta in (0.0, 0.004, 0.011, 0.02)]
-        functions = [margin_function("leggett", m, "phi", order=ORDER) for m in family]
+        functions = [margin_function("leggett", m, "phi") for m in family]
 
         def f(x, i):
             out = np.empty(len(x))
@@ -232,8 +237,8 @@ class TestLockstep:
         # by the domain edge; the larger eta lie above both thresholds
         family = [ModelParams.fhv(eta) for eta in (0.0, 0.005, 0.02, 0.05, 0.3)]
         for domain in ((0.0, PI), (0.1, PI)):
-            batch = _violation_windows(name, family, "phi", domain, 1e-10, order=ORDER)
-            alone = [violation_window(name, m, "phi", domain, 1e-10, order=ORDER)
+            batch = _violation_windows(name, family, "phi", domain, 1e-10)
+            alone = [violation_window(name, m, "phi", domain, 1e-10)
                      for m in family]
             assert [_window_bits(w) for w in batch] == [_window_bits(w) for w in alone]
         # the (0.1, pi) batch holds empty, edge-cut and inner windows
@@ -243,8 +248,8 @@ class TestLockstep:
     @pytest.mark.parametrize("name", ["leggett", "branciard"])
     def test_batched_maxima_match_public_calls(self, name):
         family = [ModelParams.fhv(eta) for eta in (0.0, 0.005, 0.02, 0.05, 0.3)]
-        x, fx = _max_violations(name, family, "phi", (0.0, PI), order=ORDER)
-        alone = [max_violation(name, m, "phi", (0.0, PI), order=ORDER) for m in family]
+        x, fx = _max_violations(name, family, "phi", (0.0, PI))
+        alone = [max_violation(name, m, "phi", (0.0, PI)) for m in family]
         assert np.array([x, fx]).T.tobytes() == np.array(alone).tobytes()
 
     def test_model_variable_batch_matches_public_calls(self):
@@ -253,9 +258,9 @@ class TestLockstep:
         family = [ModelParams.shv(CapP(UnitVector3.normalized(0.0, 0.0, 1.0), h, 0.5))
                   for h in (0.0, 0.6, 1.2)]
         batch = _violation_windows("leggett", family, "p_m", (0.0, 2.0), 1e-8,
-                                   nodes=17, phi=0.4, order=ORDER)
+                                   nodes=17, phi=0.4)
         alone = [violation_window("leggett", m, "p_m", (0.0, 2.0), 1e-8,
-                                  nodes=17, phi=0.4, order=ORDER) for m in family]
+                                  nodes=17, phi=0.4) for m in family]
         assert [_window_bits(w) for w in batch] == [_window_bits(w) for w in alone]
         assert len({w.upper for w in batch}) == len(family)
         x, fx = _max_violations("branciard", family, "p_m", (0.0, 2.0), 1e-6, nodes=9)
@@ -285,7 +290,7 @@ class TestPositivityAudit:
 
         monkeypatch.setattr(models_module, "thv_positivity_margin", record)
         zetas = [0.1, 0.7, 1.3]
-        margin_function("leggett", ModelParams.thv(0.0), "zeta", phi=0.4, order=ORDER)(
+        margin_function("leggett", ModelParams.thv(0.0), "zeta", phi=0.4)(
             np.array(zetas))
         assert audited == zetas
         audited.clear()
@@ -295,23 +300,6 @@ class TestPositivityAudit:
 
 
 # ------------------------- bit-for-bit layout guards -------------------------
-
-
-def _rows_order_3_block(models, which, e1, e2, phi, order, theta0=0.0):
-    """The plane-average block with settings built as (rows, order, 3)
-    arrays, the layout the component-major block must reproduce bit for bit."""
-    theta = theta0 + np.arange(order) * (2.0 * math.pi / order)
-    cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    out = np.empty(len(phi))
-    step = max(1, BLOCK_PAIRS // order)
-    for start in range(0, len(phi), step):
-        rows = slice(start, start + step)
-        u1, u2 = e1[rows, None, :], e2[rows, None, :]
-        a = cos_t * u1 + sin_t * u2
-        tb = theta + phi[rows, None]
-        b = np.cos(tb)[..., None] * u1 + np.sin(tb)[..., None] * u2
-        out[rows] = np.mean(_pair_correlator_arrays(models, a, b, which[rows]), axis=-1)
-    return out
 
 
 def _uncached_audit(zeta):
@@ -347,44 +335,7 @@ def _uncached_audit(zeta):
     return best
 
 
-shv_models = st.one_of(
-    st.builds(lambda d, m: ModelParams.shv(ConstantP(tuple(m * d.arr))),
-              unit, st.floats(0.0, 1.0)),
-    st.builds(lambda axis, half, m: ModelParams.shv(CapP(axis, half, m)),
-              unit, st.floats(0.0, PI / 2), st.floats(0.0, 1.0)),
-)
-family_batches = st.one_of(
-    st.lists(st.just(ModelParams.qm()), min_size=1, max_size=2),
-    st.lists(st.floats(0.0, 1.0).map(ModelParams.fhv), min_size=1, max_size=4),
-    st.lists(st.floats(0.0, 1.8).map(ModelParams.thv), min_size=1, max_size=4),
-    st.lists(shv_models, min_size=1, max_size=4),
-)
-
-
-def _random_planes(rng, n):
-    e1 = rng.normal(size=(n, 3))
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(e1, rng.normal(size=(n, 3)))
-    e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
-    return e1, e2
-
-
 class TestBitIdenticalLayouts:
-    @settings(max_examples=40, deadline=None)
-    @given(batch=family_batches, order=st.sampled_from([16, 37, 256]),
-           blocks=st.floats(0.01, 3.0), theta0=st.floats(0.01, PI),
-           seed=st.integers(0, 2**32 - 1))
-    def test_component_major_block_matches_rows_order_3_layout(
-            self, batch, order, blocks, theta0, seed):
-        rng = np.random.default_rng(seed)
-        n = max(1, int(blocks * (BLOCK_PAIRS // order)))  # up to three blocks
-        e1, e2 = _random_planes(rng, n)
-        phi = rng.uniform(-PI, PI, n)
-        which = rng.integers(0, len(batch), n)
-        got = _plane_avg_block(batch, which, e1, e2, phi, order, theta0)
-        want = _rows_order_3_block(batch, which, e1, e2, phi, order, theta0)
-        assert got.tobytes() == want.tobytes()
-
     def test_audit_matches_uncached_grids_on_a_zeta_grid(self):
         zetas = [*np.linspace(0.0, 2.2, 111).tolist(), 1.999, 2.05]
         for zeta in zetas:
@@ -400,37 +351,17 @@ class TestBitIdenticalLayouts:
 
 
 class TestSearchLayerMemory:
-    def test_block_peak_does_not_grow_with_requests(self):
-        params, order = (ModelParams.fhv(0.1),), DEFAULT_PLANE_NODES
-        step = BLOCK_PAIRS // order
-        rng = np.random.default_rng(4)
-        e1, e2 = _random_planes(rng, 4 * step)
-        phi = rng.uniform(0.0, PI, 4 * step)
-        which = np.zeros(4 * step, dtype=int)
-
-        def peak(n):
-            tracemalloc.start()
-            try:
-                _plane_avg_block(params, which[:n], e1[:n], e2[:n], phi[:n], order)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        small, large = peak(step), peak(4 * step)
-        assert large <= 1.5 * small
-
     def test_window_scan_peak_does_not_grow_with_problems(self):
-        # the Branciard scan holds no quadrature block, so its temporaries
-        # would grow with the problems of one scan call
-        order = DEFAULT_PLANE_NODES
-        step = max(1, BLOCK_PAIRS // (SCAN_NODES * order))  # problems per scan block
-        family = [ModelParams.fhv(0.01 * k) for k in range(4 * step)]
+        # without the grid's block cap, a scan's temporaries would grow with
+        # the problems of one scan call
+        step = max(1, BLOCK_PAIRS // SCAN_NODES)  # problems per scan block
+        seeds = max(1, BLOCK_PAIRS // MAX_SEED_NODES)  # problems per seed-scan block
+        family = [ModelParams.fhv(0.01 * k) for k in range(4 * max(step, seeds))]
 
         def peak(n):
             tracemalloc.start()
             try:
-                _violation_windows("branciard", family[:n], "phi", (0.0, PI), 1e-10,
-                                   order=order)
+                _violation_windows("branciard", family[:n], "phi", (0.0, PI), 1e-10)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -442,12 +373,12 @@ class TestSearchLayerMemory:
         def max_peak(n):
             tracemalloc.start()
             try:
-                _max_violations("branciard", family[:n], "phi", (0.0, PI), order=order)
+                _max_violations("branciard", family[:n], "phi", (0.0, PI))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        assert max_peak(4 * step) <= 1.5 * max_peak(step)
+        assert max_peak(4 * seeds) <= 1.5 * max_peak(seeds)
 
     def test_audit_grid_cache_stays_small(self):
         for zeta in np.linspace(0.0, 1.8, 200).tolist():
