@@ -263,8 +263,10 @@ def _value_function(
             return np.abs(c[:, 0] + c[:, 1] + c[:, 2] - c[:, 3])
 
     elif name == "leggett":
-        if planes is None:
-            planes = np.array([_leggett_planes(m) for m in models])
+        if planes is None:  # only shv planes depend on the model
+            own = models if models[0].family is ModelFamily.SHV else models[:1]
+            planes = np.array([_leggett_planes(m) for m in own])
+            planes = np.broadcast_to(planes, (len(models), *planes.shape[1:]))
         # (models, planes per point, 3): each plane's e1 and e2
         e1, e2 = np.moveaxis(planes.reshape(len(planes), -1, 2, 3), 2, 0)
 

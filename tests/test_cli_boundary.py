@@ -148,3 +148,15 @@ def test_scan_too_large_to_allocate_exits_3(tmp_path, capsys):
     assert _run(["scan"], doc, tmp_path) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: memory failure:") and err.count("\n") == 1
+
+
+def test_thv_prob_accepts_zeta_two_and_rejects_just_above(tmp_path, capsys):
+    # at a = b = u the cubic term reaches its bound: P(+-) = (2 - zeta)/4
+    doc = {"model": {"family": "thv", "zeta": 2.0}, "hidden": {"u": [0, 0, 1]},
+           "settings": {"a": [0, 0, 1], "b": [0, 0, 1]}}
+    assert _run(["prob"], doc, tmp_path) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "out").read_text())["table"]["+-"] == 0.0
+    assert _run(["prob", "--zeta", "2.000001"], doc, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration: zeta = 2.000001") and err.count("\n") == 1

@@ -5,8 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from hvsinglet.geometry import UnitVector3, X, Y, Z, dot, make_rng, sample_unit_uniform
+from hvsinglet.geometry import (
+    UnitVector3,
+    X,
+    Y,
+    Z,
+    dot,
+    make_rng,
+    sample_unit_batch,
+    sample_unit_uniform,
+)
 from hvsinglet.models import (
+    TABLE_TOL,
     CapP,
     ConstantP,
     FSpec,
@@ -17,6 +27,7 @@ from hvsinglet.models import (
     ProbabilityTable,
     Settings,
     UndefinedConditionalError,
+    coeffs,
     conditional,
     draw_outcomes,
     fhv_conditional_closed_form,
@@ -87,6 +98,17 @@ class TestModelParams:
         assert p.p_m == pytest.approx(0.25, abs=1e-15)
         assert np.allclose(p.p_mean(), [0.0, 0.0, 0.25])
 
+    @given(st.floats(-0.1, 0.6), st.integers(0, 4))
+    def test_every_accepted_f_stays_within_half(self, coeff, power):
+        # the bounds on coeff and power are the only check FSpec makes
+        try:
+            f = FSpec(coeff, power)
+        except InvalidModelError:
+            return
+        x = np.linspace(-1.0, 1.0, 20001)
+        assert x[0] == -1.0 and x[-1] == 1.0
+        assert np.max(np.abs(f(x))) <= 0.5
+
 
 class TestThvAudit:
     def test_margin_positive_inside(self):
@@ -100,6 +122,37 @@ class TestThvAudit:
         ModelParams.thv(2.0)
         with pytest.raises(InvalidModelError):
             ModelParams.thv(2.2)
+
+
+def _unaudited_thv(zeta):
+    """A thv model with the given zeta, set past the construction check."""
+    params = ModelParams.thv(0.0)
+    object.__setattr__(params, "zeta", zeta)
+    return params
+
+
+class TestThvBoundAtTheTable:
+    """zeta <= 2 checked by the table kernel alone, with no positivity audit."""
+
+    def test_no_negative_cell_at_zeta_two(self):
+        rng = make_rng(41)
+        n = 20000
+        u, a, b = (sample_unit_batch(rng, n) for _ in range(3))
+        # half the rows near the extremes a = b = +-u, where a cell reaches 0
+        near = rng.choice([-1.0, 1.0], size=(n // 2, 1)) * u[: n // 2]
+        a[: n // 2] = near + 1e-4 * a[: n // 2]
+        b[: n // 2] = near + 1e-4 * b[: n // 2]
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        a[:3] = b[:3] = u[:3]  # exactly at the extreme
+        cells = table_cells(*coeffs(_unaudited_thv(2.0), {"u": u}, a, b))
+        worst = min(float(np.min(c)) for c in cells)
+        assert -TABLE_TOL <= worst < 1e-6
+
+    def test_negative_cell_just_above_two(self):
+        u = Z.arr
+        with pytest.raises(InvalidModelError, match="negative probability"):
+            table_cells(*coeffs(_unaudited_thv(2.0 + 1e-6), {"u": u}, u, u))
 
 
 class TestFhvJoint:
