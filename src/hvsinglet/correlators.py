@@ -26,7 +26,6 @@ from .models import (
     _draw_projections,
     _projection_coeffs,
     draw_outcomes,
-    table_cells,
 )
 
 DEFAULT_PLANE_NODES = 256
@@ -162,15 +161,17 @@ def _shard_counts(
 ) -> tuple[int, int]:
     """Draw one shard of ``m`` samples from ``rng`` in chunks of at most
     ``MC_CHUNK``: the hidden states' projections onto the settings, then
-    each joint table, then the joint outcome.  Returns the counts of
-    sigma = +1 and of sigma*tau = +1.
+    each table's coefficients (A, B, C), then the joint outcome.  Returns
+    the counts of sigma = +1 and of sigma*tau = +1.
 
     The hidden draw is `models._draw_projections`: the projections each
     table reads, drawn from their laws in the settings frame, not 3-D
-    hidden vectors.  Every array of a chunk lives in a `ChunkWorkspace` the
-    shard takes from ``_IDLE_WORKSPACES`` and gives back when it ends, so
-    memory is O(MC_CHUNK) per running shard and a warm loop allocates
-    nothing.
+    hidden vectors.  `models.draw_outcomes` draws each outcome from the
+    table's partial sums, formed straight from (A, B, C) and checked for
+    negative cells, so no chunk forms the four cells.  Every array of a
+    chunk lives in a `ChunkWorkspace` the shard takes from
+    ``_IDLE_WORKSPACES`` and gives back when it ends, so memory is
+    O(MC_CHUNK) per running shard and a warm loop allocates nothing.
     """
     a, b = s.a.arr, s.b.arr
     try:
@@ -183,8 +184,8 @@ def _shard_counts(
             k = min(MC_CHUNK, m - start)
             ws.start(k)
             proj = _draw_projections(params, a, b, rng, ws)
-            cells = table_cells(*_projection_coeffs(params, proj, a, b, ws), ws=ws)
-            sigma, product = draw_outcomes(cells, k, rng, ws)
+            sigma, product = draw_outcomes(*_projection_coeffs(params, proj, a, b, ws),
+                                           k, rng, ws)
             plus += int(np.count_nonzero(sigma))
             same += int(np.count_nonzero(product))
     finally:
@@ -196,7 +197,7 @@ def mc_correlator(
     params: ModelParams, s: Settings, n: int, seed: int, shards: int = 1
 ) -> MCEstimate:
     """Empirical correlator: draw hidden states (as the projections each
-    table reads), form each joint table, draw outcomes, and average
+    table reads), form each table's coefficients, draw outcomes, and average
     sigma*tau.
 
     Work is split over ``shards`` deterministic substreams; each shard is

@@ -30,7 +30,7 @@ class UnitVector3:
 
     def __post_init__(self) -> None:
         n2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(n2 - 1.0) > NORM_TOL:
+        if not abs(n2 - 1.0) <= NORM_TOL:  # written so that a nan component fails
             raise ValueError(f"components not normalized: |v|^2 = {n2!r}")
 
     @classmethod

@@ -10,6 +10,7 @@ numeric result can be compared against an independent expression.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -472,6 +473,21 @@ def scan_values(
 BLOCK_PAIRS = 2**12
 
 
+def _seed_grid(domain: tuple[float, float], nodes: int, tol: float) -> np.ndarray:
+    """The ``nodes`` evenly spaced points of ``domain`` that seed a window,
+    maximizer or threshold search, after the one check of the search
+    arguments: a tolerance that is not finite and positive would never stop
+    (or stop at once), fewer than two nodes leave no bracket, and a reversed
+    or infinite domain leaves none either."""
+    lo, hi = domain
+    if not (math.isfinite(tol) and tol > 0.0 and isinstance(nodes, numbers.Integral)
+            and nodes >= 2 and math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError("a search needs a finite tol > 0, an integer nodes >= 2 and a "
+                         f"finite domain lo < hi; got tol={tol!r}, nodes={nodes!r}, "
+                         f"domain={domain!r}")
+    return np.linspace(lo, hi, nodes)
+
+
 def _grid(f: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int,
           xs: np.ndarray) -> np.ndarray:
     """f at every grid point ``xs`` of each of n problems, as an (n, len(xs))
@@ -511,9 +527,8 @@ def _violation_windows(
     """`violation_window` of each model of one family, in lockstep: one grid
     scan of every problem, then one bisection of every end that is not on
     the domain edge."""
+    xs = _seed_grid(domain, nodes, tol)
     f = _margins(name, models, variable, phi=phi)
-    lo, hi = domain
-    xs = np.linspace(lo, hi, nodes)
     positive = _grid(f, len(models), xs) > 0.0
     found = positive.any(axis=1)
     # grid index of each (problem, lower or upper) end and of its outer
@@ -605,12 +620,11 @@ def _maximize(
     """Maximizers and maxima of n problems over one domain: blocked grid
     scan (`_grid`) to seed a bracket, golden-section refinement, then a
     parabolic vertex fit."""
-    lo, hi = domain
-    xs = np.linspace(lo, hi, nodes)
+    xs = _seed_grid(domain, nodes, tol)
     k = np.argmax(_grid(f, n, xs), axis=1)
     x, fx = _golden_max(f, xs[np.maximum(k - 1, 0)], xs[np.minimum(k + 1, nodes - 1)],
                         max(tol, 1e-6))
-    vertex, value = _parabolic_vertex(f, x, fx, 3e-5, lo, hi)
+    vertex, value = _parabolic_vertex(f, x, fx, 3e-5, *domain)
     # the fit can land a hair below the golden value by noise; prefer
     # the vertex location but report the better of the two values
     return vertex, np.maximum(value, fx)
@@ -647,9 +661,8 @@ def threshold(
     bisected to ``tol``.  The scan also verifies the margin is monotone in
     sign: multiple crossings are rejected.
     """
+    xs = _seed_grid(domain, nodes, tol)
     f = _margins(name, (params,), variable, phi=phi)
-    lo, hi = domain
-    xs = np.linspace(lo, hi, nodes)
     signs = f(*_first(xs)) > 0.0
     flips = np.flatnonzero(signs[:-1] != signs[1:])
     if not signs[0] or flips.size == 0:

@@ -463,47 +463,16 @@ def _cube_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# signs of A, B and C in the cells pp, pm, mp, mm
-_CELL_SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-
-
-def table_cells(A, B, C, ws: ChunkWorkspace | None = None):
+def table_cells(A, B, C):
     """Cells (pp, pm, mp, mm) of [1 + sigma*A + tau*B + sigma*tau*C]/4 for
     scalars or arrays, passed through `_check_cells`; each cell is added
-    left to right, then divided by 4.
-
-    With A = B = 0 (flat marginals) only the two distinct cells are formed:
-    pp = mm and pm = mp, with the same bits as the general formula, since
-    adding or subtracting 0.0 is exact.  With a `ChunkWorkspace` ``ws``,
-    array coefficients from `coeffs` are used up and given back, and the
-    cells are workspace rows (mm takes A's row, which it reads first);
-    without one, numpy makes a new array for each step and the coefficients
-    are left as they were.
-    """
-    rows = ws is not None and any(np.ndim(x) for x in (A, B, C))
-
-    def new():
-        return ws.row() if rows else None
-
-    if np.ndim(A) == 0 and np.ndim(B) == 0 and A == 0.0 and B == 0.0:
-        pp = np.add(1.0, C, out=new())
-        pm = np.subtract(1.0, C, out=C if rows else None)
-        pp /= 4.0
-        pm /= 4.0
-        _check_cells(pp, pm)
-        return pp, pm, pm, pp
-    reused = A if rows and np.ndim(A) else None
-    cells = []
-    for signs in _CELL_SIGNS:
-        cell, out = 1.0, reused if len(cells) == 3 and reused is not None else new()
-        for x, sign in zip((A, B, C), signs):
-            cell = (np.add if sign > 0 else np.subtract)(cell, x, out=out)
-        cell /= 4.0
-        cells.append(cell)
-    if rows:
-        ws.give(*(x for x in (A, B, C) if np.ndim(x) and x is not reused))
+    left to right, then divided by 4, into new arrays (the coefficients are
+    only read).  With A = B = 0.0 the cells are those of (1 +- C)/4, bit
+    for bit, since adding or subtracting 0.0 is exact."""
+    cells = ((1.0 + A + B + C) / 4.0, (1.0 + A - B - C) / 4.0,
+             (1.0 - A + B - C) / 4.0, (1.0 - A - B + C) / 4.0)
     _check_cells(*cells)
-    return tuple(cells)
+    return cells
 
 
 def _check_hidden_p(params: ModelParams, p: np.ndarray) -> None:
@@ -608,33 +577,57 @@ def sample_hidden(params: ModelParams, rng: np.random.Generator) -> HiddenState:
     return _hidden_state(params, sample_hidden_batch(params, 1, rng), 0)
 
 
-def draw_outcomes(cells, n: int, rng: np.random.Generator,
-                  ws: ChunkWorkspace | None = None):
-    """One joint outcome per row of ``cells`` = (pp, pm, mp, mm), from a
-    single uniform r compared with the partial sums pp, pp+pm and
-    pp+pm+mp, added in that order.  Returns the boolean rows
-    (sigma == +1, sigma*tau == +1): sigma = +1 iff r < pp+pm, and
-    sigma*tau = +1 iff r < pp or r >= pp+pm+mp.  The uniforms, the flags
-    and the partial sums of row cells live in rows of the `ChunkWorkspace`
-    ``ws`` (by default one made for the call); scalar cells give scalar
-    partial sums.  Row cells from `table_cells` in the caller's ``ws`` are
-    used up: mm, which the draw never reads, is given back before r is
-    drawn unless it shares pp's row (flat marginals), and the partial sums
-    are formed in pp's row once r < pp is taken.
+def draw_outcomes(A, B, C, n: int, rng: np.random.Generator, ws: ChunkWorkspace):
+    """One joint outcome of the table [1 + sigma*A + tau*B + sigma*tau*C]/4
+    per row, from a single uniform r and the partial sums, formed straight
+    from the coefficients without the four cells:
+
+        pp = (1 + A + B + C)/4,  pp+pm = (1 + A)/2,  pp+pm+mp = pp + (1 - C)/2
+
+    Returns the boolean rows (sigma == +1, sigma*tau == +1): sigma = +1 iff
+    r < pp+pm, and sigma*tau = +1 iff r < pp or r >= pp+pm+mp.
+
+    The coefficients have the shapes `_projection_coeffs` gives: A and B
+    rows with a scalar C (FHV), or A = B = 0.0 with a row C (THV, a cap
+    p-field) or a scalar C (QM, a constant p-field).  Row coefficients are
+    used up: the sums are formed in their rows and in rows of the started
+    `ChunkWorkspace` ``ws`` of ``n`` samples, which also lends r and the
+    flags.
+
+    An implied cell below -TABLE_TOL raises InvalidModelError.  The check
+    reads the extremes of the rows the draw forms: with flat marginals the
+    cells are pp, 1/2 - pp and their mirror images; with FHV's scalar C
+    they are pp, pm = (pp+pm) - pp, mp = (1 - C)/2 - pm and
+    mm = (1 + C)/2 - pp, and rounding is monotone, so each cell's minimum
+    is exact.  A scalar table goes through `table_cells`.
     """
-    pp, pm, mp, mm = cells
-    used_up = ws is not None and np.ndim(pp) > 0
-    if ws is None:
-        ws = ChunkWorkspace(n)
-    if used_up and mm is not pp:
-        ws.give(mm)
+    if np.ndim(A):
+        pp = np.add(1.0, A, out=ws.row())
+        pp += B
+        pp += C
+        pp /= 4.0
+        s1 = np.add(A, 1.0, out=A)
+        s1 /= 2.0
+        pm = np.subtract(s1, pp, out=B)
+        _check_cells(pp.min(), pm.min(), (1.0 + C) / 2.0 - pp.max(),
+                     (1.0 - C) / 2.0 - pm.max())
+        s2 = np.add(pp, (1.0 - C) / 2.0, out=pm)
+    elif np.ndim(C):
+        pp = np.add(1.0, C, out=ws.row())
+        pp /= 4.0
+        _check_cells(pp.min(), 0.5 - pp.max())
+        s1 = 0.5
+        s2 = np.subtract(1.0, C, out=C)
+        s2 /= 2.0
+        s2 += pp
+    else:
+        pp = table_cells(A, B, C)[0]
+        s1, s2 = (1.0 + A) / 2.0, pp + (1.0 - C) / 2.0
     r = rng.random(out=ws.row())
     sigma, same, late = ws.row().view(np.bool_)[:3 * n].reshape(3, n)
-    np.less(r, pp, out=same)
-    s1 = pp + pm if np.ndim(pp) == 0 else np.add(pp, pm, out=pp if used_up else ws.row())
     np.less(r, s1, out=sigma)
-    s1 += mp
-    same |= np.greater_equal(r, s1, out=late)
+    np.less(r, pp, out=same)
+    same |= np.greater_equal(r, s2, out=late)
     return sigma, same
 
 

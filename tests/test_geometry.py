@@ -47,6 +47,16 @@ class TestUnitVector3:
         with pytest.raises(ValueError):
             UnitVector3(1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda c: UnitVector3(*c), lambda c: UnitVector3.from_array(np.array(c)),
+    ], ids=["constructor", "from_array"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_components(self, make, bad):
+        with pytest.raises(ValueError):
+            make([bad, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            Plane(UnitVector3(1.0, 0.0, 0.0), make([0.0, bad, 0.0]), UnitVector3(0.0, 0.0, 1.0))
+
     def test_normalized_constructor(self):
         v = UnitVector3.normalized(3.0, 4.0, 0.0)
         assert v.x == pytest.approx(0.6, abs=1e-15)

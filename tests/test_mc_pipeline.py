@@ -1,8 +1,9 @@
 """The Monte-Carlo pipeline (settings-frame projection draw, table formula,
 partial-sum outcome draw, chunked per-shard reduction) against a plain numpy
 reference of the same draws, the projection laws against the 3-D samplers,
-plus the kernel's table check, the batched witness, the chunked memory bound
-and the thread pool's independence of its worker count."""
+plus the table checks of the kernel and of the draw, the batched witness,
+the chunked memory bound and the thread pool's independence of its worker
+count."""
 
 import math
 import sys
@@ -31,6 +32,7 @@ from hvsinglet.models import (
     ConstantP,
     FSpec,
     HiddenState,
+    TABLE_TOL,
     InvalidModelError,
     ModelFamily,
     ModelParams,
@@ -49,8 +51,8 @@ from hvsinglet.models import (
 # ------------------------------ reference ----------------------------------
 # The settings-frame draws written as plain numpy expressions, in the
 # kernel's arithmetic order: rng.uniform rows, the tangent half-angle
-# azimuth, the family formulas, a cumulative sum over the four cells and a
-# fancy index.
+# azimuth, the family formulas, then the three partial sums of the table
+# in closed form and one comparison of r with each.
 
 
 def _rowdot(x, y):
@@ -69,7 +71,7 @@ def _ref_f(f, x):
     return (x * x * x if f.power == 3 else x) * f.coeff
 
 
-def _ref_cells(params, rng, a, b, n):
+def _ref_coeffs(params, rng, a, b, n):
     fam = params.family
     ab = _rowdot(a, b)
     A = B = 0.0
@@ -92,13 +94,20 @@ def _ref_cells(params, rng, a, b, n):
         C = -(ab - ua * ua * ua * params.zeta * (ub * ub * ub))
     else:
         C = -ab
-    cells = [(1.0 + A + B + C) / 4.0, (1.0 + A - B - C) / 4.0,
-             (1.0 - A + B - C) / 4.0, (1.0 - A - B + C) / 4.0]
-    return np.column_stack([np.broadcast_to(c, (n,)) for c in cells])
+    return A, B, C
+
+
+def _ref_outcomes(A, B, C, r):
+    """(sigma == +1, sigma*tau == +1) of each uniform r against the partial
+    sums pp = (1 + A + B + C)/4, pp+pm = (1 + A)/2 and
+    pp+pm+mp = pp + (1 - C)/2."""
+    pp = (1.0 + A + B + C) / 4.0
+    return r < (1.0 + A) / 2.0, (r < pp) | (r >= pp + (1.0 - C) / 2.0)
 
 
 def _ref_mc(params, s, n, seed, shards):
-    """(mean, stderr, n) of the reference pipeline for n <= MC_CHUNK."""
+    """(mean, stderr, n) of the reference pipeline; bit for bit that of
+    `mc_correlator` while no shard holds more than MC_CHUNK samples."""
     base, extra = divmod(n, shards)
     parts = []
     for i, ss in enumerate(np.random.SeedSequence(seed).spawn(shards)):
@@ -106,10 +115,9 @@ def _ref_mc(params, s, n, seed, shards):
         if m == 0:
             continue
         rng = np.random.Generator(np.random.PCG64(ss))
-        cells = _ref_cells(params, rng, s.a.arr, s.b.arr, m)
-        r = rng.random(m)
-        idx = np.sum(r[:, None] >= np.cumsum(cells, axis=1)[:, :3], axis=1)
-        st_ = np.array([1.0, -1.0, -1.0, 1.0])[idx]
+        A, B, C = _ref_coeffs(params, rng, s.a.arr, s.b.arr, m)
+        _, same = _ref_outcomes(A, B, C, rng.random(m))
+        st_ = np.where(same, 1.0, -1.0)
         parts.append((float(np.sum(st_)), float(np.sum(st_ * st_))))
     total = sum(p[0] for p in parts)
     total_sq = sum(p[1] for p in parts)
@@ -270,16 +278,16 @@ class TestShardCounts:
     def test_counts_match_one_direct_draw(self, params, a, b, seed, n):
         got = _shard_counts(params, Settings(a, b), n, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
-        cells = _ref_cells(params, rng, a.arr, b.arr, n)
-        plus, same = draw_outcomes(tuple(cells.T), n, rng)
+        A, B, C = _ref_coeffs(params, rng, a.arr, b.arr, n)
+        plus, same = _ref_outcomes(A, B, C, rng.random(n))
         assert got == (int(np.sum(plus)), int(np.sum(same)))
 
     def test_full_chunk_sigma_count_matches_direct_draw(self):
         params, s = ModelParams.fhv(1.0), Settings(X, UnitVector3.normalized(1.0, 2.0, 2.0))
         plus, _ = _shard_counts(params, s, MC_CHUNK, np.random.default_rng(5))
         rng = np.random.default_rng(5)
-        cells = _ref_cells(params, rng, s.a.arr, s.b.arr, MC_CHUNK)
-        assert plus == int(np.sum(draw_outcomes(tuple(cells.T), MC_CHUNK, rng)[0]))
+        A, B, C = _ref_coeffs(params, rng, s.a.arr, s.b.arr, MC_CHUNK)
+        assert plus == int(np.sum(_ref_outcomes(A, B, C, rng.random(MC_CHUNK))[0]))
 
 
 def _bits(x, n):
@@ -292,20 +300,21 @@ class TestWorkspace:
     def test_reused_workspace_gives_the_bits_of_fresh_calls(self, params, a, b, seed, n):
         # two chunks of the settings-frame chain in one workspace, the second
         # reusing the first's rows, against chunks that each get a fresh
-        # workspace and form their cells and outcomes without it
+        # workspace
         fresh, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
         a, b = a.arr, b.arr
         ws = ChunkWorkspace()
         for k in (n, max(1, n // 3)):
             own = ChunkWorkspace(k)
-            proj = _draw_projections(params, a, b, fresh, own)
-            cells = table_cells(*_projection_coeffs(params, proj, a, b, own))
-            outcomes = draw_outcomes(cells, k, fresh)
+            abc = _projection_coeffs(params, _draw_projections(params, a, b, fresh, own),
+                                     a, b, own)
+            want = [_bits(x, k) for x in abc]
+            outcomes = draw_outcomes(*abc, k, fresh, own)
             ws.start(k)
-            proj_ws = _draw_projections(params, a, b, drawn, ws)
-            cells_ws = table_cells(*_projection_coeffs(params, proj_ws, a, b, ws), ws=ws)
-            assert [_bits(c, k) for c in cells_ws] == [_bits(c, k) for c in cells]
-            assert [_bits(o, k) for o in draw_outcomes(cells_ws, k, drawn, ws)] == [
+            abc_ws = _projection_coeffs(params, _draw_projections(params, a, b, drawn, ws),
+                                        a, b, ws)
+            assert [_bits(x, k) for x in abc_ws] == want
+            assert [_bits(o, k) for o in draw_outcomes(*abc_ws, k, drawn, ws)] == [
                 _bits(o, k) for o in outcomes]
 
     def test_storage_does_not_depend_on_the_order_of_chunks(self, idle_workspaces):
@@ -385,6 +394,56 @@ class TestTableCheck:
         with pytest.raises(InvalidModelError):
             # mp = (1 - 0.9 - 0.9 - 0.5)/4 < 0 while the other three cells are positive
             table_cells(np.array([0.9]), np.array([-0.9]), np.array([0.5]))
+
+
+def _coeffs_of(pp, pm, mp, mm):
+    """(A, B, C) of the table with these cells."""
+    return pp + pm - mp - mm, pp - pm + mp - mm, pp - pm - mp + mm
+
+
+def _table_with_one_cell_at(cell, value):
+    """Cells with ``cell`` at ``value``, its mirror (pp and mm, pm and mp) at
+    1/2 - value and the other two at 1/4, so C = 0."""
+    cells = [0.25] * 4
+    cells[cell], cells[3 - cell] = value, 0.5 - value
+    return cells
+
+
+class TestDrawCheck:
+    """The negative-cell check of `draw_outcomes`, which never forms the
+    cells: a cell of a row made negative alone by 1e-9 raises, and one at
+    -1e-13, inside TABLE_TOL, passes, for each shape of coefficients the
+    Monte-Carlo loop draws from."""
+
+    @staticmethod
+    def draw(value, A, B, C):
+        def draw():
+            draw_outcomes(A, B, C, 2, np.random.default_rng(0), ChunkWorkspace(2))
+
+        if value < -TABLE_TOL:
+            with pytest.raises(InvalidModelError, match="negative probability"):
+                draw()
+        else:
+            draw()
+
+    @pytest.mark.parametrize("value", [-1e-9, -1e-13])
+    @pytest.mark.parametrize("cell", range(4), ids=["pp", "pm", "mp", "mm"])
+    def test_fhv_rows_with_a_scalar_c(self, cell, value):
+        # row 0 is the uniform table, row 1 the table with the one negative cell
+        A, B, C = _coeffs_of(*_table_with_one_cell_at(cell, value))
+        self.draw(value, np.array([0.0, A]), np.array([0.0, B]), C)
+
+    @pytest.mark.parametrize("value", [-1e-9, -1e-13])
+    @pytest.mark.parametrize("cell", range(4), ids=["pp", "pm", "mp", "mm"])
+    def test_scalar_table(self, cell, value):
+        self.draw(value, *_coeffs_of(*_table_with_one_cell_at(cell, value)))
+
+    @pytest.mark.parametrize("value", [-1e-9, -1e-13])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["pp=mm", "pm=mp"])
+    def test_flat_marginals_with_a_c_row(self, sign, value):
+        # with A = B = 0 the cells are pp = mm = (1 + C)/4 and pm = mp = (1 - C)/4,
+        # so C = -(1 - 4v) puts pp and mm at v, and C = 1 - 4v puts pm and mp there
+        self.draw(value, 0.0, 0.0, np.array([0.0, sign * (1.0 - 4.0 * value)]))
 
 
 class TestWitness:
@@ -592,20 +651,24 @@ class TestWorkerCount:
     def test_two_workers_fit_in_one_reference_shard(self, family, monkeypatch,
                                                      idle_workspaces):
         # two pooled shards of MC_CHUNK, each in its worker's workspace, peak no
-        # higher than the reference pipeline drawing one shard of MC_CHUNK
+        # higher than the reference pipeline drawing the same samples as one
+        # shard, nor above the rows of their two warm workspaces (pinned
+        # below) plus a byte per sample
         _force_workers(monkeypatch, 2)
         params = POOL_FAMILIES[family]
         pooled = _peak(lambda: mc_correlator(params, POOL_SETTINGS, 2 * MC_CHUNK, 1, 2))
-        reference = _peak(lambda: _ref_mc(params, POOL_SETTINGS, MC_CHUNK, 1, 1))
+        reference = _peak(lambda: _ref_mc(params, POOL_SETTINGS, 2 * MC_CHUNK, 1, 1))
+        rows = {"fhv": 5, "thv": 4, "shv-cap": 4}[family]
         assert pooled <= reference
+        assert pooled <= (2 * rows * 8 + 1) * MC_CHUNK
 
     @pytest.mark.parametrize("family,rows", [
         ("fhv", 5), ("thv", 4), ("shv-cap", 4), ("shv-const", 2), ("qm", 2)])
     def test_warm_workspace_holds_the_most_rows_lent_at_once(self, family, rows,
                                                               idle_workspaces):
-        # the most rows one chunk lends at once: for fhv, pp, pm and mp, the
-        # uniforms r and the flags (mm is given back before r is drawn); a
-        # constant p-field forms a scalar table, as qm does
+        # the most rows one chunk lends at once: for fhv, the rows of A and B
+        # (where pp+pm, pm and then pp+pm+mp are formed), pp, the uniforms r
+        # and the flags; a constant p-field forms scalar sums, as qm does
         n, params = 10_000, POOL_FAMILIES[family]
         # made before tracing: the first generator imports numpy.random internals
         rngs = [np.random.default_rng(seed) for seed in (0, 1)]

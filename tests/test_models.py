@@ -1,11 +1,11 @@
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from hvsinglet.geometry import (
+    ChunkWorkspace,
     UnitVector3,
     X,
     Y,
@@ -373,30 +373,31 @@ class TestSampleHidden:
 
 class TestSampleOutcomes:
     # the flags of `draw_outcomes` (sigma == +1, sigma*tau == +1) name the
-    # outcome (sigma, tau); the degenerate and zero-cell tests draw batches
-    # of one
+    # outcome (sigma, tau) of the table with coefficients (A, B, C); the
+    # degenerate and zero-cell tests draw batches of one
     def test_degenerate_table(self):
-        t = ProbabilityTable(1.0, 0.0, 0.0, 0.0)
-        rng = make_rng(0)
+        # (A, B, C) = (1, 1, 1): pp = 1, every other cell 0
+        rng, ws = make_rng(0), ChunkWorkspace(1)
         for _ in range(100):
-            plus, same = draw_outcomes(astuple(t), 1, rng)
+            plus, same = draw_outcomes(1.0, 1.0, 1.0, 1, rng, ws)
             assert plus[0] and same[0]  # (sigma, tau) == (1, 1)
 
     def test_uniform_frequencies(self):
-        t = ProbabilityTable(0.25, 0.25, 0.25, 0.25)
         rng = make_rng(4)
         n = 100_000
-        plus, same = draw_outcomes([np.full(n, p) for p in astuple(t)], n, rng)
+        # (A, B, C) = (0, 0, 0) as fhv-shaped rows: every cell 1/4
+        plus, same = draw_outcomes(np.zeros(n), np.zeros(n), 0.0, n, rng, ChunkWorkspace(n))
         stderr = math.sqrt(0.25 * 0.75 / n)
         for key in ((True, True), (True, False), (False, True), (False, False)):
             count = np.count_nonzero((plus == key[0]) & (same == key[1]))
             assert abs(count / n - 0.25) <= 4 * stderr
 
     def test_zero_cells_never_drawn(self):
-        t = joint(QM, None, Settings(Z, Z))
-        rng = make_rng(8)
+        # the qm table at a = b: pp = mm = 0
+        A, B, C = coeffs(QM, {}, Z.arr, Z.arr)
+        rng, ws = make_rng(8), ChunkWorkspace(1)
         for _ in range(10_000):
-            _, same = draw_outcomes(astuple(t), 1, rng)
+            _, same = draw_outcomes(A, B, C, 1, rng, ws)
             assert not same[0]  # sigma != tau
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hvsinglet import inequalities as inequalities_module
 from hvsinglet import models as models_module
 from hvsinglet.correlators import PlaneAverageSpec, analytic_correlator, plane_avg_correlator
 from hvsinglet.geometry import (
@@ -381,3 +382,61 @@ class TestSearchLayerMemory:
                 tracemalloc.stop()
 
         assert max_peak(4 * seeds) <= 1.5 * max_peak(seeds)
+
+
+@pytest.fixture
+def unevaluated(monkeypatch):
+    """Margins that fail when evaluated, so a search that raises before its
+    first evaluation is one that raises at once."""
+    def margins(*args, **kwargs):
+        def evaluate(*points):
+            raise AssertionError("a margin was evaluated before the arguments were checked")
+        return evaluate
+
+    monkeypatch.setattr(inequalities_module, "_margins", margins)
+
+
+class TestSearchArguments:
+    """Arguments a search cannot honour (a tol that is not finite and
+    positive, fewer than two or fractional nodes, a reversed or infinite
+    domain) raise one ValueError, from the check that `violation_window`,
+    `max_violation`, `threshold` and the batched searches share, before any
+    margin is evaluated."""
+
+    match = "a search needs a finite tol > 0"
+
+    def test_zero_tol(self, unevaluated):
+        with pytest.raises(ValueError, match=self.match):
+            threshold("chsh", ModelParams.fhv(0.0), "eta", (0.0, 1.0), tol=0.0)
+
+    def test_negative_tol(self, unevaluated):
+        with pytest.raises(ValueError, match=self.match):
+            violation_window("leggett", ModelParams.fhv(0.5), "phi", (0.0, PI), tol=-1)
+
+    def test_nan_tol(self, unevaluated):
+        with pytest.raises(ValueError, match=self.match):
+            threshold("chsh", ModelParams.fhv(0.0), "eta", (0.0, 1.0), tol=math.nan)
+
+    def test_one_node(self, unevaluated):
+        with pytest.raises(ValueError, match=self.match):
+            max_violation("leggett", ModelParams.qm(), "phi", (0.0, PI), nodes=1)
+
+    def test_zero_nodes(self, unevaluated):
+        with pytest.raises(ValueError, match=self.match):
+            violation_window("leggett", ModelParams.qm(), "phi", (0.0, PI), nodes=0)
+
+    def test_fractional_nodes(self, unevaluated):
+        with pytest.raises(ValueError, match=self.match):
+            threshold("chsh", ModelParams.fhv(0.0), "eta", (0.0, 1.0), nodes=64.5)
+
+    def test_reversed_domain(self, unevaluated):
+        with pytest.raises(ValueError, match=self.match):
+            max_violation("leggett", ModelParams.qm(), "phi", (PI, 0.0))
+
+    def test_infinite_domain(self, unevaluated):
+        with pytest.raises(ValueError, match=self.match):
+            _max_violations("branciard", [ModelParams.qm()], "phi", (0.0, math.inf))
+
+    def test_batched_windows_share_the_check(self, unevaluated):
+        with pytest.raises(ValueError, match=self.match):
+            _violation_windows("leggett", [ModelParams.qm()] * 2, "phi", (0.0, 0.0), 1e-9)
