@@ -28,11 +28,11 @@ from hvsinglet.correlators import (
 from hvsinglet.harness import _mc_trial_failures, parse_config, report_to_json, run_verify
 from hvsinglet.geometry import ChunkWorkspace, UnitVector3, X, Y, Z, sample_unit_batch
 from hvsinglet.models import (
+    TABLE_TOL,
     CapP,
     ConstantP,
     FSpec,
     HiddenState,
-    TABLE_TOL,
     InvalidModelError,
     ModelFamily,
     ModelParams,
@@ -403,7 +403,7 @@ def _coeffs_of(pp, pm, mp, mm):
 
 def _table_with_one_cell_at(cell, value):
     """Cells with ``cell`` at ``value``, its mirror (pp and mm, pm and mp) at
-    1/2 - value and the other two at 1/4, so C = 0."""
+    1/2 - value and the other two at 1/4, so C is 0 up to rounding."""
     cells = [0.25] * 4
     cells[cell], cells[3 - cell] = value, 0.5 - value
     return cells
