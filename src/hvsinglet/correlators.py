@@ -12,6 +12,7 @@ route that checks this, not a step of the inequality search.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -19,7 +20,6 @@ import numpy as np
 
 from .geometry import ChunkWorkspace, Plane, UnitVector3
 from .models import (
-    InvalidModelError,
     ModelFamily,
     ModelParams,
     Settings,
@@ -62,39 +62,33 @@ class PlaneAverageSpec:
 
 class _Columns:
     """The per-model parameter columns a batch of models of one family
-    reads in `_pair_correlator_arrays`, built once per batch: eta (FHV),
-    zeta (THV), pbar and p_m (SHV), one entry per model."""
+    reads in `_pair_correlator_arrays`, built once per batch: zeta (THV),
+    pbar and p_m (SHV), eta (FHV and QM), one entry per model."""
 
     def __init__(self, models) -> None:
         self.family = fam = models[0].family
-        if fam is ModelFamily.FHV:
-            self.eta = np.array([m.eta for m in models], dtype=float)
-        elif fam is ModelFamily.THV:
+        if fam is ModelFamily.THV:
             self.zeta = np.array([m.zeta for m in models], dtype=float)
         elif fam is ModelFamily.SHV:
             self.p_mean = np.array([m.p_mean() for m in models], dtype=float)
             self.p_m = np.array([m.p_m for m in models], dtype=float)
+        else:  # FHV, and QM, whose eta is 0
+            self.eta = np.array([m.eta for m in models], dtype=float)
 
 
-def _pair_correlator_arrays(models, a: np.ndarray, b: np.ndarray, which=slice(None)):
+def _pair_correlator_arrays(cols: _Columns, a: np.ndarray, b: np.ndarray, which=slice(None)):
     """Correlator (hidden variables already averaged out) for row-paired
     settings ``a``, ``b`` that broadcast to shape (n, ..., 3).
 
-    ``models`` holds models of one family, or their prebuilt `_Columns`;
-    row i uses ``models[which[i]]`` (by default ``models[i]``, or the only
-    model for every row).
+    ``cols`` holds the columns of models of one family; row i uses model
+    ``which[i]`` (by default model i, or the only model for every row).
     """
     ab = np.sum(a * b, axis=-1)
-    cols = models if isinstance(models, _Columns) else _Columns(models)
     fam = cols.family
 
     def column(values, *tail):
         return values[which].reshape((-1,) + (1,) * (ab.ndim - 1) + tail)
 
-    if fam is ModelFamily.QM:
-        return -ab
-    if fam is ModelFamily.FHV:
-        return -ab / (1.0 + column(cols.eta))
     if fam is ModelFamily.SHV:
         pbar = column(cols.p_mean, 3)
         cross_term = np.sum(np.cross(a, b) * pbar, axis=-1)
@@ -102,7 +96,8 @@ def _pair_correlator_arrays(models, a: np.ndarray, b: np.ndarray, which=slice(No
     if fam is ModelFamily.THV:
         z = column(cols.zeta)
         return -(1.0 - 3.0 * z / 35.0) * ab + (2.0 * z / 35.0) * (ab * ab * ab)
-    raise InvalidModelError(f"no analytic correlator for family {fam.value}")
+    # FHV, and QM: -a.b / (1 + 0) is -a.b bit for bit
+    return -ab / (1.0 + column(cols.eta))
 
 
 def analytic_correlator(params: ModelParams, s: Settings) -> float:
@@ -113,7 +108,7 @@ def analytic_correlator(params: ModelParams, s: Settings) -> float:
         THV  -(1 - 3*zeta/35) a.b + (2*zeta/35) (a.b)^3
         QM   -a.b
     """
-    return float(_pair_correlator_arrays((params,), s.a.arr[None], s.b.arr[None])[0])
+    return float(_pair_correlator_arrays(_Columns((params,)), s.a.arr[None], s.b.arr[None])[0])
 
 
 def _usable_cpus() -> int:
@@ -207,10 +202,10 @@ def mc_correlator(
     result is bit-reproducible for a fixed (seed, shards) pair whatever the
     thread count, and memory grows neither with ``n`` nor with ``shards``.
     """
-    if n < MIN_MC_SAMPLES:
-        raise ValueError(f"n must be at least {MIN_MC_SAMPLES}")
-    if shards < 1:
-        raise ValueError("shards must be positive")
+    if not isinstance(n, numbers.Integral) or n < MIN_MC_SAMPLES:
+        raise ValueError(f"n must be an integer of at least {MIN_MC_SAMPLES}")
+    if not isinstance(shards, numbers.Integral) or shards < 1:
+        raise ValueError("shards must be a positive integer")
     base, extra = divmod(n, shards)
 
     def shard(i: int) -> int:
@@ -245,7 +240,7 @@ def plane_avg_correlator(
     a = np.cos(theta)[:, None] * e1 + np.sin(theta)[:, None] * e2
     tb = theta + spec.phi
     b = np.cos(tb)[:, None] * e1 + np.sin(tb)[:, None] * e2
-    return float(np.mean(_pair_correlator_arrays((params,), a, b)))
+    return float(np.mean(_pair_correlator_arrays(_Columns((params,)), a, b)))
 
 
 def sphere_moment_oracle(a: UnitVector3, b: UnitVector3, order: int = 24) -> float:

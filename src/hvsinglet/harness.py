@@ -27,13 +27,16 @@ from .geometry import (
 from .models import (
     CapP,
     ConstantP,
+    FIELD_READERS,
     FSpec,
+    HIDDEN_VECTORS,
     HiddenState,
     InvalidModelError,
     ModelFamily,
     ModelParams,
     Settings,
     _check_hidden_p,
+    _conditional_shift,
     coeffs,
     joint,
     outcome_dependence_witness,
@@ -197,9 +200,6 @@ def parse_model(block) -> ModelParams:
         family = ModelFamily(name)
     except ValueError:
         raise ConfigError(f"unknown model family {name!r}") from None
-    if family in (ModelFamily.BHV, ModelFamily.LHV):
-        raise ConfigError(f"family {name!r} has no closed parameterization; "
-                          "use the library API")
     try:
         return ModelParams(family, **_read(block, "model", family))
     except InvalidModelError as exc:
@@ -297,11 +297,11 @@ CONFIG = {
     "output": {"path": Entry(_path, None, "out"),
                "format": Entry(_one_of(OUTPUT_FORMATS), None, "fmt")},
     "model": {"family": Entry(None),
-              "eta": Entry(parse_number, (FHV,)),
-              "zeta": Entry(parse_number, (THV,)),
-              "f": Entry(_block(FSpec, "f"), (FHV,), "f_spec"),
-              "f_b": Entry(_block(FSpec, "f"), (FHV,), "f_spec_b"),
-              "p": Entry(_p_field, (SHV,), "p_spec")},
+              "eta": Entry(parse_number, FIELD_READERS["eta"]),
+              "zeta": Entry(parse_number, FIELD_READERS["zeta"]),
+              "f": Entry(_block(FSpec, "f"), FIELD_READERS["f_spec"], "f_spec"),
+              "f_b": Entry(_block(FSpec, "f"), FIELD_READERS["f_spec_b"], "f_spec_b"),
+              "p": Entry(_p_field, FIELD_READERS["p_spec"], "p_spec")},
     "hidden": {"u": Entry(parse_unit_vector, (FHV, THV)),
                "v": Entry(parse_unit_vector, (FHV, THV)),
                "p": Entry(_triple, (SHV,))},
@@ -345,11 +345,8 @@ def _read(block, what: str, reader=None) -> dict:
 def _hidden_state(block, family: ModelFamily) -> HiddenState:
     """The hidden state a ``hidden`` block fixes for the family."""
     entries = _read(block, "hidden", family)
-    if family is ModelFamily.QM:
+    if not (needs := HIDDEN_VECTORS[family]):
         raise ConfigError("the qm model has no hidden state; drop the hidden block")
-    # the cubic family locks v = -u, so it needs only u
-    needs = [key for key, row in CONFIG["hidden"].items()
-             if family in row.readers and (family, key) != (THV, "v")]
     if any(key not in entries for key in needs):
         raise ConfigError(f"{family.value} hidden block needs {' and '.join(needs)}")
     if family is THV:
@@ -442,7 +439,7 @@ def parse_config(doc: dict, task: str | None = None, *, pm=None) -> RunConfig:
         config = replace(config, params=params)
     if config.hidden is not None and config.hidden.p is not None:
         try:
-            _check_hidden_p(config.params, config.hidden.p_arr)
+            _check_hidden_p(config.params, config.hidden.p)
         except InvalidModelError as exc:
             raise ConfigError(str(exc)) from exc
     return config
@@ -763,8 +760,7 @@ def _bhv_conditional_shift(cases: int, rng: np.random.Generator) -> float:
     """Max over random product tables of |P(sigma|tau=+1) - P(sigma|tau=-1)|."""
     abar = rng.uniform(-0.999, 0.999, cases)
     bbar = rng.uniform(-0.999, 0.999, cases)
-    pp, pm, mp, mm = table_cells(abar, bbar, abar * bbar)
-    return float(np.max(np.abs(pp / (pp + mp) - pm / (pm + mm))))
+    return float(np.max(_conditional_shift(*table_cells(abar, bbar, abar * bbar))))
 
 
 def _threshold_claim(
@@ -978,10 +974,9 @@ def run_verify(config: RunConfig) -> VerificationReport:
     ))
 
     # --- cubic-family CHSH coefficient (independent quadrature route) -------
-    errors = []
-    for zeta in (0.5, 1.0, 2.0):
-        expected = 2.0 * math.sqrt(2.0) - CHSH_THV_SLOPE_DERIVED * zeta
-        errors.append(abs(_quadrature_thv_chsh(zeta) - expected))
+    quadrature = {zeta: _quadrature_thv_chsh(zeta) for zeta in (0.0, 0.5, 1.0, 2.0)}
+    errors = [abs(quadrature[zeta] - (2.0 * math.sqrt(2.0) - CHSH_THV_SLOPE_DERIVED * zeta))
+              for zeta in (0.5, 1.0, 2.0)]
     claims.append(_claim(
         "chsh.thv.derived_value",
         "Sphere-quadrature CHSH value of the cubic family equals "
@@ -989,8 +984,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
         0.0, np.max(errors), 1e-8,
     ))
 
-    e0 = _quadrature_thv_chsh(0.0)
-    e1 = _quadrature_thv_chsh(1.0)
+    e0, e1 = quadrature[0.0], quadrature[1.0]
     root = (e0 - 2.0) / (e0 - e1)
     claims.append(_claim(
         "chsh.thv.derived_zeta_root",

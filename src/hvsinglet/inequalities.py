@@ -367,6 +367,8 @@ def margin(
 ) -> InequalityReport:
     """Assemble value, bound, margin, and violation flag for one inequality."""
     if name == "chsh":
+        if phi is not None:
+            raise ValueError("chsh has no phi dependence")
         config = {
             "family": params.family.value,
             "settings": "optimal" if settings is None else "custom",
@@ -374,6 +376,8 @@ def margin(
     elif name in PHI_DOMAINS:
         if phi is None:
             raise ValueError(f"{name} margin requires phi")
+        if settings is not None:
+            raise ValueError(f"{name} takes no settings; they follow from phi")
         config = {"family": params.family.value, "phi": phi}
     else:
         raise ValueError(f"unknown inequality {name!r}")
@@ -401,9 +405,9 @@ def _scan(
     """
     if variable not in SCAN_VARIABLES:
         raise ValueError(f"unknown scan variable {variable!r}")
+    if name == "chsh" and (variable == "phi" or phi is not None):
+        raise ValueError("chsh has no phi dependence")
     if variable == "phi":
-        if name == "chsh":
-            raise ValueError("chsh has no phi dependence")
         value = _value_function(name, models)
         return lambda x, i: (value(x, i), _bound(name, x))
 
@@ -677,8 +681,10 @@ def threshold(
 # ------------------------------ bound audits --------------------------------
 #
 # Each audit draws and scores its trials as arrays, AUDIT_BLOCK trials at a
-# time, so its memory does not grow with ``trials``.  Product and
-# Malus-marginal tables come from `table_cells`, whose cell check guards them.
+# time, so its memory does not grow with ``trials``.  The two comparison
+# classes are tables of `table_cells`, whose cell check guards them:
+#     product  A = Abar, B = Bbar, C = Abar*Bbar   (outcome independent)
+#     Malus    A = u.a,  B = v.b,  C free within positivity (Malus marginals)
 
 # Hidden atoms per random mixture, and trials per block, in the bound audits.
 BHV_ATOMS = 8

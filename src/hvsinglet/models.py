@@ -1,5 +1,5 @@
 """Outcome probabilities for three local hidden-variable families of the spin
-singlet, the quantum reference, and two comparison classes.
+singlet and the quantum reference.
 
 Every joint table produced here has the bilinear form
 
@@ -11,8 +11,6 @@ with family-specific single-party terms A, B and correlation term C:
     SHV  A = B = 0,      C = -[a.b + (a x b).p(lam)] / sqrt(1+pm^2)
     THV  A = B = 0,      C = -[a.b + zeta*(a.u)^3*(b.v)^3],  v = -u
     QM   A = B = 0,      C = -a.b
-    BHV  A = Abar,       B = Bbar,  C = Abar*Bbar   (outcome independent)
-    LHV  A = u.a,        B = v.b,   C free within positivity (Malus marginals)
 
 Hidden-variable samplers never see detector settings, so setting independence
 of the hidden distribution is enforced by the call signature.  A table reads
@@ -24,7 +22,7 @@ their laws, the images of the same setting-independent hidden laws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -57,8 +55,14 @@ class ModelFamily(str, Enum):
     SHV = "shv"
     THV = "thv"
     QM = "qm"
-    BHV = "bhv"
-    LHV = "lhv"
+
+
+# The families that read each field of `ModelParams`, and the vectors each
+# family's hidden state must carry (the cubic family's partner is v = -u).
+FIELD_READERS = {**dict.fromkeys(("eta", "f_spec", "f_spec_b"), (ModelFamily.FHV,)),
+                 "zeta": (ModelFamily.THV,), "p_spec": (ModelFamily.SHV,)}
+HIDDEN_VECTORS = {ModelFamily.FHV: ("u", "v"), ModelFamily.THV: ("u",),
+                  ModelFamily.SHV: ("p",), ModelFamily.QM: ()}
 
 
 @dataclass(frozen=True)
@@ -180,8 +184,10 @@ def thv_positivity_margin(zeta: float) -> float:
 class ModelParams:
     """Family tag plus the parameters that family actually uses.
 
-    eta (FHV) and zeta (THV) must be nonnegative; epsilon is always derived
-    as eta/(1+eta) and cannot be set independently.  THV construction
+    Any other field (see `FIELD_READERS`) must keep its default, or the
+    constructor and the `with_*` methods raise InvalidModelError.  eta (FHV)
+    and zeta (THV) must be nonnegative; epsilon is always derived as
+    eta/(1+eta) and cannot be set independently.  THV construction
     rejects zeta > 2 (beyond a 1e-9 tolerance), where some joint probability
     would be negative (the proof is in `thv_positivity_margin`).
     """
@@ -194,6 +200,13 @@ class ModelParams:
     p_spec: PSpec = ConstantP()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.family, ModelFamily):
+            raise InvalidModelError(f"unknown model family {self.family!r}")
+        for name, default in _UNREAD_DEFAULTS[self.family]:
+            if getattr(self, name) != default:
+                raise InvalidModelError(
+                    f"{name!r} is a {'/'.join(FIELD_READERS[name])} parameter; "
+                    f"the {self.family.value} model ignores it")
         if not (math.isfinite(self.eta) and self.eta >= 0.0):
             raise InvalidModelError("eta must be finite and nonnegative")
         if not (math.isfinite(self.zeta) and self.zeta >= 0.0):
@@ -204,12 +217,9 @@ class ModelParams:
             if not math.isfinite(p_m * p_m):
                 raise InvalidModelError("p-field sup norm out of range: p_m must stay below "
                                         "about 1.34e154, so that p_m^2 is finite")
-        if self.family is ModelFamily.THV and self.zeta > 0.0:
-            if thv_positivity_margin(self.zeta) < -1e-9:
-                raise InvalidModelError(
-                    f"zeta = {self.zeta!r} fails the positivity audit "
-                    "(some joint probability would be negative)"
-                )
+        if self.zeta > 0.0 and thv_positivity_margin(self.zeta) < -1e-9:  # THV only
+            raise InvalidModelError(f"zeta = {self.zeta!r} fails the positivity audit "
+                                    "(some joint probability would be negative)")
 
     @property
     def epsilon(self) -> float:
@@ -263,6 +273,12 @@ class ModelParams:
         return replace(self, p_spec=replace(self.p_spec, magnitude=p_m))
 
 
+# Per family, the (field, default) pairs of `ModelParams` it must leave alone.
+_UNREAD_DEFAULTS = {family: tuple((f.name, f.default) for f in fields(ModelParams)
+                                  if family not in FIELD_READERS.get(f.name, (family,)))
+                    for family in ModelFamily}
+
+
 @dataclass(frozen=True)
 class HiddenState:
     """One draw of the hidden variables: either a vector pair (u, v) or an
@@ -280,12 +296,6 @@ class HiddenState:
     def carrier(cls, p) -> "HiddenState":
         px, py, pz = (float(c) for c in p)
         return cls(p=(px, py, pz))
-
-    @property
-    def p_arr(self) -> np.ndarray:
-        if self.p is None:
-            raise ValueError("state carries no p vector")
-        return np.asarray(self.p, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -348,13 +358,11 @@ def coeffs(params: ModelParams, hidden: dict[str, np.ndarray], a, b):
     then the family's formula `_projection_coeffs`, the one kernel behind
     every table, sampler and witness.
 
-    ``hidden`` maps "u", "v" (FHV), "u" (THV) or "p" (SHV) to hidden
-    vectors, (n, 3) arrays or single 3-vectors; it is empty for QM.  ``a``
-    and ``b`` are fixed 3-vectors or (n, 3) arrays.  A, B and C come back
-    as (n,) rows, except that families with flat marginals return
-    A = B = 0.0 as scalars, and a C that depends on fixed settings alone is
-    a scalar too.  The cubic family reads only u, since its partner is
-    v = -u.
+    ``hidden`` maps the keys `HIDDEN_VECTORS` names for the family to
+    hidden vectors, (n, 3) arrays or single 3-vectors.  ``a`` and ``b`` are
+    fixed 3-vectors or (n, 3) arrays.  A, B and C come back as (n,) rows,
+    except that families with flat marginals return A = B = 0.0 as scalars,
+    and a C that depends on fixed settings alone is a scalar too.
 
     Every step is one numpy operation on component rows, in the order of
     the formulas in the module docstring, with dots summed in component
@@ -434,16 +442,14 @@ def _projection_coeffs(params: ModelParams, proj, a, b, ws: ChunkWorkspace):
         out = C if np.ndim(C) else None
         C = np.negative(np.add(C, ab, out=out), out=out)
         return 0.0, 0.0, np.divide(C, math.sqrt(1.0 + params.p_m**2), out=out)
-    if fam is ModelFamily.THV:
-        ua, ub = proj
-        C = _cube_into(ua, ws.row())
-        C *= params.zeta
-        C *= _cube_into(ub, ua)
-        np.subtract(ab, C, out=C)
-        np.negative(C, out=C)
-        ws.give(ua, ub)
-        return 0.0, 0.0, C
-    raise InvalidModelError(f"no joint table for family {fam.value}")
+    ua, ub = proj  # THV
+    C = _cube_into(ua, ws.row())
+    C *= params.zeta
+    C *= _cube_into(ub, ua)
+    np.subtract(ab, C, out=C)
+    np.negative(C, out=C)
+    ws.give(ua, ub)
+    return 0.0, 0.0, C
 
 
 def _dot3_rows(x, y, out: np.ndarray | None = None):
@@ -481,25 +487,35 @@ def _check_hidden_p(params: ModelParams, p: np.ndarray) -> None:
         raise InvalidModelError("hidden state has |p| > p_m")
 
 
+def _require_hidden(params: ModelParams) -> None:
+    """Reject a hidden state for a family that has none (QM)."""
+    if not HIDDEN_VECTORS[params.family]:
+        raise InvalidModelError(f"the {params.family.value} model has no hidden state")
+
+
 def joint(params: ModelParams, h: HiddenState | None, s: Settings) -> ProbabilityTable:
-    """The family's table for one hidden draw (None for QM): `coeffs` on a
-    batch of one."""
-    fam = params.family
-    if fam is ModelFamily.QM:
-        hidden = {}
-    elif h is None:
-        raise InvalidModelError(f"{fam.value} requires a hidden state")
-    elif fam is ModelFamily.SHV:
-        hidden = {"p": h.p_arr}
+    """The family's table for one hidden draw (None for QM), which must
+    carry the vectors `HIDDEN_VECTORS` names: `coeffs` on a batch of one."""
+    if h is not None:
+        _require_hidden(params)
+    needs = HIDDEN_VECTORS[params.family]
+    if missing := [key for key in needs if getattr(h, key, None) is None]:
+        raise InvalidModelError(f"{params.family.value} hidden state needs "
+                                f"{' and '.join(missing)}")
+    hidden = {key: h.p if key == "p" else getattr(h, key).arr for key in needs}
+    if "p" in hidden:
         _check_hidden_p(params, hidden["p"])
-    else:
-        hidden = {k: getattr(h, k).arr for k in ("u", "v") if getattr(h, k) is not None}
     # a batch of one: the coefficient rows hold one value each
     return ProbabilityTable(*table_cells(
         *(np.ravel(x)[0] for x in coeffs(params, hidden, s.a.arr, s.b.arr))))
 
 
 # ------------------------ marginals and conditionals -----------------------
+
+
+def _conditional_shift(pp, pm, mp, mm):
+    """|P(sigma=+1|tau=+1) - P(sigma=+1|tau=-1)| of tables, elementwise."""
+    return np.abs(pp / (pp + mp) - pm / (pm + mm))
 
 
 def marginal(t: ProbabilityTable, party: str) -> tuple[float, float]:
@@ -556,25 +572,21 @@ def sample_hidden_batch(
         return {"u": u, "v": -u}
     if params.family is ModelFamily.SHV:
         return {"p": params.p_spec.sample(rng, n)}
-    if params.family is ModelFamily.QM:
-        return {}
-    raise InvalidModelError(f"family {params.family.value} has no hidden sampler")
+    return {}
 
 
-def _hidden_state(params: ModelParams, hidden: dict[str, np.ndarray],
-                  i: int) -> HiddenState:
+def _hidden_state(hidden: dict[str, np.ndarray], i: int) -> HiddenState:
     """Row i of a hidden batch as a `HiddenState`."""
     if "p" in hidden:
         return HiddenState.carrier(hidden["p"][i])
-    if "u" in hidden:
-        return HiddenState.uv(UnitVector3.from_array(hidden["u"][i]),
-                              UnitVector3.from_array(hidden["v"][i]))
-    raise InvalidModelError(f"family {params.family.value} has no hidden sampler")
+    return HiddenState.uv(UnitVector3.from_array(hidden["u"][i]),
+                          UnitVector3.from_array(hidden["v"][i]))
 
 
 def sample_hidden(params: ModelParams, rng: np.random.Generator) -> HiddenState:
     """Draw one hidden state: `sample_hidden_batch` on a batch of one."""
-    return _hidden_state(params, sample_hidden_batch(params, 1, rng), 0)
+    _require_hidden(params)
+    return _hidden_state(sample_hidden_batch(params, 1, rng), 0)
 
 
 def draw_outcomes(A, B, C, n: int, rng: np.random.Generator, ws: ChunkWorkspace):
@@ -657,18 +669,11 @@ class MalusReport:
 
 
 def malus_check(params: ModelParams, grid_points: int = 1001) -> MalusReport:
-    """Compare the marginal P(sigma=+1 | hidden, a) with Malus's law on a grid
-    of alignments x = u.a in [-1, 1]."""
+    """Compare the marginal P(sigma=+1 | hidden, a) = (1 + eps*f(u.a))/2, flat
+    outside FHV (eps = 0), with Malus's law on a grid of x = u.a in [-1, 1]."""
     x = np.linspace(-1.0, 1.0, grid_points)
     malus = (1.0 + x) / 2.0
-    if params.family is ModelFamily.FHV:
-        marg = (1.0 + params.epsilon * params.f_spec(x)) / 2.0
-    elif params.family in (ModelFamily.SHV, ModelFamily.THV, ModelFamily.QM):
-        marg = np.full_like(x, 0.5)
-    elif params.family is ModelFamily.LHV:
-        marg = malus
-    else:
-        raise InvalidModelError("malus_check supports fhv/shv/thv/qm/lhv")
+    marg = (1.0 + params.epsilon * params.f_spec(x)) / 2.0
     dev = np.abs(marg - malus)
     at_alignment = float(dev[-1])
     max_dev = float(np.max(dev))
@@ -694,21 +699,21 @@ def outcome_dependence_witness(
 
     All trials are one batch; rows where either conditioning outcome has
     probability below CONDITIONAL_FLOOR are skipped, and the first row
-    attaining the maximum is returned.
+    attaining the maximum is returned.  QM is rejected before any draw.
     """
+    _require_hidden(params)
     a = sample_unit_batch(rng, trials)
     b = sample_unit_batch(rng, trials)
     hidden = sample_hidden_batch(params, trials, rng)
-    pp, pm, mp, mm = table_cells(*coeffs(params, hidden, a, b))
-    p_plus, p_minus = pp + mp, pm + mm
-    ok = (p_plus >= CONDITIONAL_FLOOR) & (p_minus >= CONDITIONAL_FLOOR)
+    pp, pm, mp, mm = cells = table_cells(*coeffs(params, hidden, a, b))
+    ok = (pp + mp >= CONDITIONAL_FLOOR) & (pm + mm >= CONDITIONAL_FLOOR)
     if not np.any(ok):
         return WitnessResult(-1.0, {})
     delta = np.full(trials, -1.0)
-    delta[ok] = np.abs(pp[ok] / p_plus[ok] - pm[ok] / p_minus[ok])
+    delta[ok] = _conditional_shift(*(c[ok] for c in cells))
     i = int(np.argmax(delta))
     return WitnessResult(float(delta[i]), {
         "a": UnitVector3.from_array(a[i]),
         "b": UnitVector3.from_array(b[i]),
-        "hidden": _hidden_state(params, hidden, i),
+        "hidden": _hidden_state(hidden, i),
     })

@@ -137,6 +137,11 @@ class TestMcCorrelator:
         with pytest.raises(ValueError):
             mc_correlator(ModelParams.qm(), Settings(X, Y), 50, seed=0)
 
+    @pytest.mark.parametrize("n, shards", [(1000.0, 1), (1000, 2.5)])
+    def test_non_integer_size_rejected(self, n, shards):
+        with pytest.raises(ValueError, match="must be .*integer"):
+            mc_correlator(ModelParams.qm(), Settings(X, Y), n, seed=0, shards=shards)
+
 
 class TestPlaneAverage:
     def test_qm_gives_minus_cos_phi(self):

@@ -19,7 +19,7 @@ from hvsinglet.harness import (
     scan_rows_to_csv,
 )
 from hvsinglet.inequalities import ViolationWindow
-from hvsinglet.models import ModelFamily
+from hvsinglet.models import FIELD_READERS, ModelFamily
 
 FAST_VERIFY = {"trials": 3, "mc_trial_n": 2000, "cases": 500, "mc_n": 20_000}
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -65,6 +65,18 @@ class TestParsing:
     def test_bad_family_rejected(self):
         with pytest.raises(ConfigError):
             parse_model({"family": "bohm"})
+
+    @pytest.mark.parametrize("tag", ["bhv", "lhv"])
+    def test_comparison_class_is_no_family(self, tag, capsys):
+        assert main(["chsh", "--model", tag]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid configuration: unknown model family {tag!r}\n")
+
+    def test_model_readers_are_the_models_field_table(self):
+        entries = {key: e for key, e in harness.CONFIG["model"].items() if key != "family"}
+        assert {e.field or key for key, e in entries.items()} == set(FIELD_READERS)
+        for key, entry in entries.items():
+            assert entry.readers is FIELD_READERS[entry.field or key]
 
     def test_settings_vectors_normalized(self):
         cfg = parse_config({"task": "prob", "settings": {"a": [0, 0, 2], "b": [1, 1, 0]}})

@@ -18,6 +18,7 @@ from hvsinglet.geometry import (
 from hvsinglet.models import (
     TABLE_TOL,
     CapP,
+    FIELD_READERS,
     ConstantP,
     FSpec,
     HiddenState,
@@ -108,6 +109,49 @@ class TestModelParams:
         x = np.linspace(-1.0, 1.0, 20001)
         assert x[0] == -1.0 and x[-1] == 1.0
         assert np.max(np.abs(f(x))) <= 0.5
+
+
+# a value other than the default for every field of ModelParams
+NON_DEFAULT = {"eta": 0.4, "zeta": 0.5, "f_spec": FSpec(0.3), "f_spec_b": FSpec(),
+               "p_spec": ConstantP((0.0, 0.0, 0.3))}
+
+
+class TestFamilyFields:
+    """A field the family does not read (`FIELD_READERS`) must keep its
+    default; any other value raises InvalidModelError naming the field and
+    both families."""
+
+    @pytest.mark.parametrize("family, name", [
+        (family, name) for name, readers in FIELD_READERS.items()
+        for family in ModelFamily if family not in readers])
+    def test_unread_field_rejected(self, family, name):
+        readers = "/".join(r.value for r in FIELD_READERS[name])
+        with pytest.raises(InvalidModelError, match=f"'{name}' is a {readers} parameter; "
+                                                    f"the {family.value} model ignores it"):
+            ModelParams(family, **{name: NON_DEFAULT[name]})
+
+    def test_qm_takes_no_eta(self):
+        with pytest.raises(InvalidModelError, match="'eta' is a fhv parameter"):
+            ModelParams(ModelFamily.QM, eta=0.4)
+
+    def test_with_zeta_on_qm_rejected(self):
+        with pytest.raises(InvalidModelError, match="'zeta' is a thv parameter"):
+            ModelParams.qm().with_zeta(0.5)
+
+    def test_with_pm_on_fhv_rejected(self):
+        with pytest.raises(InvalidModelError, match="'p_spec' is a shv parameter"):
+            ModelParams.fhv(0.1).with_pm(0.3)
+
+    def test_with_eta_on_thv_rejected(self):
+        with pytest.raises(InvalidModelError, match="the thv model ignores it"):
+            ModelParams.thv(1.0).with_eta(0.2)
+
+    @pytest.mark.parametrize("family", ["bhv", "lhv", "fhv"])
+    def test_family_outside_the_enum_rejected(self, family):
+        # the comparison classes are no families, and a plain string is no tag
+        # (a string model would reach no family's branch of any evaluator)
+        with pytest.raises(InvalidModelError, match="unknown model family"):
+            ModelParams(family)
 
 
 class TestThvAudit:
@@ -371,6 +415,36 @@ class TestSampleHidden:
             sample_hidden(ModelParams.qm(), make_rng(0))
 
 
+class TestHiddenVectors:
+    """`joint` reads the vectors `HIDDEN_VECTORS` names for the family and
+    names any that the state lacks."""
+
+    U, V = UnitVector3(0.0, 0.0, 1.0), UnitVector3(1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("params, h, missing", [
+        (ModelParams.fhv(0.5), HiddenState.carrier((0.0, 0.0, 0.1)), "u and v"),
+        (ModelParams.fhv(0.5), HiddenState(u=U), "v"),
+        (ModelParams.fhv(0.5), None, "u and v"),
+        (ModelParams.thv(1.0), HiddenState(v=V), "u"),
+        (ModelParams.shv(), HiddenState.uv(U, V), "p"),
+        (ModelParams.shv(), None, "p"),
+    ], ids=["fhv-carrier", "fhv-u-only", "fhv-none", "thv-v-only", "shv-uv", "shv-none"])
+    def test_missing_vector_named(self, params, h, missing):
+        with pytest.raises(InvalidModelError,
+                           match=f"{params.family.value} hidden state needs {missing}$"):
+            joint(params, h, Settings(X, Y))
+
+    def test_qm_rejects_a_state(self):
+        with pytest.raises(InvalidModelError, match="the qm model has no hidden state"):
+            joint(QM, HiddenState.uv(self.U, self.V), Settings(X, Y))
+
+    def test_thv_reads_u_alone(self):
+        params = ModelParams.thv(1.0)
+        h = HiddenState(u=self.U)
+        assert joint(params, h, Settings(X, Y)) == joint(params, HiddenState.uv(self.U, -self.U),
+                                                         Settings(X, Y))
+
+
 class TestSampleOutcomes:
     # the flags of `draw_outcomes` (sigma == +1, sigma*tau == +1) name the
     # outcome (sigma, tau) of the table with coefficients (A, B, C); the
@@ -482,11 +556,6 @@ class TestMalusCheck:
         rep = malus_check(ModelParams.shv())
         assert rep.max_deviation == pytest.approx(0.5, abs=1e-12)
 
-    def test_lhv_reference_compliant(self):
-        rep = malus_check(ModelParams(ModelFamily.LHV))
-        assert rep.max_deviation == 0.0
-        assert rep.compliant
-
 
 class TestOutcomeDependence:
     @pytest.mark.parametrize("family", ["fhv", "shv", "thv"])
@@ -498,3 +567,9 @@ class TestOutcomeDependence:
         }[family]
         found = outcome_dependence_witness(params, make_rng(19), trials=500)
         assert found.delta > 0.1
+
+    def test_qm_rejected_before_any_draw(self):
+        rng = make_rng(19)
+        with pytest.raises(InvalidModelError, match="the qm model has no hidden state"):
+            outcome_dependence_witness(QM, rng, trials=500)
+        assert rng.bit_generator.state == make_rng(19).bit_generator.state

@@ -16,6 +16,7 @@ from hvsinglet.geometry import (
     Plane,
     UnitVector3,
     branciard_settings,
+    chsh_optimal_settings,
     orthogonal_plane,
     vectors_in_plane,
 )
@@ -35,6 +36,7 @@ from hvsinglet.inequalities import (
     margin,
     margin_function,
     max_violation,
+    scan_values,
     threshold,
     violation_window,
 )
@@ -122,7 +124,6 @@ class TestArrayMargins:
     @settings(max_examples=25, deadline=None)
     @given(
         case=st.sampled_from([
-            (ModelParams.qm(), "eta", 1.0),  # the singlet ignores eta
             (ModelParams.fhv(0.0), "eta", 1.0),
             (ModelParams.thv(0.0), "zeta", 1.8),
             (ModelParams.shv(ConstantP((0.3, -0.2, 0.4))), "p_m", 1.5),
@@ -140,6 +141,48 @@ class TestArrayMargins:
         rebind = {"eta": base.with_eta, "zeta": base.with_zeta, "p_m": base.with_pm}[variable]
         want = [margin(name, rebind(v), phi=fixed).margin for v in values]
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+class TestUnreadArguments:
+    """A scan over a parameter its family does not read, phi on CHSH, and
+    settings on Leggett or Branciard raise before any value is computed."""
+
+    @pytest.fixture(autouse=True)
+    def no_values(self, monkeypatch):
+        def value_function(*args, **kwargs):
+            raise AssertionError("a value was computed before the arguments were checked")
+
+        monkeypatch.setattr(inequalities_module, "_value_function", value_function)
+
+    @pytest.mark.parametrize("name", ["chsh", "leggett", "branciard"])
+    def test_eta_grid_of_the_singlet_rejected(self, name):
+        # the singlet does not read eta, so a sweep over it would be flat
+        phi = None if name == "chsh" else 1.0
+        with pytest.raises(InvalidModelError, match="'eta' is a fhv parameter"):
+            margin_function(name, ModelParams.qm(), "eta", phi=phi)(np.array([0.5, 1.0]))
+
+    def test_zeta_scan_of_the_singlet_rejected(self):
+        with pytest.raises(InvalidModelError, match="'zeta' is a thv parameter"):
+            scan_values("chsh", ModelParams.qm(), "zeta", np.array([0.1, 0.2]))
+
+    def test_phi_on_chsh_margin_rejected(self):
+        with pytest.raises(ValueError, match="chsh has no phi dependence"):
+            margin("chsh", ModelParams.qm(), phi=1.0)
+
+    @pytest.mark.parametrize("name", ["leggett", "branciard"])
+    def test_settings_on_an_angle_inequality_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} takes no settings"):
+            margin(name, ModelParams.qm(), phi=0.5, settings=chsh_optimal_settings())
+
+    @pytest.mark.parametrize("search", [
+        lambda: threshold("chsh", ModelParams.fhv(0.0), "eta", (0.0, 1.0), phi=2.0),
+        lambda: scan_values("chsh", ModelParams.fhv(0.0), "eta", np.array([0.1]), phi=2.0),
+        lambda: violation_window("chsh", ModelParams.fhv(0.0), "eta", (0.0, 1.0), phi=2.0),
+        lambda: margin_function("chsh", ModelParams.fhv(0.0), "eta", phi=2.0),
+    ], ids=["threshold", "scan_values", "violation_window", "margin_function"])
+    def test_phi_on_a_chsh_search_rejected(self, search):
+        with pytest.raises(ValueError, match="chsh has no phi dependence"):
+            search()
 
 
 class TestOrientationInvariance:
