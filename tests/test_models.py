@@ -16,9 +16,9 @@ from hvsinglet.geometry import (
     sample_unit_uniform,
 )
 from hvsinglet.models import (
+    FIELD_READERS,
     TABLE_TOL,
     CapP,
-    FIELD_READERS,
     ConstantP,
     FSpec,
     HiddenState,
@@ -129,10 +129,6 @@ class TestFamilyFields:
         with pytest.raises(InvalidModelError, match=f"'{name}' is a {readers} parameter; "
                                                     f"the {family.value} model ignores it"):
             ModelParams(family, **{name: NON_DEFAULT[name]})
-
-    def test_qm_takes_no_eta(self):
-        with pytest.raises(InvalidModelError, match="'eta' is a fhv parameter"):
-            ModelParams(ModelFamily.QM, eta=0.4)
 
     def test_with_zeta_on_qm_rejected(self):
         with pytest.raises(InvalidModelError, match="'zeta' is a thv parameter"):
