@@ -56,8 +56,9 @@ class PlaneAverageSpec:
     quadrature_order: int = DEFAULT_PLANE_NODES
 
     def __post_init__(self) -> None:
-        if self.quadrature_order < 4:
-            raise ValueError("quadrature_order must be at least 4")
+        order = self.quadrature_order
+        if not isinstance(order, numbers.Integral) or order < 4:
+            raise ValueError("quadrature_order must be an integer of at least 4")
 
 
 class _Columns:
@@ -206,6 +207,8 @@ def mc_correlator(
         raise ValueError(f"n must be an integer of at least {MIN_MC_SAMPLES}")
     if not isinstance(shards, numbers.Integral) or shards < 1:
         raise ValueError("shards must be a positive integer")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
     base, extra = divmod(n, shards)
 
     def shard(i: int) -> int:
@@ -257,8 +260,8 @@ def _sphere_moments(a: UnitVector3, b: np.ndarray, order: int) -> np.ndarray:
     """`sphere_moment_oracle` of ``a`` against each row of ``b`` (m, 3) at
     once; each row is reduced on its own, so it gets the bits of a batch of
     one."""
-    if order < 4:
-        raise ValueError("order must be at least 4 for degree-6 integrands")
+    if not isinstance(order, numbers.Integral) or order < 4:
+        raise ValueError("order must be an integer of at least 4 for degree-6 integrands")
     z, w = np.polynomial.legendre.leggauss(order)
     az = (np.arange(2 * order) + 0.5) * (math.pi / order)
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))

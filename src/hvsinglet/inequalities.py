@@ -10,7 +10,6 @@ numeric result can be compared against an independent expression.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,6 +33,7 @@ PI = math.pi
 
 SCAN_NODES = 512
 MAX_SEED_NODES = 256
+THRESHOLD_NODES = 65
 DEFAULT_TOL = 1e-9
 
 INEQUALITIES = ("chsh", "leggett", "branciard")
@@ -140,8 +140,8 @@ class InequalityReport:
 
 @dataclass(frozen=True)
 class ViolationWindow:
-    """Interval of a scan variable with positive margin; empty when no
-    violation was found on the scan grid."""
+    """The interval of a scan variable with positive margin, one run of the
+    scan grid; empty when no violation was found on the grid."""
 
     variable: str
     lower: float
@@ -311,6 +311,7 @@ def leggett_value(
 ) -> float:
     """F(phi) = |C_p(phi) + C_p(0)| + |C_p'(phi) + C_p'(0)| with plane-averaged
     correlators over two orthogonal planes."""
+    check_phi("leggett", phi)
     if abs(dot(p.n, p_prime.n)) > 1e-10:
         raise ValueError("plane normals must be orthogonal")
     planes = np.array([[[_plane_basis(p), _plane_basis(p_prime)]]])
@@ -481,14 +482,12 @@ def _seed_grid(domain: tuple[float, float], nodes: int, tol: float) -> np.ndarra
     """The ``nodes`` evenly spaced points of ``domain`` that seed a window,
     maximizer or threshold search, after the one check of the search
     arguments: a tolerance that is not finite and positive would never stop
-    (or stop at once), fewer than two nodes leave no bracket, and a reversed
-    or infinite domain leaves none either."""
+    (or stop at once), and a reversed or infinite domain leaves no bracket."""
     lo, hi = domain
-    if not (math.isfinite(tol) and tol > 0.0 and isinstance(nodes, numbers.Integral)
-            and nodes >= 2 and math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError("a search needs a finite tol > 0, an integer nodes >= 2 and a "
-                         f"finite domain lo < hi; got tol={tol!r}, nodes={nodes!r}, "
-                         f"domain={domain!r}")
+    if not (math.isfinite(tol) and tol > 0.0
+            and math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError("a search needs a finite tol > 0 and a finite domain lo < hi; "
+                         f"got tol={tol!r}, domain={domain!r}")
     return np.linspace(lo, hi, nodes)
 
 
@@ -510,17 +509,19 @@ def _bisect_boundary(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, tol: float
 ) -> np.ndarray:
     """Boundary of {x : f(x) > 0} inside each bracket [lo[i], hi[i]],
-    assuming the predicate differs at the bracket's ends."""
+    assuming the predicate differs at the bracket's ends.  A bracket stops
+    at width ``tol`` or at two adjacent floats, whichever comes first."""
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     positive_lo = f(lo, np.arange(lo.size)) > 0.0
     active = np.flatnonzero(hi - lo > tol)
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
+        inside = (lo[active] < mid) & (mid < hi[active])  # else the ends are adjacent
         same = (f(mid, active) > 0.0) == positive_lo[active]
         lo[active[same]] = mid[same]
         hi[active[~same]] = mid[~same]
-        active = active[hi[active] - lo[active] > tol]
+        active = active[inside & (hi[active] - lo[active] > tol)]
     return 0.5 * (lo + hi)
 
 
@@ -529,8 +530,8 @@ def _violation_windows(
     nodes: int = SCAN_NODES, phi: float | None = None,
 ) -> list[ViolationWindow]:
     """`violation_window` of each model of one family, in lockstep: one grid
-    scan of every problem, then one bisection of every end that is not on
-    the domain edge."""
+    scan of every problem (ValueError if its positive points are not one
+    run), then one bisection of every end that is not on the domain edge."""
     xs = _seed_grid(domain, nodes, tol)
     f = _margins(name, models, variable, phi=phi)
     positive = _grid(f, len(models), xs) > 0.0
@@ -539,6 +540,8 @@ def _violation_windows(
     # neighbour; an end on the domain edge has none and stays put
     ends = np.stack([np.argmax(positive, axis=1),
                      nodes - 1 - np.argmax(positive[:, ::-1], axis=1)], axis=1)
+    if np.any(found & (positive.sum(axis=1) != ends[:, 1] - ends[:, 0] + 1)):
+        raise ValueError("margin is positive on two or more separate runs of the scan grid")
     outer = ends + [-1, 1]
     k, e = np.nonzero(found[:, None] & (outer >= 0) & (outer < nodes))
     x = xs[ends]
@@ -552,14 +555,12 @@ def _violation_windows(
 
 def violation_window(
     name: str, params: ModelParams, variable: str, domain: tuple[float, float],
-    tol: float = DEFAULT_TOL, *,
-    nodes: int = SCAN_NODES, phi: float | None = None,
+    tol: float = DEFAULT_TOL, *, phi: float | None = None,
 ) -> ViolationWindow:
-    """Bracketing scan plus bisection refinement of the positive-margin
-    region.  Windows narrower than the scan spacing may be missed; the
-    default grid resolves anything wider than ~0.01 rad on [0, pi]."""
-    return _violation_windows(name, (params,), variable, domain, tol,
-                              nodes=nodes, phi=phi)[0]
+    """Scan on ``SCAN_NODES`` points plus bisection of the positive-margin
+    window, which must be one run of the grid (else ValueError).  Windows
+    narrower than the grid spacing (~0.01 rad on [0, pi]) may be missed."""
+    return _violation_windows(name, (params,), variable, domain, tol, phi=phi)[0]
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -635,47 +636,39 @@ def _maximize(
 
 
 def _max_violations(
-    name: str, models, variable: str, domain: tuple[float, float], tol: float = 1e-10, *,
-    nodes: int = MAX_SEED_NODES,
+    name: str, models, variable: str, domain: tuple[float, float], tol: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray]:
     """`max_violation` of each model of one family, in lockstep: arrays of
     the maximizers and of the maxima."""
-    return _maximize(_margins(name, models, variable), len(models), domain, nodes, tol)
+    f = _margins(name, models, variable)
+    return _maximize(f, len(models), domain, MAX_SEED_NODES, tol)
 
 
 def max_violation(
     name: str, params: ModelParams, variable: str, domain: tuple[float, float],
-    tol: float = 1e-10, *, nodes: int = MAX_SEED_NODES,
+    tol: float = 1e-10,
 ) -> tuple[float, float]:
     """Maximizer and value of the margin over the domain: grid scan to seed a
     bracket, golden-section refinement, then a parabolic vertex fit."""
-    x, fx = _max_violations(name, (params,), variable, domain, tol, nodes=nodes)
+    x, fx = _max_violations(name, (params,), variable, domain, tol)
     return float(x[0]), float(fx[0])
 
 
 def threshold(
     name: str, params: ModelParams, variable: str, domain: tuple[float, float],
-    tol: float = DEFAULT_TOL, *,
-    phi: float | None = None, nodes: int = 65,
+    tol: float = DEFAULT_TOL, *, phi: float | None = None,
 ) -> ThresholdResult:
     """Largest parameter value below which the inequality is violated.
 
-    The margin (at fixed phi when given, else maximized over phi) is scanned
-    over the domain; the single positive-to-nonpositive sign change is then
-    bisected to ``tol``.  The scan also verifies the margin is monotone in
-    sign: multiple crossings are rejected.
+    The upper end of the violation window of the margin (at fixed phi when
+    given, else maximized over phi) on ``THRESHOLD_NODES`` grid points,
+    found when the window starts at the domain's lower edge and ends inside
+    it.  A margin positive on two or more runs of the grid raises ValueError.
     """
-    xs = _seed_grid(domain, nodes, tol)
-    f = _margins(name, (params,), variable, phi=phi)
-    signs = f(*_first(xs)) > 0.0
-    flips = np.flatnonzero(signs[:-1] != signs[1:])
-    if not signs[0] or flips.size == 0:
-        return ThresholdResult(name, variable, False, None)
-    if flips.size > 1:
-        raise ValueError("margin changes sign more than once on the scan grid")
-    k = int(flips[0])
-    root = float(_bisect_boundary(f, [xs[k]], [xs[k + 1]], tol)[0])
-    return ThresholdResult(name, variable, True, root)
+    win = _violation_windows(name, (params,), variable, domain, tol,
+                             nodes=THRESHOLD_NODES, phi=phi)[0]
+    found = not win.empty and win.lower == domain[0] and win.upper < domain[1]
+    return ThresholdResult(name, variable, found, win.upper if found else None)
 
 
 # ------------------------------ bound audits --------------------------------

@@ -22,6 +22,7 @@ their laws, the images of the same setting-independent hidden laws.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import lru_cache
@@ -671,6 +672,8 @@ class MalusReport:
 def malus_check(params: ModelParams, grid_points: int = 1001) -> MalusReport:
     """Compare the marginal P(sigma=+1 | hidden, a) = (1 + eps*f(u.a))/2, flat
     outside FHV (eps = 0), with Malus's law on a grid of x = u.a in [-1, 1]."""
+    if not isinstance(grid_points, numbers.Integral) or grid_points < 2:
+        raise ValueError("grid_points must be an integer of at least 2")
     x = np.linspace(-1.0, 1.0, grid_points)
     malus = (1.0 + x) / 2.0
     marg = (1.0 + params.epsilon * params.f_spec(x)) / 2.0

@@ -142,6 +142,10 @@ class TestMcCorrelator:
         with pytest.raises(ValueError, match="must be .*integer"):
             mc_correlator(ModelParams.qm(), Settings(X, Y), n, seed=0, shards=shards)
 
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            mc_correlator(ModelParams.qm(), Settings(X, Y), 1000, seed=1.5)
+
 
 class TestPlaneAverage:
     def test_qm_gives_minus_cos_phi(self):
@@ -188,6 +192,11 @@ class TestPlaneAverage:
         with pytest.raises(ValueError):
             PlaneAverageSpec(xy_plane(), 0.5, 3)
 
+    def test_fractional_order_rejected(self):
+        # 4.5 nodes spaced 2*pi/4.5 would not be a periodic rule
+        with pytest.raises(ValueError, match="must be an integer"):
+            PlaneAverageSpec(xy_plane(), 0.5, 4.5)
+
 
 class TestSphereMomentOracle:
     def test_aligned(self):
@@ -211,6 +220,10 @@ class TestSphereMomentOracle:
     def test_order_floor(self):
         with pytest.raises(ValueError):
             sphere_moment_oracle(Z, Z, order=3)
+
+    def test_fractional_order_rejected(self):
+        with pytest.raises(ValueError, match="must be an integer"):
+            sphere_moment_oracle(Z, Z, order=12.5)
 
     def test_batched_rows_give_the_bits_of_single_calls(self):
         # moments.sixth_grid evaluates its grid as one batch

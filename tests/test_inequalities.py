@@ -129,6 +129,12 @@ class TestLeggett:
         with pytest.raises(ValueError):
             leggett_value(ModelParams.qm(), p, p, 0.5)
 
+    @pytest.mark.parametrize("phi", [10.0, math.nan])
+    def test_phi_outside_domain_rejected(self, phi):
+        p = xy_plane()
+        with pytest.raises(ValueError, match="leggett phi must lie in"):
+            leggett_value(ModelParams.qm(), p, orthogonal_plane(p), phi)
+
     def test_bound_values(self):
         assert leggett_bound(0.0) == 4.0
         assert leggett_bound(PI) == pytest.approx(4 - 4 / PI, abs=1e-15)

@@ -83,19 +83,18 @@ def test_every_public_name_resolves():
 SEARCH_SIGNATURES = {
     "violation_window": (
         "(name: 'str', params: 'ModelParams', variable: 'str', "
-        "domain: 'tuple[float, float]', tol: 'float' = 1e-09, *, nodes: 'int' = 512, "
+        "domain: 'tuple[float, float]', tol: 'float' = 1e-09, *, "
         "phi: 'float | None' = None) -> 'ViolationWindow'"
     ),
     "max_violation": (
         "(name: 'str', params: 'ModelParams', variable: 'str', "
-        "domain: 'tuple[float, float]', tol: 'float' = 1e-10, *, nodes: 'int' = 256) "
+        "domain: 'tuple[float, float]', tol: 'float' = 1e-10) "
         "-> 'tuple[float, float]'"
     ),
     "threshold": (
         "(name: 'str', params: 'ModelParams', variable: 'str', "
         "domain: 'tuple[float, float]', tol: 'float' = 1e-09, *, "
-        "phi: 'float | None' = None, nodes: 'int' = 65) "
-        "-> 'ThresholdResult'"
+        "phi: 'float | None' = None) -> 'ThresholdResult'"
     ),
     "margin_function": (
         "(name: 'str', params: 'ModelParams', variable: 'str', *, "

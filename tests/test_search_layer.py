@@ -22,8 +22,11 @@ from hvsinglet.geometry import (
 )
 from hvsinglet.inequalities import (
     BLOCK_PAIRS,
+    BRANCIARD_QM_ARGMAX_SIN,
+    LEGGETT_QM_ARGMAX_PHI,
     MAX_SEED_NODES,
     SCAN_NODES,
+    THRESHOLD_NODES,
     _bisect_boundary,
     _golden_max,
     _max_violations,
@@ -301,15 +304,13 @@ class TestLockstep:
         # in p_m share the edge p_m = 0 and end at different inner points
         family = [ModelParams.shv(CapP(UnitVector3.normalized(0.0, 0.0, 1.0), h, 0.5))
                   for h in (0.0, 0.6, 1.2)]
-        batch = _violation_windows("leggett", family, "p_m", (0.0, 2.0), 1e-8,
-                                   nodes=17, phi=0.4)
-        alone = [violation_window("leggett", m, "p_m", (0.0, 2.0), 1e-8,
-                                  nodes=17, phi=0.4) for m in family]
+        batch = _violation_windows("leggett", family, "p_m", (0.0, 2.0), 1e-8, phi=0.4)
+        alone = [violation_window("leggett", m, "p_m", (0.0, 2.0), 1e-8, phi=0.4)
+                 for m in family]
         assert [_window_bits(w) for w in batch] == [_window_bits(w) for w in alone]
         assert len({w.upper for w in batch}) == len(family)
-        x, fx = _max_violations("branciard", family, "p_m", (0.0, 2.0), 1e-6, nodes=9)
-        alone = [max_violation("branciard", m, "p_m", (0.0, 2.0), 1e-6, nodes=9)
-                 for m in family]
+        x, fx = _max_violations("branciard", family, "p_m", (0.0, 2.0), 1e-6)
+        alone = [max_violation("branciard", m, "p_m", (0.0, 2.0), 1e-6) for m in family]
         assert np.array([x, fx]).T.tobytes() == np.array(alone).tobytes()
 
 
@@ -338,9 +339,9 @@ class TestPositivityAudit:
             np.array(zetas))
         assert audited == zetas
         audited.clear()
-        threshold("branciard", ModelParams.thv(0.0), "zeta", (0.0, 1.0), 1e-6,
-                  phi=1.0, nodes=5)
-        assert audited[:4] == [0.25, 0.5, 0.75, 1.0]  # zeta = 0 needs no audit
+        threshold("branciard", ModelParams.thv(0.0), "zeta", (0.0, 1.0), 1e-6, phi=1.0)
+        grid = np.linspace(0.0, 1.0, THRESHOLD_NODES).tolist()
+        assert audited[:THRESHOLD_NODES - 1] == grid[1:]  # zeta = 0 needs no audit
 
 
 # ------------------------- bit-for-bit layout guards -------------------------
@@ -441,10 +442,9 @@ def unevaluated(monkeypatch):
 
 class TestSearchArguments:
     """Arguments a search cannot honour (a tol that is not finite and
-    positive, fewer than two or fractional nodes, a reversed or infinite
-    domain) raise one ValueError, from the check that `violation_window`,
-    `max_violation`, `threshold` and the batched searches share, before any
-    margin is evaluated."""
+    positive, a reversed or infinite domain) raise one ValueError, from the
+    check that `violation_window`, `max_violation`, `threshold` and the
+    batched searches share, before any margin is evaluated."""
 
     match = "a search needs a finite tol > 0"
 
@@ -460,18 +460,6 @@ class TestSearchArguments:
         with pytest.raises(ValueError, match=self.match):
             threshold("chsh", ModelParams.fhv(0.0), "eta", (0.0, 1.0), tol=math.nan)
 
-    def test_one_node(self, unevaluated):
-        with pytest.raises(ValueError, match=self.match):
-            max_violation("leggett", ModelParams.qm(), "phi", (0.0, PI), nodes=1)
-
-    def test_zero_nodes(self, unevaluated):
-        with pytest.raises(ValueError, match=self.match):
-            violation_window("leggett", ModelParams.qm(), "phi", (0.0, PI), nodes=0)
-
-    def test_fractional_nodes(self, unevaluated):
-        with pytest.raises(ValueError, match=self.match):
-            threshold("chsh", ModelParams.fhv(0.0), "eta", (0.0, 1.0), nodes=64.5)
-
     def test_reversed_domain(self, unevaluated):
         with pytest.raises(ValueError, match=self.match):
             max_violation("leggett", ModelParams.qm(), "phi", (PI, 0.0))
@@ -483,3 +471,93 @@ class TestSearchArguments:
     def test_batched_windows_share_the_check(self, unevaluated):
         with pytest.raises(ValueError, match=self.match):
             _violation_windows("leggett", [ModelParams.qm()] * 2, "phi", (0.0, 0.0), 1e-9)
+
+
+# the threshold calls of `hv verify`: (inequality, model, variable, domain, phi)
+VERIFY_THRESHOLDS = [
+    ("chsh", ModelParams.fhv(0.0), "eta", (0.0, 1.0), None),
+    ("chsh", ModelParams.shv(), "p_m", (0.0, 2.0), None),
+    ("leggett", ModelParams.fhv(0.0), "eta", (0.0, 0.1), None),
+    ("leggett", ModelParams.thv(0.0), "zeta", (0.0, 1.0), LEGGETT_QM_ARGMAX_PHI),
+    ("branciard", ModelParams.fhv(0.0), "eta", (0.0, 0.2), None),
+    ("branciard", ModelParams.thv(0.0), "zeta", (0.0, 1.0),
+     2.0 * math.asin(BRANCIARD_QM_ARGMAX_SIN)),
+]
+
+
+class TestOneBracketingSearch:
+    """`threshold` is the upper end of a window search, and the window
+    search rejects a margin positive on two or more separate runs."""
+
+    match = "two or more separate runs"
+
+    @pytest.mark.parametrize("name, params, variable, domain, phi", VERIFY_THRESHOLDS,
+                             ids=[f"{c[0]}-{c[2]}" for c in VERIFY_THRESHOLDS])
+    def test_verify_thresholds_are_window_upper_ends(self, name, params, variable,
+                                                     domain, phi):
+        res = threshold(name, params, variable, domain, 1e-10, phi=phi)
+        win, = _violation_windows(name, (params,), variable, domain, 1e-10,
+                                  nodes=THRESHOLD_NODES, phi=phi)
+        assert res.found and win.lower == domain[0]
+        assert np.float64(res.root).tobytes() == np.float64(win.upper).tobytes()
+
+    def test_split_window_rejected(self):
+        # fhv(0.01) violates Leggett on +-(0.0698, 0.5814), not at phi = 0
+        assert margin("leggett", ModelParams.fhv(0.01), phi=0.0).margin < 0.0
+        with pytest.raises(ValueError, match=self.match):
+            violation_window("leggett", ModelParams.fhv(0.01), "phi", (-PI, PI))
+
+    def test_split_threshold_rejected(self):
+        # the grid's first point is not positive, yet the margin is split
+        with pytest.raises(ValueError, match=self.match):
+            threshold("leggett", ModelParams.fhv(0.01), "phi", (-PI, PI))
+
+    def test_batched_split_window_rejected(self):
+        family = [ModelParams.fhv(0.3), ModelParams.fhv(0.01)]
+        with pytest.raises(ValueError, match=self.match):
+            _violation_windows("leggett", family, "phi", (-PI, PI), 1e-9)
+
+
+@pytest.fixture
+def bounded_margins(monkeypatch):
+    """Margins that raise after 2,000 evaluation calls, so a bisection that
+    never stops fails instead of hanging."""
+    margins = inequalities_module._margins
+
+    def bounded(*args, **kwargs):
+        f = margins(*args, **kwargs)
+        calls = iter(range(2000))
+
+        def evaluate(*points):
+            if next(calls, None) is None:
+                raise AssertionError("bisection did not stop")
+            return f(*points)
+        return evaluate
+
+    monkeypatch.setattr(inequalities_module, "_margins", bounded)
+
+
+class TestBisectionStops:
+    """A bracket of two adjacent floats has no midpoint strictly inside it,
+    so bisection stops there whatever ``tol`` is."""
+
+    def test_tol_below_float_spacing(self):
+        calls = []
+
+        def f(x, i):
+            calls.append(len(x))
+            if len(calls) > 2000:
+                raise AssertionError("bisection did not stop")
+            return 0.5 - x
+
+        root = _bisect_boundary(f, [0.0, 0.25], [1.0, 0.75], 1e-300)
+        assert root.tolist() == [0.5, 0.5]
+        assert len(calls) < 100
+
+    def test_threshold_below_float_spacing(self, bounded_margins):
+        res = threshold("chsh", ModelParams.fhv(0.0), "eta", (0.0, 1.0), 1e-17)
+        assert res.found and abs(res.root - (math.sqrt(2.0) - 1.0)) < 1e-15
+
+    def test_window_below_float_spacing(self, bounded_margins):
+        win = violation_window("branciard", ModelParams.qm(), "phi", (0.0, PI), 1e-300)
+        assert abs(math.sin(win.upper / 2.0) - 0.6) < 1e-15
