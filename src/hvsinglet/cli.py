@@ -92,11 +92,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-    except (ConfigError, InvalidModelError) as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if config.task == "verify":
             started = time.perf_counter()
             report = run_verify(config)

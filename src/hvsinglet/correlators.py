@@ -12,13 +12,12 @@ route that checks this, not a step of the inequality search.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ChunkWorkspace, Plane, UnitVector3
+from .geometry import ChunkWorkspace, Plane, UnitVector3, integer, real, unit_vector
 from .models import (
     ModelFamily,
     ModelParams,
@@ -48,17 +47,16 @@ class MCEstimate:
 
 @dataclass(frozen=True)
 class PlaneAverageSpec:
-    """In-plane averaging request: settings at relative angle phi, the first
-    one uniformly distributed over orientations inside ``plane``."""
+    """In-plane averaging request: settings at relative angle phi (finite), the
+    first uniform over orientations inside ``plane``, on quadrature_order >= 4 nodes."""
 
     plane: Plane
     phi: float
     quadrature_order: int = DEFAULT_PLANE_NODES
 
     def __post_init__(self) -> None:
-        order = self.quadrature_order
-        if not isinstance(order, numbers.Integral) or order < 4:
-            raise ValueError("quadrature_order must be an integer of at least 4")
+        real(self.phi, "phi")
+        integer(self.quadrature_order, "quadrature_order", 4)
 
 
 class _Columns:
@@ -202,13 +200,11 @@ def mc_correlator(
     Shards run on `_pool_map` threads and their counts add exactly, so the
     result is bit-reproducible for a fixed (seed, shards) pair whatever the
     thread count, and memory grows neither with ``n`` nor with ``shards``.
+    The integers ``n``, ``seed`` and ``shards`` are >= MIN_MC_SAMPLES, 0 and 1.
     """
-    if not isinstance(n, numbers.Integral) or n < MIN_MC_SAMPLES:
-        raise ValueError(f"n must be an integer of at least {MIN_MC_SAMPLES}")
-    if not isinstance(shards, numbers.Integral) or shards < 1:
-        raise ValueError("shards must be a positive integer")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    integer(n, "n", MIN_MC_SAMPLES)
+    integer(seed, "seed", 0)
+    integer(shards, "shards", 1)
     base, extra = divmod(n, shards)
 
     def shard(i: int) -> int:
@@ -237,6 +233,7 @@ def plane_avg_correlator(
     trigonometric integrands the analytic correlators produce; ``theta0``
     shifts the node phase and must not change the result.
     """
+    real(theta0, "theta0")
     order = spec.quadrature_order
     theta = theta0 + np.arange(order) * (2.0 * math.pi / order)
     e1, e2 = spec.plane.e1.arr, spec.plane.e2.arr
@@ -253,15 +250,15 @@ def sphere_moment_oracle(a: UnitVector3, b: UnitVector3, order: int = 24) -> flo
     grid of twice the order; exact for degree-6 polynomials once order >= 4.
     Must reproduce (3/35) x + (2/35) x^3 at x = a.b.
     """
-    return float(_sphere_moments(a, b.arr[None], order)[0])
+    unit_vector(a, "a")
+    return float(_sphere_moments(a, unit_vector(b, "b").arr[None], order)[0])
 
 
 def _sphere_moments(a: UnitVector3, b: np.ndarray, order: int) -> np.ndarray:
     """`sphere_moment_oracle` of ``a`` against each row of ``b`` (m, 3) at
     once; each row is reduced on its own, so it gets the bits of a batch of
     one."""
-    if not isinstance(order, numbers.Integral) or order < 4:
-        raise ValueError("order must be an integer of at least 4 for degree-6 integrands")
+    integer(order, "order", 4)  # exact for degree-6 integrands from 4 on
     z, w = np.polynomial.legendre.leggauss(order)
     az = (np.arange(2 * order) + 0.5) * (math.pi / order)
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))

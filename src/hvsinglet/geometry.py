@@ -1,4 +1,5 @@
-"""Unit-vector algebra, measurement-setting constructors, and sphere sampling.
+"""Unit-vector algebra, measurement-setting constructors, sphere sampling,
+and the argument checkers every module calls.
 
 Everything downstream (model tables, plane averaging, inequality scans) works
 in one fixed right-handed orthonormal frame (X, Y, Z); all results depend only
@@ -10,6 +11,8 @@ seed.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +20,64 @@ import numpy as np
 NORM_TOL = 1e-12
 
 HALF_PI = 0.5 * math.pi
+
+# The domain of the relative angle phi in each angle-dependent inequality.
+PHI_DOMAINS = {"leggett": (-math.pi, math.pi), "branciard": (0.0, math.pi)}
+
+# ------------------------------ argument checks ------------------------------
+# Each returns its argument unchanged or raises ``error`` (ValueError, or
+# `models.InvalidModelError` for a model field) in one line naming ``what``.
+
+
+def real(value, what: str, lo: float = -math.inf, hi: float = math.inf, error=ValueError):
+    """A real (not a bool) that a float holds finitely, in [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            abs(value) <= sys.float_info.max):  # written so that nan fails
+        raise error(f"{what} must be a finite number, got {value!r}")
+    if not lo <= value <= hi:
+        raise error(f"{what} must be at least {lo}" if hi == math.inf
+                    else f"{what} must lie in [{lo:.6g}, {hi:.6g}]")
+    return value
+
+
+def integer(value, what: str, low: float = -math.inf, error=ValueError):
+    """An integer (not a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return real(value, what, low, error=error)
+
+
+def member(value, what: str, names, error=ValueError):
+    """One of ``names``."""
+    if value not in names:
+        raise error(f"unknown {what} {value!r}")
+    return value
+
+
+def triple(value, what: str, error=ValueError):
+    """A list, tuple or array of three finite reals."""
+    if not (isinstance(value, (list, tuple, np.ndarray)) and len(value) == 3):
+        raise error(f"{what} must be a 3-component vector, got {value!r}")
+    for c in value:
+        real(c, f"{what} component", error=error)
+    return value
+
+
+def unit_vector(value, what: str, error=ValueError):
+    """A `UnitVector3`."""
+    if not isinstance(value, UnitVector3):
+        raise error(f"{what} must be a UnitVector3, got {value!r}")
+    return value
+
+
+def check_phi(name: str, phi) -> None:
+    """Raise ValueError unless phi, a real or an array of reals, lies in the
+    inequality's domain; a float array is tested in one pass."""
+    lo, hi = PHI_DOMAINS[name]
+    phi = np.asarray(phi)
+    if phi.dtype.kind != "f" or not np.all((phi >= lo) & (phi <= hi)):
+        for x in np.ravel(phi).tolist():
+            real(x, f"{name} phi", lo, hi)
 
 
 @dataclass(frozen=True)
@@ -29,21 +90,23 @@ class UnitVector3:
     z: float
 
     def __post_init__(self) -> None:
+        triple((self.x, self.y, self.z), "unit vector")
         n2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if not abs(n2 - 1.0) <= NORM_TOL:  # written so that a nan component fails
+        if not abs(n2 - 1.0) <= NORM_TOL:
             raise ValueError(f"components not normalized: |v|^2 = {n2!r}")
 
     @classmethod
     def normalized(cls, x: float, y: float, z: float) -> "UnitVector3":
-        n = math.sqrt(x * x + y * y + z * z)
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(x / n, y / n, z / n)
+        return cls.from_array((x, y, z))
 
     @classmethod
-    def from_array(cls, arr) -> "UnitVector3":
-        x, y, z = (float(c) for c in arr)
-        return cls.normalized(x, y, z)
+    def from_array(cls, arr, what: str = "vector") -> "UnitVector3":
+        """The direction of ``arr``, three finite reals of nonzero finite norm."""
+        x, y, z = (float(c) for c in triple(arr, what))
+        n = math.sqrt(x * x + y * y + z * z)
+        if not 0.0 < n < math.inf:
+            raise ValueError(f"{what} must have a nonzero, finite norm, got {arr!r}")
+        return cls(x / n, y / n, z / n)
 
     @property
     def arr(self) -> np.ndarray:
@@ -85,6 +148,8 @@ class Plane:
     n: UnitVector3
 
     def __post_init__(self) -> None:
+        for name in ("e1", "e2", "n"):
+            unit_vector(getattr(self, name), f"plane {name}")
         if abs(dot(self.e1, self.e2)) > NORM_TOL:
             raise ValueError("e1 and e2 are not orthogonal")
         if np.max(np.abs(cross(self.e1, self.e2) - self.n.arr)) > NORM_TOL:
@@ -93,6 +158,7 @@ class Plane:
     @classmethod
     def with_normal(cls, n: UnitVector3) -> "Plane":
         """Complete ``n`` with an arbitrary right-handed in-plane basis."""
+        unit_vector(n, "plane normal")
         helper = Z if abs(n.z) < 0.9 else X
         e1 = UnitVector3.from_array(np.cross(helper.arr, n.arr))
         e2 = UnitVector3.from_array(np.cross(n.arr, e1.arr))
@@ -117,6 +183,8 @@ class Triad:
     a3: UnitVector3
 
     def __post_init__(self) -> None:
+        for name in ("a1", "a2", "a3"):
+            unit_vector(getattr(self, name), f"triad {name}")
         for u, v in ((self.a1, self.a2), (self.a2, self.a3), (self.a3, self.a1)):
             if abs(dot(u, v)) > NORM_TOL:
                 raise ValueError("triad vectors are not pairwise orthogonal")
@@ -130,6 +198,7 @@ class Triad:
 
 def in_plane_direction(p: Plane, theta: float) -> UnitVector3:
     """Unit vector at counterclockwise angle ``theta`` from e1, about n."""
+    real(theta, "theta")
     c, s = math.cos(theta), math.sin(theta)
     return UnitVector3.normalized(
         c * p.e1.x + s * p.e2.x,
@@ -144,6 +213,7 @@ def vectors_in_plane(p: Plane, theta: float, phi: float) -> tuple[UnitVector3, U
     By construction a.b = cos(phi) and (a x b).n = sin(phi); angles are
     counterclockwise about the plane normal.
     """
+    real(phi, "phi")
     return in_plane_direction(p, theta), in_plane_direction(p, theta + phi)
 
 
@@ -163,8 +233,7 @@ def branciard_settings(
 ) -> tuple[Triad, tuple[UnitVector3, ...], tuple[UnitVector3, ...]]:
     """Orthogonal triad plus companion settings b_i, b'_i at angles +phi/2
     and -phi/2 from a_i, inside the (a_i, a_{i+1}) plane (indices mod 3)."""
-    if not 0.0 <= phi <= math.pi:
-        raise ValueError("phi must lie in [0, pi]")
+    real(phi, "branciard phi", *PHI_DOMAINS["branciard"])
     triad = Triad(X, Y, Z)
     c, s = math.cos(phi / 2), math.sin(phi / 2)
     axes = triad.axes
@@ -220,6 +289,7 @@ class ChunkWorkspace:
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 stream; pass the same seed to reproduce a run."""
+    integer(seed, "seed", 0)
     return np.random.default_rng(seed)
 
 
@@ -237,9 +307,8 @@ def sample_cap_batch(
     rng: np.random.Generator, axis: UnitVector3, half_angle: float, n: int
 ) -> np.ndarray:
     """n uniform draws from the spherical cap of the given half-angle
-    centered on ``axis``, as in `sample_unit_batch`."""
-    if not 0.0 <= half_angle <= math.pi:
-        raise ValueError("half_angle must lie in [0, pi]")
+    (in [0, pi], as `models.CapP` checks) centered on ``axis``, as in
+    `sample_unit_batch`."""
     frame = Plane.with_normal(axis)
     e1, e2, e3 = frame.e1.arr, frame.e2.arr, axis.arr
     x, y, z = _zone_rows(rng, math.cos(half_angle), n)

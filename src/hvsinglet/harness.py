@@ -16,13 +16,15 @@ import json
 import math
 import platform
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .geometry import (
-    NORM_TOL, Z, UnitVector3, chsh_optimal_settings, make_rng, sample_unit_batch,
+    NORM_TOL, PHI_DOMAINS, Z, UnitVector3, check_phi, chsh_optimal_settings, integer,
+    make_rng, member, real, sample_unit_batch, triple,
 )
 from .models import (
     CapP,
@@ -31,7 +33,6 @@ from .models import (
     FSpec,
     HIDDEN_VECTORS,
     HiddenState,
-    InvalidModelError,
     ModelFamily,
     ModelParams,
     Settings,
@@ -65,7 +66,6 @@ from .inequalities import (
     INEQUALITIES,
     LEGGETT_QM_ARGMAX_PHI,
     LEGGETT_QM_MAX_MARGIN,
-    PHI_DOMAINS,
     PM_MAX_CHSH_SHV,
     SCAN_VARIABLES,
     ZETA_MAX_BRANCIARD_THV,
@@ -80,7 +80,6 @@ from .inequalities import (
     branciard_fhv_window_center_derived,
     branciard_fhv_window_center_quoted,
     branciard_fhv_window_sin_derived,
-    check_phi,
     chsh_value,
     correlator_fn,
     leggett_fhv_window_sin,
@@ -109,69 +108,48 @@ class ConfigError(ValueError):
 # ------------------------------ config parsing ------------------------------
 
 
-def parse_number(value, what: str) -> float:
-    """A finite float from a JSON number or numeric string."""
-    if not isinstance(value, bool):
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            pass
-        else:
-            if math.isfinite(number):
-                return number
-    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+# The parsers turn config text into numbers and leave every rule to the
+# `geometry` checkers; `parse_config` turns their ValueError into ConfigError.
 
 
-def parse_integer(value, what: str) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
+def _number(value):
+    """A string as the float it spells, if any; anything else as it is."""
+    try:
+        return float(value) if isinstance(value, str) else value
+    except ValueError:
         return value
-    number = parse_number(value, what)
-    if number != int(number):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(number)
+
+
+def parse_number(value, what: str, lo: float = -math.inf) -> float:
+    """A finite float of at least ``lo`` from a JSON number or numeric string."""
+    return float(real(_number(value), what, lo))
+
+
+def parse_integer(value, what: str, low: float = -math.inf) -> int:
+    """An integer of at least ``low`` from a JSON number or numeric string
+    that is integral (1e5 and 100000.0 are 100000)."""
+    number = real(_number(value), what)
+    return integer(int(number) if float(number).is_integer() else number, what, low)
 
 
 def parse_angle(value, what: str = "angle") -> float:
     """Angles are radians by default; strings may carry a 'deg' or 'rad'
     suffix to make the unit explicit."""
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text.endswith("deg"):
-            return math.radians(parse_number(text[:-3], what))
-        if text.endswith("rad"):
-            return parse_number(text[:-3], what)
+    text = value.strip().lower() if isinstance(value, str) else ""
+    if text.endswith(("deg", "rad")):
+        number = parse_number(text[:-3], what)
+        return math.radians(number) if text.endswith("deg") else number
     return parse_number(value, what)
 
 
 def _triple(value, what: str) -> tuple[float, float, float]:
-    if not (isinstance(value, (list, tuple)) and len(value) == 3):
-        raise ConfigError(f"{what} must be a 3-component vector, got {value!r}")
-    return tuple(parse_number(c, f"{what} component") for c in value)
+    if isinstance(value, (list, tuple)) and len(value) == 3:
+        value = [_number(c) for c in value]
+    return tuple(float(c) for c in triple(value, what))
 
 
 def parse_unit_vector(value, what: str = "vector") -> UnitVector3:
-    components = _triple(value, what)
-    try:
-        return UnitVector3.from_array(components)
-    except ValueError as exc:
-        raise ConfigError(f"bad {what} {value!r}: {exc}") from exc
-
-
-def _at_least(low, parse=parse_integer):
-    def parse_bounded(value, what: str):
-        number = parse(value, what)
-        if number < low:
-            raise ConfigError(f"{what} must be at least {low}")
-        return number
-    return parse_bounded
-
-
-def _one_of(names: tuple[str, ...]):
-    def parse_name(value, what: str) -> str:
-        if value not in names:
-            raise ConfigError(f"unknown {what} {value!r}")
-        return value
-    return parse_name
+    return UnitVector3.from_array(_triple(value, what), what)
 
 
 def _path(value, what: str) -> str | None:
@@ -187,8 +165,7 @@ def _block(cls, what: str):
 
 def _p_field(block, _) -> ConstantP | CapP:
     kind = block.get("kind", "constant") if isinstance(block, dict) else "constant"
-    if kind not in ("constant", "cap"):
-        raise ConfigError(f"unknown p kind {kind!r}")
+    member(kind, "p kind", ("constant", "cap"))
     return (CapP if kind == "cap" else ConstantP)(**_read(block, f"{kind} p"))
 
 
@@ -196,21 +173,8 @@ def parse_model(block) -> ModelParams:
     """The model a config ``model`` block describes; its family (qm when
     absent) decides which of the other keys it reads."""
     name = str(block.get("family", "qm")).lower() if isinstance(block, dict) else "qm"
-    try:
-        family = ModelFamily(name)
-    except ValueError:
-        raise ConfigError(f"unknown model family {name!r}") from None
-    try:
-        return ModelParams(family, **_read(block, "model", family))
-    except InvalidModelError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _check_phi_config(inequality: str, phi) -> None:
-    try:
-        check_phi(inequality, phi)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    family = ModelFamily(member(name, "model family", [f.value for f in ModelFamily]))
+    return ModelParams(family, **_read(block, "model", family))
 
 
 @dataclass(frozen=True)
@@ -281,21 +245,22 @@ CONFIG = {
                  "b": Entry(parse_unit_vector, SETTINGS_TASKS),
                  "a_prime": Entry(parse_unit_vector, ("chsh",)),
                  "b_prime": Entry(parse_unit_vector, ("chsh",))},
-    "sampling": {"n": Entry(_at_least(MIN_MC_SAMPLES), ("correlator",)),
-                 "seed": Entry(_at_least(0), ("prob", "correlator", "verify")),
-                 "shards": Entry(_at_least(1), ("correlator",))},
-    "scan": {"inequality": Entry(_one_of(INEQUALITIES)),
-             "variable": Entry(_one_of(SCAN_VARIABLES)),
+    "sampling": {"n": Entry(partial(parse_integer, low=MIN_MC_SAMPLES), ("correlator",)),
+                 "seed": Entry(partial(parse_integer, low=0),
+                               ("prob", "correlator", "verify")),
+                 "shards": Entry(partial(parse_integer, low=1), ("correlator",))},
+    "scan": {"inequality": Entry(partial(member, names=INEQUALITIES)),
+             "variable": Entry(partial(member, names=SCAN_VARIABLES)),
              "start": Entry(parse_angle),
              "stop": Entry(parse_angle),
-             "steps": Entry(_at_least(2))},
-    "verify": {"sigma": Entry(_at_least(0.0, parse_number)),
-               "mc_n": Entry(_at_least(1)),
-               "mc_trial_n": Entry(_at_least(MIN_MC_SAMPLES)),
-               "trials": Entry(_at_least(1)),
-               "cases": Entry(_at_least(1))},
+             "steps": Entry(partial(parse_integer, low=2))},
+    "verify": {"sigma": Entry(partial(parse_number, lo=0.0)),
+               "mc_n": Entry(partial(parse_integer, low=1)),
+               "mc_trial_n": Entry(partial(parse_integer, low=MIN_MC_SAMPLES)),
+               "trials": Entry(partial(parse_integer, low=1)),
+               "cases": Entry(partial(parse_integer, low=1))},
     "output": {"path": Entry(_path, None, "out"),
-               "format": Entry(_one_of(OUTPUT_FORMATS), None, "fmt")},
+               "format": Entry(partial(member, names=OUTPUT_FORMATS), None, "fmt")},
     "model": {"family": Entry(None),
               "eta": Entry(parse_number, FIELD_READERS["eta"]),
               "zeta": Entry(parse_number, FIELD_READERS["zeta"]),
@@ -360,8 +325,19 @@ def _hidden_state(block, family: ModelFamily) -> HiddenState:
 def parse_config(doc: dict, task: str | None = None, *, pm=None) -> RunConfig:
     """The run a config document describes, for ``task`` when a command
     names it.  ``pm`` is the ``--pm`` sup norm, which rescales the model's
-    p-field whatever its kind.  `CONFIG` parses and checks each entry; the
-    rules here tie entries together."""
+    p-field whatever its kind.  `CONFIG` parses each entry, the `geometry`
+    checkers and model constructors check it, and `_parse_config` ties
+    entries together.  Any other ValueError (`InvalidModelError` included)
+    becomes a ConfigError with its message here, and nowhere else."""
+    try:
+        return _parse_config(doc, task, pm)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _parse_config(doc, task, pm) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     if task is not None and doc.get("task", task) != task:
@@ -369,8 +345,7 @@ def parse_config(doc: dict, task: str | None = None, *, pm=None) -> RunConfig:
     task = task or doc.get("task")
     if task is None:
         raise ConfigError("no task given")
-    if task not in TASKS:
-        raise ConfigError(f"unknown task {task!r}")
+    member(task, "task", TASKS)
     if doc.get("model") == {}:  # an empty model block sets nothing, so every task takes it
         doc = {key: value for key, value in doc.items() if key != "model"}
 
@@ -406,7 +381,7 @@ def parse_config(doc: dict, task: str | None = None, *, pm=None) -> RunConfig:
         if variable == "phi":
             if scan.inequality == "chsh":
                 raise ConfigError("chsh has no phi dependence")
-            _check_phi_config(scan.inequality, (scan.start, scan.stop))
+            check_phi(scan.inequality, (scan.start, scan.stop))
         else:  # the model must read what the scan sweeps
             _check_read("model", "p" if variable == "p_m" else variable, family, variable)
         # a scan's rows come from closed forms, which the response function
@@ -425,23 +400,17 @@ def parse_config(doc: dict, task: str | None = None, *, pm=None) -> RunConfig:
         inequality = scan.inequality if scan else task
         if inequality not in PHI_DOMAINS:
             raise ConfigError(f"phi is not used by {inequality}")
-        _check_phi_config(inequality, config.phi)
+        check_phi(inequality, config.phi)
 
     if "hidden" in doc:
         config = replace(config, hidden=_hidden_state(doc["hidden"], family))
     if pm is not None:
         _check_read("config", "model", task)
         _check_read("model", "p", family, "p_m")
-        try:
-            params = config.params.with_pm(CONFIG["cap p"]["pm"].parse(pm, "pm"))
-        except InvalidModelError as exc:
-            raise ConfigError(str(exc)) from exc
-        config = replace(config, params=params)
+        config = replace(config, params=config.params.with_pm(
+            CONFIG["cap p"]["pm"].parse(pm, "pm")))
     if config.hidden is not None and config.hidden.p is not None:
-        try:
-            _check_hidden_p(config.params, config.hidden.p)
-        except InvalidModelError as exc:
-            raise ConfigError(str(exc)) from exc
+        _check_hidden_p(config.params, config.hidden.p)
     return config
 
 

@@ -16,15 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .geometry import (
-    X,
-    Z,
-    Plane,
-    UnitVector3,
-    chsh_optimal_settings,
-    dot,
-    orthogonal_plane,
-    sample_unit_batch,
-    xy_plane,
+    PHI_DOMAINS, X, Z, Plane, UnitVector3, check_phi, chsh_optimal_settings, dot, integer,
+    member, orthogonal_plane, real, sample_unit_batch, unit_vector, xy_plane,
 )
 from .models import ModelFamily, ModelParams, Settings, lhv_feasible_c_range, table_cells
 from .correlators import _Columns, _pair_correlator_arrays, analytic_correlator
@@ -168,9 +161,9 @@ class ThresholdResult:
 # Values are computed for a whole batch of (model, phi) points per call:
 # ``_value_function`` returns a function (phi, which) -> values whose entry i
 # scores ``models[which[i]]`` at ``phi[i]``.  The scalar entry points below are
-# batches of one over that code.
-
-PHI_DOMAINS = {"leggett": (-PI, PI), "branciard": (0.0, PI)}
+# batches of one over that code.  `geometry.PHI_DOMAINS` holds each
+# inequality's phi domain; a scalar phi is checked with `real`, an array with
+# `check_phi`.
 
 # Orthogonal triad a_i (rows) of the Branciard construction and its cyclic
 # successors a_{i+1}.
@@ -197,14 +190,6 @@ def chsh_value(
 def chsh_bound() -> float:
     """Classical bound for outcome-independent product models."""
     return 2.0
-
-
-def check_phi(name: str, phi) -> None:
-    """Raise ValueError unless every phi lies in the inequality's domain."""
-    lo, hi = PHI_DOMAINS[name]
-    phi = np.asarray(phi)
-    if not np.all((phi >= lo) & (phi <= hi)):
-        raise ValueError(f"{name} phi must lie in [{lo:.6g}, {hi:.6g}]")
 
 
 def _plane_basis(p: Plane) -> np.ndarray:
@@ -249,7 +234,8 @@ def _value_function(
     is the correlator of the one pair a = e1, b = cos(phi) e1 + sin(phi) e2:
     one row per (point, plane).  Branciard sums over the triad.  CHSH uses
     ``settings`` (by default the optimal ones) and ignores phi.  The models'
-    parameter columns are built once here and indexed by ``which``.
+    parameter columns are built once here and indexed by ``which``.  The
+    callers check ``name``.
     """
     cols = _Columns(models)
     if name == "chsh":
@@ -282,14 +268,12 @@ def _value_function(
             c = (plane_avg(phi, which) + zero[which]).reshape(len(phi), -1, 2)
             return np.max(np.sum(np.abs(c), axis=-1), axis=-1)
 
-    elif name == "branciard":
+    else:  # branciard
 
         def value(phi, which):
             corr = _pair_correlator_arrays(cols, _TRIAD, _branciard_companions(phi), which)
             return np.sum(np.abs(corr[:, 0] + corr[:, 1]), axis=-1) / 3.0
 
-    else:
-        raise ValueError(f"unknown inequality {name!r}")
     return value
 
 
@@ -311,7 +295,7 @@ def leggett_value(
 ) -> float:
     """F(phi) = |C_p(phi) + C_p(0)| + |C_p'(phi) + C_p'(0)| with plane-averaged
     correlators over two orthogonal planes."""
-    check_phi("leggett", phi)
+    real(phi, "leggett phi", *PHI_DOMAINS["leggett"])
     if abs(dot(p.n, p_prime.n)) > 1e-10:
         raise ValueError("plane normals must be orthogonal")
     planes = np.array([[[_plane_basis(p), _plane_basis(p_prime)]]])
@@ -342,6 +326,7 @@ def default_leggett_planes(params: ModelParams) -> tuple[Plane, Plane]:
 def branciard_value(params: ModelParams, phi: float) -> float:
     """G(phi) = (1/3) sum_i |C(a_i, b_i) + C(a_i, b'_i)| on the explicit
     orthogonal-triad construction."""
+    real(phi, "branciard phi", *PHI_DOMAINS["branciard"])
     return _one(_value_function("branciard", (params,)), phi)
 
 
@@ -366,22 +351,26 @@ def margin(
     phi: float | None = None,
     settings: tuple[UnitVector3, UnitVector3, UnitVector3, UnitVector3] | None = None,
 ) -> InequalityReport:
-    """Assemble value, bound, margin, and violation flag for one inequality."""
-    if name == "chsh":
+    """Assemble value, bound, margin, and violation flag for one inequality:
+    CHSH at four `UnitVector3` ``settings``, the others at a ``phi`` in domain."""
+    if member(name, "inequality", INEQUALITIES) == "chsh":
         if phi is not None:
             raise ValueError("chsh has no phi dependence")
+        if settings is not None and np.shape(settings) != (4,):
+            raise ValueError(f"chsh settings must be four UnitVector3, got {settings!r}")
+        for v, label in zip(settings or (), ("a", "b", "a_prime", "b_prime")):
+            unit_vector(v, f"chsh setting {label}")
         config = {
             "family": params.family.value,
             "settings": "optimal" if settings is None else "custom",
         }
-    elif name in PHI_DOMAINS:
+    else:
         if phi is None:
             raise ValueError(f"{name} margin requires phi")
         if settings is not None:
             raise ValueError(f"{name} takes no settings; they follow from phi")
+        real(phi, f"{name} phi", *PHI_DOMAINS[name])
         config = {"family": params.family.value, "phi": phi}
-    else:
-        raise ValueError(f"unknown inequality {name!r}")
     at = 0.0 if phi is None else float(phi)
     value = _one(_value_function(name, (params,), settings=settings), at)
     bound = float(_bound(name, np.array([at]))[0])
@@ -402,12 +391,16 @@ def _scan(
     settings; the angle-dependent inequalities at the given phi when
     provided, otherwise at the maximizing phi of each point, all maximized
     in lockstep (seed grid of ``nodes``, tolerance ``tol``).  Every point is
-    validated as a model of its own.
+    validated as a model of its own; a fixed phi (none on a phi scan) too.
     """
-    if variable not in SCAN_VARIABLES:
-        raise ValueError(f"unknown scan variable {variable!r}")
+    member(name, "inequality", INEQUALITIES)
+    member(variable, "scan variable", SCAN_VARIABLES)
     if name == "chsh" and (variable == "phi" or phi is not None):
         raise ValueError("chsh has no phi dependence")
+    if phi is not None:
+        if variable == "phi":
+            raise ValueError("phi is the scan variable; a fixed phi would be ignored")
+        real(phi, f"{name} phi", *PHI_DOMAINS[name])
     if variable == "phi":
         value = _value_function(name, models)
         return lambda x, i: (value(x, i), _bound(name, x))
@@ -439,9 +432,12 @@ def _margins(name: str, models, variable: str, *,
 
 
 def _first(xs) -> tuple[np.ndarray, np.ndarray]:
-    """A 1-d array of points, all of problem 0."""
-    xs = np.asarray(xs, dtype=float)
-    return xs, np.zeros(len(xs), dtype=int)
+    """A nonempty 1-d array of real points, all of problem 0; each point is
+    checked as the scan's model or phi."""
+    xs = np.asarray(xs)
+    if xs.ndim != 1 or not xs.size or xs.dtype.kind not in "iuf":
+        raise ValueError(f"xs must be a nonempty 1-d array of real numbers, got {xs!r}")
+    return xs.astype(float), np.zeros(len(xs), dtype=int)
 
 
 def margin_function(
@@ -482,12 +478,14 @@ def _seed_grid(domain: tuple[float, float], nodes: int, tol: float) -> np.ndarra
     """The ``nodes`` evenly spaced points of ``domain`` that seed a window,
     maximizer or threshold search, after the one check of the search
     arguments: a tolerance that is not finite and positive would never stop
-    (or stop at once), and a reversed or infinite domain leaves no bracket."""
-    lo, hi = domain
-    if not (math.isfinite(tol) and tol > 0.0
-            and math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError("a search needs a finite tol > 0 and a finite domain lo < hi; "
-                         f"got tol={tol!r}, domain={domain!r}")
+    (or stop at once), and a domain that is not a finite pair lo < hi leaves
+    no bracket."""
+    real(tol, "tol", math.ulp(0.0))
+    if np.shape(domain) != (2,):
+        raise ValueError(f"domain must be a pair (lo, hi), got {domain!r}")
+    lo, hi = (real(x, "domain end") for x in domain)
+    if not lo < hi:
+        raise ValueError(f"domain must have lo < hi, got {domain!r}")
     return np.linspace(lo, hi, nodes)
 
 
@@ -689,7 +687,9 @@ _CHSH_A, _CHSH_B = [0, 0, 1, 1], [2, 3, 2, 3]
 
 def _block_max(score, trials: int, start: float) -> float:
     """Max of ``start`` and of the values ``score(m)`` returns for blocks of
-    m <= AUDIT_BLOCK trials; each block's arrays are freed before the next."""
+    m <= AUDIT_BLOCK of the ``trials`` (an integer >= 1); each block's arrays
+    are freed before the next."""
+    integer(trials, "trials", 1)
     for i in range(0, trials, AUDIT_BLOCK):
         start = max(start, float(np.max(score(min(AUDIT_BLOCK, trials - i)))))
     return start

@@ -22,7 +22,6 @@ their laws, the images of the same setting-independent hidden laws.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import lru_cache
@@ -30,13 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import (
-    ChunkWorkspace,
-    UnitVector3,
-    _uniform_into,
-    _zone_projection,
-    dot,
-    sample_cap_batch,
-    sample_unit_batch,
+    ChunkWorkspace, UnitVector3, _uniform_into, _zone_projection, dot, integer, member, real,
+    sample_cap_batch, sample_unit_batch, triple, unit_vector,
 )
 
 TABLE_TOL = 1e-12
@@ -81,10 +75,9 @@ class FSpec:
     power: int = 1
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.coeff <= 0.5:
-            raise InvalidModelError("f coefficient must lie in [0, 1/2]")
-        if self.power not in (1, 3):
-            raise InvalidModelError("f power must be 1 or 3")
+        real(self.coeff, "f coeff", 0.0, 0.5, InvalidModelError)
+        integer(self.power, "f power", error=InvalidModelError)
+        member(self.power, "f power", (1, 3), InvalidModelError)
 
     def __call__(self, x):
         return self.coeff * (x * x * x if self.power == 3 else x)
@@ -92,12 +85,15 @@ class FSpec:
 
 @dataclass(frozen=True)
 class ConstantP:
-    """Hidden vector field p(lam) = p0 for every carrier.
+    """Hidden vector field p(lam) = p0 for every carrier, three finite reals.
 
     The mean equals the constant and the sup norm is |p0|.
     """
 
     p0: tuple[float, float, float] = (0.0, 0.0, 0.5)
+
+    def __post_init__(self) -> None:
+        triple(self.p0, "p0", InvalidModelError)
 
     def p_sup(self) -> float:
         return float(np.linalg.norm(self.p0))
@@ -120,7 +116,8 @@ class CapP:
     spherical cap of the given half-angle about ``axis``.
 
     Sup norm is ``magnitude``; the mean is shorter by (1 + cos half_angle)/2,
-    which separates the sup-norm and mean roles in the correlator.
+    which separates the sup-norm and mean roles in the correlator.  The axis
+    is a `UnitVector3`, half_angle lies in [0, pi] and magnitude is >= 0.
     """
 
     axis: UnitVector3 = UnitVector3(0.0, 0.0, 1.0)
@@ -128,10 +125,9 @@ class CapP:
     magnitude: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.magnitude) and self.magnitude >= 0.0):
-            raise InvalidModelError("cap magnitude must be finite and nonnegative")
-        if not 0.0 <= self.half_angle <= math.pi:
-            raise InvalidModelError("cap half-angle must lie in [0, pi]")
+        unit_vector(self.axis, "cap axis", InvalidModelError)
+        real(self.half_angle, "cap half_angle", 0.0, math.pi, InvalidModelError)
+        real(self.magnitude, "cap magnitude", 0.0, error=InvalidModelError)
 
     def p_sup(self) -> float:
         return float(self.magnitude)
@@ -187,7 +183,7 @@ class ModelParams:
 
     Any other field (see `FIELD_READERS`) must keep its default, or the
     constructor and the `with_*` methods raise InvalidModelError.  eta (FHV)
-    and zeta (THV) must be nonnegative; epsilon is always derived as
+    and zeta (THV) must be finite nonnegative reals; epsilon is always derived as
     eta/(1+eta) and cannot be set independently.  THV construction
     rejects zeta > 2 (beyond a 1e-9 tolerance), where some joint probability
     would be negative (the proof is in `thv_positivity_margin`).
@@ -208,10 +204,8 @@ class ModelParams:
                 raise InvalidModelError(
                     f"{name!r} is a {'/'.join(FIELD_READERS[name])} parameter; "
                     f"the {self.family.value} model ignores it")
-        if not (math.isfinite(self.eta) and self.eta >= 0.0):
-            raise InvalidModelError("eta must be finite and nonnegative")
-        if not (math.isfinite(self.zeta) and self.zeta >= 0.0):
-            raise InvalidModelError("zeta must be finite and nonnegative")
+        real(self.eta, "eta", 0.0, error=InvalidModelError)
+        real(self.zeta, "zeta", 0.0, error=InvalidModelError)
         if self.family is ModelFamily.SHV:
             with np.errstate(over="ignore"):  # the norm of a huge p0 overflows
                 p_m = self.p_m
@@ -262,9 +256,8 @@ class ModelParams:
         return replace(self, zeta=zeta)
 
     def with_pm(self, p_m: float) -> "ModelParams":
-        """Rescale the p-field to the given sup norm, keeping its shape."""
-        if not (math.isfinite(p_m) and p_m >= 0.0):
-            raise InvalidModelError("p_m must be finite and nonnegative")
+        """Rescale the p-field to the sup norm p_m >= 0, keeping its shape."""
+        real(p_m, "p_m", 0.0, error=InvalidModelError)
         if isinstance(self.p_spec, ConstantP):
             cur = self.p_spec.p_sup()
             direction = (
@@ -282,12 +275,19 @@ _UNREAD_DEFAULTS = {family: tuple((f.name, f.default) for f in fields(ModelParam
 
 @dataclass(frozen=True)
 class HiddenState:
-    """One draw of the hidden variables: either a vector pair (u, v) or an
-    opaque carrier with its attached vector p."""
+    """One draw of the hidden variables: either a `UnitVector3` pair (u, v)
+    or an opaque carrier with its attached vector p of three finite reals."""
 
     u: UnitVector3 | None = None
     v: UnitVector3 | None = None
     p: tuple[float, float, float] | None = None
+
+    def __post_init__(self) -> None:
+        for key in ("u", "v"):
+            if getattr(self, key) is not None:
+                unit_vector(getattr(self, key), f"hidden {key}")
+        if self.p is not None:
+            triple(self.p, "hidden p")
 
     @classmethod
     def uv(cls, u: UnitVector3, v: UnitVector3) -> "HiddenState":
@@ -295,16 +295,19 @@ class HiddenState:
 
     @classmethod
     def carrier(cls, p) -> "HiddenState":
-        px, py, pz = (float(c) for c in p)
-        return cls(p=(px, py, pz))
+        return cls(p=tuple(float(c) for c in triple(p, "hidden p")))
 
 
 @dataclass(frozen=True)
 class Settings:
-    """Detector directions for the two parties."""
+    """Detector directions for the two parties, each a `UnitVector3`."""
 
     a: UnitVector3
     b: UnitVector3
+
+    def __post_init__(self) -> None:
+        unit_vector(self.a, "setting a")
+        unit_vector(self.b, "setting b")
 
 
 def _check_cells(*cells) -> None:
@@ -328,6 +331,8 @@ class ProbabilityTable:
     mm: float
 
     def __post_init__(self) -> None:
+        for cell in ("pp", "pm", "mp", "mm"):
+            real(getattr(self, cell), f"table cell {cell}")
         _check_cells(self.pp, self.pm, self.mp, self.mm)
         for cell in ("pp", "pm", "mp", "mm"):
             object.__setattr__(self, cell, max(0.0, float(getattr(self, cell))))
@@ -521,17 +526,14 @@ def _conditional_shift(pp, pm, mp, mm):
 
 def marginal(t: ProbabilityTable, party: str) -> tuple[float, float]:
     """Single-party outcome probabilities (P(+1), P(-1)) for party A or B."""
-    if party == "A":
+    if member(party, "party", ("A", "B")) == "A":
         return (t.pp + t.pm, t.mp + t.mm)
-    if party == "B":
-        return (t.pp + t.mp, t.pm + t.mm)
-    raise ValueError("party must be 'A' or 'B'")
+    return (t.pp + t.mp, t.pm + t.mm)
 
 
 def conditional(t: ProbabilityTable, tau: int) -> tuple[float, float]:
     """P(sigma | tau) as (P(+1|tau), P(-1|tau)) for party B's outcome tau."""
-    if tau not in (1, -1):
-        raise ValueError("tau must be +1 or -1")
+    member(tau, "tau", (1, -1))
     p_tau = t.pp + t.mp if tau == 1 else t.pm + t.mm
     if p_tau < CONDITIONAL_FLOOR:
         raise UndefinedConditionalError(
@@ -672,8 +674,7 @@ class MalusReport:
 def malus_check(params: ModelParams, grid_points: int = 1001) -> MalusReport:
     """Compare the marginal P(sigma=+1 | hidden, a) = (1 + eps*f(u.a))/2, flat
     outside FHV (eps = 0), with Malus's law on a grid of x = u.a in [-1, 1]."""
-    if not isinstance(grid_points, numbers.Integral) or grid_points < 2:
-        raise ValueError("grid_points must be an integer of at least 2")
+    integer(grid_points, "grid_points", 2)
     x = np.linspace(-1.0, 1.0, grid_points)
     malus = (1.0 + x) / 2.0
     marg = (1.0 + params.epsilon * params.f_spec(x)) / 2.0
@@ -702,8 +703,10 @@ def outcome_dependence_witness(
 
     All trials are one batch; rows where either conditioning outcome has
     probability below CONDITIONAL_FLOOR are skipped, and the first row
-    attaining the maximum is returned.  QM is rejected before any draw.
+    attaining the maximum is returned.  QM, and trials not an integer >= 1, are
+    rejected before any draw.
     """
+    integer(trials, "trials", 1)
     _require_hidden(params)
     a = sample_unit_batch(rng, trials)
     b = sample_unit_batch(rng, trials)

@@ -143,7 +143,7 @@ class TestMcCorrelator:
             mc_correlator(ModelParams.qm(), Settings(X, Y), n, seed=0, shards=shards)
 
     def test_non_integer_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
             mc_correlator(ModelParams.qm(), Settings(X, Y), 1000, seed=1.5)
 
 

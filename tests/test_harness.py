@@ -37,8 +37,10 @@ class TestParsing:
         assert parse_angle("1.25rad") == 1.25
 
     def test_angle_garbage_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="angle must be a finite number, got 'ninety'"):
             parse_angle("ninety")
+        with pytest.raises(ConfigError, match="phi must be a finite number, got 'ninety'"):
+            parse_config({"task": "leggett", "phi": "ninety"})
 
     def test_model_defaults_to_qm(self):
         assert parse_model({}).family is ModelFamily.QM
@@ -63,8 +65,10 @@ class TestParsing:
             parse_config({"task": "prob", "nonsense": {}})
 
     def test_bad_family_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="unknown model family 'bohm'"):
             parse_model({"family": "bohm"})
+        with pytest.raises(ConfigError, match="unknown model family 'bohm'"):
+            parse_config({"task": "chsh", "model": {"family": "bohm"}})
 
     @pytest.mark.parametrize("tag", ["bhv", "lhv"])
     def test_comparison_class_is_no_family(self, tag, capsys):
@@ -90,7 +94,7 @@ class TestParsing:
             parse_config({"task": "scan"})  # needs scan block
 
     def test_invalid_model_parameters_name_the_constraint(self):
-        with pytest.raises(ConfigError, match="1/2"):
+        with pytest.raises(ConfigError, match=r"f coeff must lie in \[0, 0.5\]"):
             parse_config({"task": "prob", "model": {"family": "fhv", "f": {"coeff": 0.9}}})
         with pytest.raises(ConfigError, match="positivity"):
             parse_config({"task": "prob", "model": {"family": "thv", "zeta": 2.5}})

@@ -555,7 +555,7 @@ class TestMalusCheck:
     @pytest.mark.parametrize("grid_points", [0, 1, 2.5])
     def test_grid_without_both_ends_rejected(self, grid_points):
         # one point would read the deviation at alignment at x = -1
-        with pytest.raises(ValueError, match="grid_points must be an integer of at least 2"):
+        with pytest.raises(ValueError, match="grid_points must be (an integer|at least 2)"):
             malus_check(ModelParams.fhv(1.0), grid_points)
 
 

@@ -446,30 +446,31 @@ class TestSearchArguments:
     check that `violation_window`, `max_violation`, `threshold` and the
     batched searches share, before any margin is evaluated."""
 
-    match = "a search needs a finite tol > 0"
+    tol_match = "tol must be at least 5e-324"
+    domain_match = "domain must have lo < hi"
 
     def test_zero_tol(self, unevaluated):
-        with pytest.raises(ValueError, match=self.match):
+        with pytest.raises(ValueError, match=self.tol_match):
             threshold("chsh", ModelParams.fhv(0.0), "eta", (0.0, 1.0), tol=0.0)
 
     def test_negative_tol(self, unevaluated):
-        with pytest.raises(ValueError, match=self.match):
+        with pytest.raises(ValueError, match=self.tol_match):
             violation_window("leggett", ModelParams.fhv(0.5), "phi", (0.0, PI), tol=-1)
 
     def test_nan_tol(self, unevaluated):
-        with pytest.raises(ValueError, match=self.match):
+        with pytest.raises(ValueError, match="tol must be a finite number, got nan"):
             threshold("chsh", ModelParams.fhv(0.0), "eta", (0.0, 1.0), tol=math.nan)
 
     def test_reversed_domain(self, unevaluated):
-        with pytest.raises(ValueError, match=self.match):
+        with pytest.raises(ValueError, match=self.domain_match):
             max_violation("leggett", ModelParams.qm(), "phi", (PI, 0.0))
 
     def test_infinite_domain(self, unevaluated):
-        with pytest.raises(ValueError, match=self.match):
+        with pytest.raises(ValueError, match="domain end must be a finite number, got inf"):
             _max_violations("branciard", [ModelParams.qm()], "phi", (0.0, math.inf))
 
     def test_batched_windows_share_the_check(self, unevaluated):
-        with pytest.raises(ValueError, match=self.match):
+        with pytest.raises(ValueError, match=self.domain_match):
             _violation_windows("leggett", [ModelParams.qm()] * 2, "phi", (0.0, 0.0), 1e-9)
 
 
