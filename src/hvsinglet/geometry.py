@@ -71,14 +71,20 @@ def unit_vector(value, what: str, error=ValueError):
     return value
 
 
-def check_phi(name: str, phi) -> None:
-    """Raise ValueError unless phi, a real or an array of reals, lies in the
-    inequality's domain; a float array is tested in one pass."""
-    lo, hi = PHI_DOMAINS[name]
-    phi = np.asarray(phi)
-    if phi.dtype.kind != "f" or not np.all((phi >= lo) & (phi <= hi)):
-        for x in np.ravel(phi).tolist():
-            real(x, f"{name} phi", lo, hi)
+def check_phi(name: str, phi):
+    """A phi of inequality ``name``: a real in its domain (none for CHSH)."""
+    if name not in PHI_DOMAINS:
+        raise ValueError(f"{name} has no phi dependence")
+    return real(phi, f"{name} phi", *PHI_DOMAINS[name])
+
+
+def check_phis(name: str, phis) -> None:
+    """`check_phi` of each of ``phis`` (reals; a float array in one pass), even of none."""
+    lo, hi = PHI_DOMAINS.get(name) or check_phi(name, None)  # check_phi raises: no phi
+    phis = np.asarray(phis)
+    if phis.dtype.kind != "f" or not np.all((phis >= lo) & (phis <= hi)):
+        for x in np.ravel(phis).tolist():
+            check_phi(name, x)
 
 
 @dataclass(frozen=True)
@@ -102,11 +108,17 @@ class UnitVector3:
 
     @classmethod
     def from_array(cls, arr, what: str = "vector") -> "UnitVector3":
-        """The direction of ``arr``, three finite reals of nonzero finite norm."""
+        """The direction of ``arr``, three finite reals not all zero (scaled by the
+        largest |component| first when the squared norm over- or underflows)."""
         x, y, z = (float(c) for c in triple(arr, what))
-        n = math.sqrt(x * x + y * y + z * z)
-        if not 0.0 < n < math.inf:
-            raise ValueError(f"{what} must have a nonzero, finite norm, got {arr!r}")
+        n2 = x * x + y * y + z * z
+        if not sys.float_info.min <= n2 < math.inf:
+            m = max(abs(x), abs(y), abs(z))
+            if m == 0.0:
+                raise ValueError(f"{what} must have a nonzero, finite norm, got {arr!r}")
+            x, y, z = x / m, y / m, z / m
+            n2 = x * x + y * y + z * z
+        n = math.sqrt(n2)
         return cls(x / n, y / n, z / n)
 
     @property
@@ -215,7 +227,7 @@ def vectors_in_plane(p: Plane, theta: float, phi: float) -> tuple[UnitVector3, U
     counterclockwise about the plane normal.
     """
     real(phi, "phi")
-    return in_plane_direction(p, theta), in_plane_direction(p, theta + phi)
+    return in_plane_direction(p, theta), in_plane_direction(p, real(theta + phi, "theta + phi"))
 
 
 def chsh_optimal_settings() -> tuple[UnitVector3, UnitVector3, UnitVector3, UnitVector3]:
@@ -234,7 +246,7 @@ def branciard_settings(
 ) -> tuple[Triad, tuple[UnitVector3, ...], tuple[UnitVector3, ...]]:
     """Orthogonal triad plus companion settings b_i, b'_i at angles +phi/2
     and -phi/2 from a_i, inside the (a_i, a_{i+1}) plane (indices mod 3)."""
-    real(phi, "branciard phi", *PHI_DOMAINS["branciard"])
+    check_phi("branciard", phi)
     triad = Triad(X, Y, Z)
     c, s = math.cos(phi / 2), math.sin(phi / 2)
     axes = triad.axes

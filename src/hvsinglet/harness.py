@@ -23,20 +23,20 @@ import numpy as np
 
 from . import __version__
 from .geometry import (
-    NORM_TOL, PHI_DOMAINS, Z, UnitVector3, check_phi, chsh_optimal_settings, integer,
-    make_rng, member, real, sample_unit_batch, triple,
+    Z, UnitVector3, chsh_optimal_settings, integer, make_rng, member, real, sample_unit_batch,
+    triple,
 )
 from .models import (
     CapP,
     ConstantP,
     FIELD_READERS,
     FSpec,
-    HIDDEN_VECTORS,
     HiddenState,
     ModelFamily,
     ModelParams,
     Settings,
-    _check_hidden_p,
+    _check_hidden,
+    _check_reads,
     _conditional_shift,
     coeffs,
     joint,
@@ -72,6 +72,8 @@ from .inequalities import (
     ZETA_MAX_LEGGETT_THV,
     ZETA_ROOT_CHSH_THV_DERIVED,
     ZETA_ROOT_CHSH_THV_QUOTED,
+    _check_margin,
+    _check_scan,
     _max_violations,
     _value_function,
     _violation_windows,
@@ -219,11 +221,10 @@ class RunConfig:
 
 class Entry(NamedTuple):
     parse: Callable | None  # parse(value, what); None: the code reading the block reads it
-    readers: tuple | None = None  # tasks (families for model and hidden keys); None: all
+    readers: tuple | None = None  # tasks (families for model keys); None: all
     field: str | None = None  # the field it fills, when not named after the key
 
 
-FHV, SHV, THV = ModelFamily.FHV, ModelFamily.SHV, ModelFamily.THV
 SETTINGS_TASKS = ("prob", "correlator", "chsh")
 
 # The config contract: every block, the keys it may hold, their parsers and
@@ -235,7 +236,7 @@ CONFIG = {
                "model": Entry(lambda block, _: parse_model(block),
                               tuple(task for task in TASKS if task != "verify"), "params"),
                "settings": Entry(None),
-               "hidden": Entry(None, ("prob",)),
+               "hidden": Entry(_block(HiddenState, "hidden"), ("prob",)),
                "phi": Entry(parse_angle, ("leggett", "branciard", "scan")),
                "sampling": Entry(None),
                "scan": Entry(None, ("scan",)),
@@ -267,9 +268,7 @@ CONFIG = {
               "f": Entry(_block(FSpec, "f"), FIELD_READERS["f_spec"], "f_spec"),
               "f_b": Entry(_block(FSpec, "f"), FIELD_READERS["f_spec_b"], "f_spec_b"),
               "p": Entry(_p_field, FIELD_READERS["p_spec"], "p_spec")},
-    "hidden": {"u": Entry(parse_unit_vector, (FHV, THV)),
-               "v": Entry(parse_unit_vector, (FHV, THV)),
-               "p": Entry(_triple, (SHV,))},
+    "hidden": {**dict.fromkeys("uv", Entry(parse_unit_vector)), "p": Entry(_triple)},
     "f": {"coeff": Entry(parse_number), "power": Entry(parse_integer)},
     "constant p": {"kind": Entry(None), "p0": Entry(_triple)},
     "cap p": {"kind": Entry(None), "axis": Entry(parse_unit_vector),
@@ -277,17 +276,14 @@ CONFIG = {
 }
 
 
-def _check_read(what: str, key: str, reader, name: str | None = None) -> None:
-    """Reject entry ``key`` of block ``what`` unless ``reader`` reads it;
-    ``name`` is how the entry was given, when not by its key."""
-    readers = CONFIG[what][key].readers
-    if readers is None or reader in readers:
+def _check_read(what: str, key: str, reader) -> None:
+    """Reject entry ``key`` of block ``what`` unless ``reader`` (a task or family) reads it."""
+    entry = CONFIG[what][key]
+    if entry.readers is None or reader in entry.readers:
         return
-    name = name or key
     if isinstance(reader, ModelFamily):
-        raise ConfigError(f"{name!r} is a {'/'.join(readers)} parameter; "
-                          f"the {reader.value} model ignores it")
-    raise ConfigError(f"{name!r} is read only by {'/'.join(readers)}, not by {reader}")
+        _check_reads(reader, key, entry.field)
+    raise ConfigError(f"{key!r} is read only by {'/'.join(entry.readers)}, not by {reader}")
 
 
 def _read(block, what: str, reader=None) -> dict:
@@ -307,28 +303,14 @@ def _read(block, what: str, reader=None) -> dict:
             for key, value in block.items() if rows[key].parse is not None}
 
 
-def _hidden_state(block, family: ModelFamily) -> HiddenState:
-    """The hidden state a ``hidden`` block fixes for the family."""
-    entries = _read(block, "hidden", family)
-    if not (needs := HIDDEN_VECTORS[family]):
-        raise ConfigError("the qm model has no hidden state; drop the hidden block")
-    if any(key not in entries for key in needs):
-        raise ConfigError(f"{family.value} hidden block needs {' and '.join(needs)}")
-    if family is THV:
-        u = entries["u"]
-        if "v" in entries and np.max(np.abs(entries["v"].arr + u.arr)) > NORM_TOL:
-            raise ConfigError("thv hidden v must be -u (the cubic family locks v = -u)")
-        entries["v"] = -u
-    return HiddenState(**entries)
-
-
 def parse_config(doc: dict, task: str | None = None, *, pm=None) -> RunConfig:
     """The run a config document describes, for ``task`` when a command
     names it.  ``pm`` is the ``--pm`` sup norm, which rescales the model's
     p-field whatever its kind.  `CONFIG` parses each entry, the `geometry`
     checkers and model constructors check it, and `_parse_config` ties
-    entries together.  Any other ValueError (`InvalidModelError` included)
-    becomes a ConfigError with its message here, and nowhere else."""
+    entries together, calling the library's own check of each rule it has
+    one for.  Any other ValueError (`InvalidModelError` included) becomes a
+    ConfigError with its message here, and nowhere else."""
     try:
         return _parse_config(doc, task, pm)
     except ConfigError:
@@ -378,39 +360,28 @@ def _parse_config(doc, task, pm) -> RunConfig:
         if scan is None:
             raise ConfigError("scan task requires a scan block")
         variable, model = scan.variable, doc.get("model", {})
-        if variable == "phi":
-            if scan.inequality == "chsh":
-                raise ConfigError("chsh has no phi dependence")
-            check_phi(scan.inequality, (scan.start, scan.stop))
-        else:  # the model must read what the scan sweeps
-            _check_read("model", "p" if variable == "p_m" else variable, family, variable)
+        _check_scan(scan.inequality, family, variable, config.phi, (scan.start, scan.stop))
         # a scan's rows come from closed forms, which the response function
         # averages out of
         if unread := [key for key in ("f", "f_b") if key in model]:
             readers = [t for t in CONFIG["config"]["model"].readers if t != "scan"]
             raise ConfigError(f"{unread[0]!r} is read only by {'/'.join(readers)}, "
                               "not by scan")
-        fixed = {"phi": "phi" in doc, "p_m": pm is not None or "pm" in model.get("p", {})}
-        if fixed.get(variable, variable in model):
+        if (pm is not None or "pm" in model.get("p", {}) if variable == "p_m"
+                else variable in model):
             raise ConfigError(f"{variable} is the scan variable; a fixed {variable} "
                               "would be ignored")
-    if task in PHI_DOMAINS and config.phi is None:
-        raise ConfigError(f"{task} task requires phi")
-    if config.phi is not None:
-        inequality = scan.inequality if scan else task
-        if inequality not in PHI_DOMAINS:
-            raise ConfigError(f"phi is not used by {inequality}")
-        check_phi(inequality, config.phi)
+    if task in INEQUALITIES:
+        _check_margin(task, config.phi)
 
-    if "hidden" in doc:
-        config = replace(config, hidden=_hidden_state(doc["hidden"], family))
     if pm is not None:
         _check_read("config", "model", task)
-        _check_read("model", "p", family, "p_m")
         config = replace(config, params=config.params.with_pm(
             CONFIG["cap p"]["pm"].parse(pm, "pm")))
-    if config.hidden is not None and config.hidden.p is not None:
-        _check_hidden_p(config.params, config.hidden.p)
+    if config.hidden is not None:
+        _check_hidden(config.params, config.hidden)
+        if family is ModelFamily.THV:  # the cubic family's partner is v = -u
+            config = replace(config, hidden=replace(config.hidden, v=-config.hidden.u))
     return config
 
 
@@ -494,16 +465,9 @@ def run_single(config: RunConfig) -> dict:
             }
         return doc
 
-    if config.task == "chsh":
-        custom = (config.a, config.b, config.a_prime, config.b_prime)
-        rep = margin("chsh", params,
-                     settings=custom if all(v is not None for v in custom) else None)
-    elif config.task == "leggett":
-        rep = margin("leggett", params, phi=config.phi)
-    elif config.task == "branciard":
-        rep = margin("branciard", params, phi=config.phi)
-    else:
-        raise ConfigError(f"run_single cannot handle task {config.task!r}")
+    custom = (config.a, config.b, config.a_prime, config.b_prime)
+    rep = margin(config.task, params, phi=config.phi,
+                 settings=custom if all(v is not None for v in custom) else None)
 
     doc["inequality"] = rep.name
     doc["value"] = rep.value

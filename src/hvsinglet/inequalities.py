@@ -16,10 +16,12 @@ from typing import Callable
 import numpy as np
 
 from .geometry import (
-    PHI_DOMAINS, X, Z, Plane, UnitVector3, check_phi, chsh_optimal_settings, dot, integer,
-    member, orthogonal_plane, real, sample_unit_batch, unit_vector, xy_plane,
+    X, Z, Plane, UnitVector3, check_phi, check_phis, chsh_optimal_settings, dot, integer, member,
+    orthogonal_plane, real, sample_unit_batch, unit_vector, xy_plane,
 )
-from .models import ModelFamily, ModelParams, Settings, lhv_feasible_c_range, table_cells
+from .models import (
+    ModelFamily, ModelParams, Settings, _check_reads, lhv_feasible_c_range, table_cells,
+)
 from .correlators import _Columns, _pair_correlator_arrays, analytic_correlator
 
 PI = math.pi
@@ -161,9 +163,8 @@ class ThresholdResult:
 # Values are computed for a whole batch of (model, phi) points per call:
 # ``_value_function`` returns a function (phi, which) -> values whose entry i
 # scores ``models[which[i]]`` at ``phi[i]``.  The scalar entry points below are
-# batches of one over that code.  `geometry.PHI_DOMAINS` holds each
-# inequality's phi domain; a scalar phi is checked with `real`, an array with
-# `check_phi`.
+# batches of one over that code.  `geometry.check_phi` checks one phi against
+# the inequality's domain, and `check_phis` an array.
 
 # Orthogonal triad a_i (rows) of the Branciard construction and its cyclic
 # successors a_{i+1}.
@@ -212,7 +213,7 @@ def _leggett_planes(params: ModelParams) -> np.ndarray:
 def _branciard_companions(phi: np.ndarray) -> np.ndarray:
     """Settings b_i, b'_i of the triad construction for each phi, as a
     (len(phi), 2, 3, 3) array: [k, 0, i] is b_i and [k, 1, i] is b'_i."""
-    check_phi("branciard", phi)
+    check_phis("branciard", phi)
     half = phi[:, None, None] / 2.0
     c, s = np.cos(half), np.sin(half)
     v = np.stack([c * _TRIAD + s * _TRIAD_NEXT, c * _TRIAD - s * _TRIAD_NEXT], axis=1)
@@ -295,7 +296,7 @@ def leggett_value(
 ) -> float:
     """F(phi) = |C_p(phi) + C_p(0)| + |C_p'(phi) + C_p'(0)| with plane-averaged
     correlators over two orthogonal planes."""
-    real(phi, "leggett phi", *PHI_DOMAINS["leggett"])
+    check_phi("leggett", phi)
     if abs(dot(p.n, p_prime.n)) > 1e-10:
         raise ValueError("plane normals must be orthogonal")
     planes = np.array([[[_plane_basis(p), _plane_basis(p_prime)]]])
@@ -305,7 +306,7 @@ def leggett_value(
 def leggett_bound(phi):
     """Classical bound 4 - (4/pi) sin|phi/2| for Malus-marginal models
     (elementwise for an array of phi)."""
-    check_phi("leggett", phi)
+    check_phis("leggett", phi)
     return 4.0 - (4.0 / PI) * np.sin(np.abs(phi) / 2.0)
 
 
@@ -326,14 +327,14 @@ def default_leggett_planes(params: ModelParams) -> tuple[Plane, Plane]:
 def branciard_value(params: ModelParams, phi: float) -> float:
     """G(phi) = (1/3) sum_i |C(a_i, b_i) + C(a_i, b'_i)| on the explicit
     orthogonal-triad construction."""
-    real(phi, "branciard phi", *PHI_DOMAINS["branciard"])
+    check_phi("branciard", phi)
     return _one(_value_function("branciard", (params,)), phi)
 
 
 def branciard_bound(phi):
     """Classical bound 2 - (2/3) sin(phi/2) for Malus-marginal models
     (elementwise for an array of phi), on the triad's domain [0, pi]."""
-    check_phi("branciard", phi)
+    check_phis("branciard", phi)
     return 2.0 - (2.0 / 3.0) * np.sin(np.abs(phi) / 2.0)
 
 
@@ -344,6 +345,21 @@ def correlator_fn(params: ModelParams) -> Callable[[UnitVector3, UnitVector3], f
     return lambda a, b: analytic_correlator(params, Settings(a, b))
 
 
+def _check_margin(name: str, phi=None, settings=None) -> None:
+    """`margin`'s argument rules, checked before any value is computed."""
+    chsh = member(name, "inequality", INEQUALITIES) == "chsh"
+    if phi is None and not chsh:
+        raise ValueError(f"{name} margin requires phi")
+    if settings is not None and not chsh:
+        raise ValueError(f"{name} takes no settings; they follow from phi")
+    if phi is not None:
+        check_phi(name, phi)
+    if settings is not None and np.shape(settings) != (4,):
+        raise ValueError(f"chsh settings must be four UnitVector3, got {settings!r}")
+    for v, label in zip(settings or (), ("a", "b", "a_prime", "b_prime")):
+        unit_vector(v, f"chsh setting {label}")
+
+
 def margin(
     name: str,
     params: ModelParams,
@@ -352,25 +368,10 @@ def margin(
     settings: tuple[UnitVector3, UnitVector3, UnitVector3, UnitVector3] | None = None,
 ) -> InequalityReport:
     """Assemble value, bound, margin, and violation flag for one inequality:
-    CHSH at four `UnitVector3` ``settings``, the others at a ``phi`` in domain."""
-    if member(name, "inequality", INEQUALITIES) == "chsh":
-        if phi is not None:
-            raise ValueError("chsh has no phi dependence")
-        if settings is not None and np.shape(settings) != (4,):
-            raise ValueError(f"chsh settings must be four UnitVector3, got {settings!r}")
-        for v, label in zip(settings or (), ("a", "b", "a_prime", "b_prime")):
-            unit_vector(v, f"chsh setting {label}")
-        config = {
-            "family": params.family.value,
-            "settings": "optimal" if settings is None else "custom",
-        }
-    else:
-        if phi is None:
-            raise ValueError(f"{name} margin requires phi")
-        if settings is not None:
-            raise ValueError(f"{name} takes no settings; they follow from phi")
-        real(phi, f"{name} phi", *PHI_DOMAINS[name])
-        config = {"family": params.family.value, "phi": phi}
+    CHSH at four `UnitVector3` ``settings``, the others at ``phi`` (`_check_margin`)."""
+    _check_margin(name, phi, settings)
+    config = {"family": params.family.value, "phi": phi} if phi is not None else {
+        "family": params.family.value, "settings": "optimal" if settings is None else "custom"}
     at = 0.0 if phi is None else float(phi)
     value = _one(_value_function(name, (params,), settings=settings), at)
     bound = float(_bound(name, np.array([at]))[0])
@@ -378,9 +379,22 @@ def margin(
     return InequalityReport(name, value, bound, m, m > 0.0, config)
 
 
+def _check_scan(name: str, family: ModelFamily, variable: str, phi=None, xs=()) -> None:
+    """A scan's argument rules, before any value (``xs``: the points known up front)."""
+    member(name, "inequality", INEQUALITIES)
+    if member(variable, "scan variable", SCAN_VARIABLES) == "phi":
+        check_phis(name, xs)
+    else:
+        _check_reads(family, variable, "p_spec" if variable == "p_m" else None)
+    if phi is not None and variable == "phi":
+        raise ValueError("phi is the scan variable; a fixed phi would be ignored")
+    if phi is not None:
+        check_phi(name, phi)
+
+
 def _scan(
     name: str, models, variable: str, *,
-    phi: float | None, nodes: int, tol: float,
+    phi: float | None, nodes: int, tol: float, xs=(),
 ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Values and bounds of one inequality along one scan variable, as a
     function (x, i) of a batch of points: point j scores the base model
@@ -390,17 +404,10 @@ def _scan(
     rebinds ``models[i[j]]`` to ``x[j]``: CHSH is scored at the optimal
     settings; the angle-dependent inequalities at the given phi when
     provided, otherwise at the maximizing phi of each point, all maximized
-    in lockstep (seed grid of ``nodes``, tolerance ``tol``).  Every point is
-    validated as a model of its own; a fixed phi (none on a phi scan) too.
+    in lockstep (seed grid of ``nodes``, tolerance ``tol``).  `_check_scan`
+    checks the arguments first, and every point is a model of its own.
     """
-    member(name, "inequality", INEQUALITIES)
-    member(variable, "scan variable", SCAN_VARIABLES)
-    if name == "chsh" and (variable == "phi" or phi is not None):
-        raise ValueError("chsh has no phi dependence")
-    if phi is not None:
-        if variable == "phi":
-            raise ValueError("phi is the scan variable; a fixed phi would be ignored")
-        real(phi, f"{name} phi", *PHI_DOMAINS[name])
+    _check_scan(name, models[0].family, variable, phi, xs)
     if variable == "phi":
         value = _value_function(name, models)
         return lambda x, i: (value(x, i), _bound(name, x))
@@ -454,11 +461,11 @@ def scan_values(
     name: str, params: ModelParams, variable: str, xs: np.ndarray, *,
     phi: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Value and classical bound at each grid value of one scan variable.
-    Without a fixed phi, the angle-dependent inequalities are scored at the
-    maximizing phi of each grid value, searched as in ``max_violation``."""
-    evaluate = _scan(name, (params,), variable, phi=phi, nodes=MAX_SEED_NODES, tol=1e-10)
-    return evaluate(*_first(xs))
+    """Value and classical bound at each grid value ``xs`` of one scan variable,
+    after `_check_scan`; without a fixed phi, the angle-dependent inequalities
+    at the maximizing phi of each grid value, searched as in ``max_violation``."""
+    x, i = _first(xs)
+    return _scan(name, (params,), variable, phi=phi, nodes=MAX_SEED_NODES, tol=1e-10, xs=x)(x, i)
 
 
 # --------------------------- search machinery ------------------------------

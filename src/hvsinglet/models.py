@@ -29,8 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import (
-    ChunkWorkspace, UnitVector3, _uniform_into, _zone_projection, dot, integer, member, real,
-    sample_cap_batch, sample_unit_batch, triple, unit_vector,
+    NORM_TOL, ChunkWorkspace, UnitVector3, _uniform_into, _zone_projection, dot, integer, member,
+    real, sample_cap_batch, sample_unit_batch, triple, unit_vector,
 )
 
 TABLE_TOL = 1e-12
@@ -58,6 +58,13 @@ FIELD_READERS = {**dict.fromkeys(("eta", "f_spec", "f_spec_b"), (ModelFamily.FHV
                  "zeta": (ModelFamily.THV,), "p_spec": (ModelFamily.SHV,)}
 HIDDEN_VECTORS = {ModelFamily.FHV: ("u", "v"), ModelFamily.THV: ("u",),
                   ModelFamily.SHV: ("p",), ModelFamily.QM: ()}
+
+
+def _check_reads(family: ModelFamily, name: str, field: str | None = None) -> None:
+    """Reject ``name``, which sets the field ``field`` (or ``name``), unless ``family`` reads it."""
+    if family not in (readers := FIELD_READERS[field or name]):
+        raise InvalidModelError(f"{name!r} is a {'/'.join(readers)} parameter; "
+                                f"the {family.value} model ignores it")
 
 
 @dataclass(frozen=True)
@@ -182,11 +189,10 @@ class ModelParams:
     """Family tag plus the parameters that family actually uses.
 
     Any other field (see `FIELD_READERS`) must keep its default, or the
-    constructor and the `with_*` methods raise InvalidModelError.  eta (FHV)
-    and zeta (THV) must be finite nonnegative reals; epsilon is always derived as
-    eta/(1+eta) and cannot be set independently.  THV construction
-    rejects zeta > 2 (beyond a 1e-9 tolerance), where some joint probability
-    would be negative (the proof is in `thv_positivity_margin`).
+    constructor raises InvalidModelError, as a `with_*` rebinder of it does
+    for any value.  eta (FHV) and zeta (THV) are finite nonnegative reals;
+    epsilon = eta/(1+eta).  THV construction rejects zeta > 2 (beyond 1e-9),
+    where a joint probability would be negative (`thv_positivity_margin`).
     """
 
     family: ModelFamily
@@ -201,9 +207,7 @@ class ModelParams:
             raise InvalidModelError(f"unknown model family {self.family!r}")
         for name, default in _UNREAD_DEFAULTS[self.family]:
             if getattr(self, name) != default:
-                raise InvalidModelError(
-                    f"{name!r} is a {'/'.join(FIELD_READERS[name])} parameter; "
-                    f"the {self.family.value} model ignores it")
+                _check_reads(self.family, name)
         real(self.eta, "eta", 0.0, error=InvalidModelError)
         real(self.zeta, "zeta", 0.0, error=InvalidModelError)
         if self.family is ModelFamily.SHV:
@@ -250,13 +254,18 @@ class ModelParams:
         return cls(ModelFamily.THV, zeta=zeta)
 
     def with_eta(self, eta: float) -> "ModelParams":
+        """The FHV model with damping ``eta``."""
+        _check_reads(self.family, "eta")
         return replace(self, eta=eta)
 
     def with_zeta(self, zeta: float) -> "ModelParams":
+        """The THV model with strength ``zeta``."""
+        _check_reads(self.family, "zeta")
         return replace(self, zeta=zeta)
 
     def with_pm(self, p_m: float) -> "ModelParams":
-        """Rescale the p-field to the sup norm p_m >= 0, keeping its shape."""
+        """The SHV model with its p-field rescaled to sup norm p_m >= 0, same shape."""
+        _check_reads(self.family, "p_m", "p_spec")
         real(p_m, "p_m", 0.0, error=InvalidModelError)
         if isinstance(self.p_spec, ConstantP):
             cur = self.p_spec.p_sup()
@@ -487,30 +496,36 @@ def table_cells(A, B, C):
     return cells
 
 
-def _check_hidden_p(params: ModelParams, p: np.ndarray) -> None:
-    """Reject a hidden p longer than the p-field's sup norm p_m."""
-    if float(np.linalg.norm(p)) > params.p_m + 1e-12:
-        raise InvalidModelError("hidden state has |p| > p_m")
-
-
 def _require_hidden(params: ModelParams) -> None:
     """Reject a hidden state for a family that has none (QM)."""
     if not HIDDEN_VECTORS[params.family]:
         raise InvalidModelError(f"the {params.family.value} model has no hidden state")
 
 
-def joint(params: ModelParams, h: HiddenState | None, s: Settings) -> ProbabilityTable:
-    """The family's table for one hidden draw (None for QM), which must
-    carry the vectors `HIDDEN_VECTORS` names: `coeffs` on a batch of one."""
+def _check_hidden(params: ModelParams, h: HiddenState | None) -> None:
+    """The one check of a hidden state ``h`` (or None): QM takes none, others the
+    vectors `HIDDEN_VECTORS` names and no other (bar a THV v = -u), |p| <= p_m."""
     if h is not None:
         _require_hidden(params)
-    needs = HIDDEN_VECTORS[params.family]
-    if missing := [key for key in needs if getattr(h, key, None) is None]:
-        raise InvalidModelError(f"{params.family.value} hidden state needs "
-                                f"{' and '.join(missing)}")
-    hidden = {key: h.p if key == "p" else getattr(h, key).arr for key in needs}
-    if "p" in hidden:
-        _check_hidden_p(params, hidden["p"])
+    fam, needs = params.family, HIDDEN_VECTORS[params.family]
+    cubic = fam is ModelFamily.THV
+    given = [key for key in ("u", "v", "p") if getattr(h, key, None) is not None]
+    if missing := [key for key in needs if key not in given]:
+        raise InvalidModelError(f"{fam.value} hidden state needs {' and '.join(missing)}")
+    if extra := [key for key in given if key not in needs and not (cubic and key == "v")]:
+        raise InvalidModelError(f"{fam.value} hidden state takes no {' and '.join(extra)}")
+    if cubic and h.v is not None and np.max(np.abs(h.v.arr + h.u.arr)) > NORM_TOL:
+        raise InvalidModelError("thv hidden v must be -u (the cubic family locks v = -u)")
+    if "p" in needs and float(np.linalg.norm(h.p)) > params.p_m + 1e-12:
+        raise InvalidModelError("hidden state has |p| > p_m")
+
+
+def joint(params: ModelParams, h: HiddenState | None, s: Settings) -> ProbabilityTable:
+    """The family's table for one hidden draw (None for QM), which passes
+    `_check_hidden`: `coeffs` on a batch of one."""
+    _check_hidden(params, h)
+    hidden = {key: h.p if key == "p" else getattr(h, key).arr
+              for key in HIDDEN_VECTORS[params.family]}
     # a batch of one: the coefficient rows hold one value each
     return ProbabilityTable(*table_cells(
         *(np.ravel(x)[0] for x in coeffs(params, hidden, s.a.arr, s.b.arr))))

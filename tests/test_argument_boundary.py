@@ -38,6 +38,7 @@ from hvsinglet import (
     branciard_settings,
     branciard_value,
     conditional,
+    joint,
     leggett_bound,
     leggett_value,
     make_rng,
@@ -246,9 +247,13 @@ def test_malformed_arguments_raise_one_line_value_errors(key):
 
 
 fhv0 = ModelParams.fhv(0.0)
-# Arguments the library once accepted, or failed on with another exception
-# (AttributeError, TypeError, numpy's zero-size error) or a misleading
-# message: each now raises one ValueError naming the argument.
+thv1 = ModelParams.thv(1.0)
+pair = Settings(X, Y)
+# Arguments the library once accepted (or silently ignored), or failed on
+# with another exception (AttributeError, TypeError, numpy's zero-size
+# error) or a misleading message: each now raises one ValueError naming the
+# argument.  A row whose error is None was a wrong rejection: its call now
+# returns the value in the message slot.
 GAPS = {
     "constant-p-nan": (lambda: ConstantP((math.nan, 0, 0)),
                        InvalidModelError, "p0 component must be a finite number, got nan"),
@@ -297,12 +302,54 @@ GAPS = {
                      InvalidModelError, "f power must be an integer, got True"),
     "cap-tuple-axis": (lambda: CapP(axis=(0, 0, 1)),
                        InvalidModelError, r"cap axis must be a UnitVector3, got \(0, 0, 1\)"),
+    # a rebinder refuses a field its family does not read, even at the default
+    "with-eta-on-thv-at-default": (lambda: thv1.with_eta(0.0), InvalidModelError,
+                                   "'eta' is a fhv parameter; the thv model ignores it"),
+    "with-zeta-on-fhv-at-default": (lambda: ModelParams.fhv(0.1).with_zeta(0.0),
+                                    InvalidModelError,
+                                    "'zeta' is a thv parameter; the fhv model ignores it"),
+    "with-eta-on-qm-at-default": (lambda: ModelParams.qm().with_eta(0.0), InvalidModelError,
+                                  "'eta' is a fhv parameter; the qm model ignores it"),
+    "with-pm-on-fhv": (lambda: ModelParams.fhv(0.1).with_pm(0.5), InvalidModelError,
+                       "'p_m' is a shv parameter; the fhv model ignores it"),
+    "with-pm-on-thv": (lambda: thv1.with_pm(0.5), InvalidModelError,
+                       "'p_m' is a shv parameter; the thv model ignores it"),
+    # a scan over a variable its family does not read
+    "eta-scan-of-thv-at-default": (lambda: scan_values("chsh", ModelParams.thv(0.5), "eta",
+                                                       [0.0, 0.0]),
+                                   InvalidModelError,
+                                   "'eta' is a fhv parameter; the thv model ignores it"),
+    "zeta-scan-of-fhv-at-default": (lambda: scan_values("chsh", ModelParams.fhv(0.1), "zeta",
+                                                        [0.0]),
+                                    InvalidModelError,
+                                    "'zeta' is a thv parameter; the fhv model ignores it"),
+    "p_m-scan-of-fhv": (lambda: scan_values("chsh", ModelParams.fhv(0.1), "p_m", [0.5]),
+                        InvalidModelError, "'p_m' is a shv parameter; the fhv model ignores it"),
+    # a hidden vector the family does not read
+    "thv-hidden-v-not-minus-u": (lambda: joint(thv1, HiddenState(u=Z, v=Z), pair),
+                                 InvalidModelError,
+                                 r"thv hidden v must be -u \(the cubic family locks v = -u\)"),
+    "fhv-hidden-p": (lambda: joint(fhv, HiddenState(u=Z, v=Z, p=(0, 0, 9)), pair),
+                     InvalidModelError, "fhv hidden state takes no p"),
+    "shv-hidden-u-v": (lambda: joint(ModelParams.shv(), HiddenState(u=Z, v=X, p=(0, 0, 0.1)),
+                                     pair),
+                       InvalidModelError, "shv hidden state takes no u and v"),
+    # a squared norm that overflows or underflows still has a direction
+    "normalize-huge": (lambda: UnitVector3.normalized(1e200, 0, 0), None, X),
+    "normalize-tiny": (lambda: UnitVector3.from_array((1e-200, 0, 0)), None, X),
+    "normalize-subnormal-square": (lambda: UnitVector3.normalized(3e-160, 4e-160, 0), None,
+                                   UnitVector3(0.6, 0.8, 0.0)),
+    "second-angle-overflow": (lambda: vectors_in_plane(xy_plane(), 1e308, 1e308),
+                              ValueError, "theta \\+ phi must be a finite number, got inf"),
 }
 
 
 @pytest.mark.parametrize("key", GAPS)
 def test_each_gap_raises_one_named_value_error(key):
     call, error, message = GAPS[key]
+    if error is None:
+        assert call() == message
+        return
     with pytest.raises(error, match=f"^{message}$") as caught:
         call()
     assert type(caught.value) is error

@@ -18,8 +18,9 @@ from hvsinglet.harness import (
     run_verify,
     scan_rows_to_csv,
 )
-from hvsinglet.inequalities import ViolationWindow
-from hvsinglet.models import FIELD_READERS, ModelFamily
+from hvsinglet.geometry import X, Y, Z
+from hvsinglet.inequalities import ViolationWindow, margin, scan_values
+from hvsinglet.models import FIELD_READERS, HiddenState, ModelFamily, ModelParams, Settings, joint
 
 FAST_VERIFY = {"trials": 3, "mc_trial_n": 2000, "cases": 500, "mc_n": 20_000}
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -571,6 +572,65 @@ class TestInvalidInputExit2:
         assert main(["leggett", "--phi=-180deg"]) == 0
         assert main(["branciard", "--phi", "0"]) == 0
         assert main(["branciard", "--phi", "180deg"]) == 0
+
+
+def _scan_doc(inequality, variable, family="qm", start=0.1, **entries):
+    return {"task": "scan", "model": {"family": family}, **entries,
+            "scan": {"inequality": inequality, "variable": variable, "start": start,
+                     "stop": 0.5, "steps": 3}}
+
+
+QM, FHV, THV, SHV = (ModelParams.qm(), ModelParams.fhv(0.0), ModelParams.thv(0.0),
+                     ModelParams.shv())
+PAIR = Settings(X, Y)
+# Each rule that ties arguments together, as a config document (with its
+# --pm value) and as the call of the library entry point that owns the rule.
+MOVED_RULES = {
+    "leggett-without-phi": ({"task": "leggett"}, None, lambda: margin("leggett", QM)),
+    "branciard-phi-domain": ({"task": "branciard", "phi": -0.5}, None,
+                             lambda: margin("branciard", QM, phi=-0.5)),
+    "phi-on-a-chsh-scan": (_scan_doc("chsh", "eta", "fhv", phi=0.3), None,
+                           lambda: scan_values("chsh", FHV, "eta", [0.1, 0.5], phi=0.3)),
+    "chsh-phi-scan": (_scan_doc("chsh", "phi"), None,
+                      lambda: scan_values("chsh", QM, "phi", [0.1, 0.5])),
+    "phi-scan-range": (_scan_doc("branciard", "phi", start=-0.5), None,
+                       lambda: scan_values("branciard", QM, "phi", [-0.5, 0.5])),
+    "fixed-phi-on-a-phi-scan": (_scan_doc("leggett", "phi", phi=2.0), None,
+                                lambda: scan_values("leggett", QM, "phi", [0.1, 0.5], phi=2.0)),
+    "fixed-phi-domain": (_scan_doc("leggett", "eta", "fhv", phi=4.0), None,
+                         lambda: scan_values("leggett", FHV, "eta", [0.1, 0.5], phi=4.0)),
+    "scan-variable-unread": (_scan_doc("leggett", "zeta", "fhv", phi=0.3), None,
+                             lambda: scan_values("leggett", FHV, "zeta", [0.1, 0.5], phi=0.3)),
+    "pm-unread": ({"task": "chsh", "model": {"family": "fhv"}}, "0.3",
+                  lambda: FHV.with_pm(0.3)),
+    "model-field-unread": ({"task": "chsh", "model": {"family": "thv", "eta": 0.2}}, None,
+                           lambda: ModelParams(ModelFamily.THV, eta=0.2)),
+    "hidden-on-qm": ({"task": "prob", "hidden": {"u": [0, 0, 1]}}, None,
+                     lambda: joint(QM, HiddenState(u=Z), PAIR)),
+    "hidden-vector-missing": ({"task": "prob", "model": {"family": "fhv"},
+                               "hidden": {"u": [0, 0, 1]}}, None,
+                              lambda: joint(FHV, HiddenState(u=Z), PAIR)),
+    "hidden-vector-unread": ({"task": "prob", "model": {"family": "fhv"},
+                              "hidden": {"u": [0, 0, 1], "v": [0, 0, 1], "p": [0, 0, 1]}}, None,
+                             lambda: joint(FHV, HiddenState(u=Z, v=Z, p=(0, 0, 1)), PAIR)),
+    "thv-v-not-minus-u": ({"task": "prob", "model": {"family": "thv"},
+                           "hidden": {"u": [0, 0, 1], "v": [0, 0, 1]}}, None,
+                          lambda: joint(THV, HiddenState(u=Z, v=Z), PAIR)),
+    "hidden-p-beyond-pm": ({"task": "prob", "model": {"family": "shv"},
+                            "hidden": {"p": [0, 0, 0.9]}}, None,
+                           lambda: joint(SHV, HiddenState.carrier((0, 0, 0.9)), PAIR)),
+}
+
+
+@pytest.mark.parametrize("doc, pm, call", MOVED_RULES.values(), ids=MOVED_RULES.keys())
+def test_each_cross_argument_rule_has_one_message(doc, pm, call):
+    # parse_config calls the library's check, so the two cannot drift apart
+    with pytest.raises(ConfigError) as config:
+        parse_config(doc, pm=pm)
+    with pytest.raises(ValueError) as library:
+        call()
+    assert str(config.value) == str(library.value)
+    assert "\n" not in str(library.value)
 
 
 def _write_cfg(tmp_path, doc):

@@ -135,7 +135,8 @@ class TestFamilyFields:
             ModelParams.qm().with_zeta(0.5)
 
     def test_with_pm_on_fhv_rejected(self):
-        with pytest.raises(InvalidModelError, match="'p_spec' is a shv parameter"):
+        with pytest.raises(InvalidModelError,
+                           match="'p_m' is a shv parameter; the fhv model ignores it"):
             ModelParams.fhv(0.1).with_pm(0.3)
 
     def test_with_eta_on_thv_rejected(self):
