@@ -367,8 +367,8 @@ def _parse_config(doc, task, pm) -> RunConfig:
             readers = [t for t in CONFIG["config"]["model"].readers if t != "scan"]
             raise ConfigError(f"{unread[0]!r} is read only by {'/'.join(readers)}, "
                               "not by scan")
-        if (pm is not None or "pm" in model.get("p", {}) if variable == "p_m"
-                else variable in model):
+        fixed = {"p_m": pm is not None or "pm" in model.get("p", {})}
+        if fixed.get(variable, variable in model):
             raise ConfigError(f"{variable} is the scan variable; a fixed {variable} "
                               "would be ignored")
     if task in INEQUALITIES:

@@ -345,7 +345,7 @@ def correlator_fn(params: ModelParams) -> Callable[[UnitVector3, UnitVector3], f
     return lambda a, b: analytic_correlator(params, Settings(a, b))
 
 
-def _check_margin(name: str, phi=None, settings=None) -> None:
+def _check_margin(name: str, phi, settings=None) -> None:
     """`margin`'s argument rules, checked before any value is computed."""
     chsh = member(name, "inequality", INEQUALITIES) == "chsh"
     if phi is None and not chsh:
@@ -379,7 +379,7 @@ def margin(
     return InequalityReport(name, value, bound, m, m > 0.0, config)
 
 
-def _check_scan(name: str, family: ModelFamily, variable: str, phi=None, xs=()) -> None:
+def _check_scan(name: str, family: ModelFamily, variable: str, phi, xs) -> None:
     """A scan's argument rules, before any value (``xs``: the points known up front)."""
     member(name, "inequality", INEQUALITIES)
     if member(variable, "scan variable", SCAN_VARIABLES) == "phi":

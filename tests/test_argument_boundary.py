@@ -340,7 +340,7 @@ GAPS = {
     "normalize-subnormal-square": (lambda: UnitVector3.normalized(3e-160, 4e-160, 0), None,
                                    UnitVector3(0.6, 0.8, 0.0)),
     "second-angle-overflow": (lambda: vectors_in_plane(xy_plane(), 1e308, 1e308),
-                              ValueError, "theta \\+ phi must be a finite number, got inf"),
+                              ValueError, r"theta \+ phi must be a finite number, got inf"),
 }
 
 

@@ -168,6 +168,13 @@ class TestUnreadArguments:
         with pytest.raises(InvalidModelError, match="'zeta' is a thv parameter"):
             scan_values("chsh", ModelParams.qm(), "zeta", np.array([0.1, 0.2]))
 
+    @pytest.mark.parametrize("params, variable", [(ModelParams.thv(0.5), "eta"),
+                                                  (ModelParams.fhv(0.1), "zeta")])
+    def test_unread_variable_rejected_at_its_default_too(self, params, variable):
+        # every point rebuilds the base model unchanged, so no model rejects it
+        with pytest.raises(InvalidModelError, match=f"'{variable}' is a .* model ignores it"):
+            scan_values("chsh", params, variable, np.array([0.0, 0.0]))
+
     def test_phi_on_chsh_margin_rejected(self):
         with pytest.raises(ValueError, match="chsh has no phi dependence"):
             margin("chsh", ModelParams.qm(), phi=1.0)
