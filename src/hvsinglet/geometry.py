@@ -170,12 +170,22 @@ class Plane:
 
     @classmethod
     def with_normal(cls, n: UnitVector3) -> "Plane":
-        """Complete ``n`` with an arbitrary right-handed in-plane basis."""
+        """Complete ``n`` with an arbitrary right-handed in-plane basis (`_plane_frames`
+        of a batch of one)."""
         unit_vector(n, "plane normal")
-        helper = Z if abs(n.z) < 0.9 else X
-        e1 = UnitVector3.from_array(np.cross(helper.arr, n.arr))
-        e2 = UnitVector3.from_array(np.cross(n.arr, e1.arr))
+        e1, e2 = (UnitVector3(*e[0].tolist()) for e in _plane_frames(n.arr[None]))
         return cls(e1, e2, n)
+
+
+def _plane_frames(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """In-plane bases (e1, e2) completing each unit normal row of ``n`` ((m, 3))
+    right-handedly: e1 = helper x n and e2 = n x e1, each normalized, with
+    the helper Z unless |n_z| >= 0.9, then X."""
+    e1 = np.cross(np.where(np.abs(n[:, 2:]) < 0.9, Z.arr, X.arr), n)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(n, e1)
+    e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
+    return e1, e2
 
 
 def xy_plane() -> Plane:
@@ -241,21 +251,32 @@ def chsh_optimal_settings() -> tuple[UnitVector3, UnitVector3, UnitVector3, Unit
     return a, b, a_prime, b_prime
 
 
+# Orthogonal triad a_i (rows) of the Branciard construction and its cyclic
+# successors a_{i+1}.
+_TRIAD = np.eye(3)
+_TRIAD_NEXT = np.roll(_TRIAD, -1, axis=0)
+
+
 def branciard_settings(
     phi: float,
 ) -> tuple[Triad, tuple[UnitVector3, ...], tuple[UnitVector3, ...]]:
     """Orthogonal triad plus companion settings b_i, b'_i at angles +phi/2
-    and -phi/2 from a_i, inside the (a_i, a_{i+1}) plane (indices mod 3)."""
+    and -phi/2 from a_i, inside the (a_i, a_{i+1}) plane (indices mod 3):
+    `_branciard_companions` of a batch of one."""
     check_phi("branciard", phi)
-    triad = Triad(X, Y, Z)
-    c, s = math.cos(phi / 2), math.sin(phi / 2)
-    axes = triad.axes
-    b, b_prime = [], []
-    for i in range(3):
-        ai, aj = axes[i], axes[(i + 1) % 3]
-        b.append(UnitVector3.normalized(*(c * ai.arr + s * aj.arr)))
-        b_prime.append(UnitVector3.normalized(*(c * ai.arr - s * aj.arr)))
-    return triad, tuple(b), tuple(b_prime)
+    b, b_prime = (tuple(UnitVector3(*v) for v in rows)
+                  for rows in _branciard_companions(np.array([float(phi)]))[0].tolist())
+    return Triad(X, Y, Z), b, b_prime
+
+
+def _branciard_companions(phi: np.ndarray) -> np.ndarray:
+    """Settings b_i, b'_i of the triad construction for each phi, as a
+    (len(phi), 2, 3, 3) array: [k, 0, i] is b_i and [k, 1, i] is b'_i."""
+    check_phis("branciard", phi)
+    half = phi[:, None, None] / 2.0
+    c, s = np.cos(half), np.sin(half)
+    v = np.stack([c * _TRIAD + s * _TRIAD_NEXT, c * _TRIAD - s * _TRIAD_NEXT], axis=1)
+    return v / np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
 
 
 class ChunkWorkspace:
@@ -322,8 +343,8 @@ def sample_cap_batch(
     """n uniform draws from the spherical cap of the given half-angle
     (in [0, pi], as `models.CapP` checks) centered on ``axis``, as in
     `sample_unit_batch`."""
-    frame = Plane.with_normal(axis)
-    e1, e2, e3 = frame.e1.arr, frame.e2.arr, axis.arr
+    (e1,), (e2,) = _plane_frames(axis.arr[None])
+    e3 = axis.arr
     x, y, z = _zone_rows(rng, math.cos(half_angle), n)
     return np.column_stack([x * e1[k] + y * e2[k] + z * e3[k] for k in range(3)])
 
@@ -337,30 +358,39 @@ def _uniform_into(rng: np.random.Generator, lo: float, hi: float, out: np.ndarra
     return out
 
 
+def _zone_draw(rng: np.random.Generator, z_lo: float, z: np.ndarray, t: np.ndarray,
+               q: np.ndarray, w: np.ndarray) -> None:
+    """The draw both zone samplers share, into the given rows: z ~ U(z_lo, 1)
+    into ``z``, then u ~ U(0, 1) as the tangent half-angle t = tan(pi u - pi/2)
+    into ``t``, then r / (1 + t^2) with r = sqrt(1 - z^2) into ``w`` and
+    t^2 - 1 = (1 + t^2) - 2 into ``q`` (which may be ``t``).
+
+    The tangent is one fast libm call in place of a cos and a sin of the
+    azimuth 2 pi u: cos(2 pi u) = (t^2 - 1) / (1 + t^2) and
+    sin(2 pi u) = -2 t / (1 + t^2).  |t| <= 1.7e16 (at u = 0), so t^2 is
+    finite.
+    """
+    _uniform_into(rng, z_lo, 1.0, z)
+    np.tan(_uniform_into(rng, -HALF_PI, HALF_PI, t), out=t)
+    _radius_into(z, w)
+    np.multiply(t, t, out=q)
+    q += 1.0
+    w /= q  # r / (1 + t^2)
+    q -= 2.0
+
+
 def _zone_rows(rng: np.random.Generator, z_lo: float, n: int) -> np.ndarray:
     """n uniform draws from the zone z >= z_lo of the unit sphere as the
-    (3, n) component rows (x, y, z): z ~ U(z_lo, 1), then u ~ U(0, 1) for
-    the azimuth 2 pi u, with r = sqrt(1 - z^2).
-
-    The azimuth goes through the tangent half-angle t = tan(pi u - pi/2),
-    one fast libm call in place of a cos and a sin:
-    x = r cos(2 pi u) = r (t^2 - 1) / (1 + t^2) and
-    y = r sin(2 pi u) = -2 t r / (1 + t^2).  The generator reads the same
-    uniforms in the same order, and the points agree with the cos/sin
-    form to an ulp or two.  |t| <= 1.7e16 (at u = 0), so t^2 is finite.
+    (3, n) component rows (x, y, z) = (r cos(2 pi u), r sin(2 pi u), z) of
+    `_zone_draw`.  The generator reads the same uniforms in the same order
+    as the cos/sin form, and the points agree with it to an ulp or two.
     """
     rows = np.empty((4, n))
     x, y, z, w = rows
-    _uniform_into(rng, z_lo, 1.0, z)
-    t = np.tan(_uniform_into(rng, -HALF_PI, HALF_PI, y), out=y)
-    _radius_into(z, w)
-    np.multiply(t, t, out=x)
-    x += 1.0
-    w /= x  # r / (1 + t^2)
-    x -= 2.0
+    _zone_draw(rng, z_lo, z, y, x, w)
     x *= w
-    t *= w
-    t *= -2.0
+    y *= w
+    y *= -2.0
     return rows[:3]
 
 
@@ -370,19 +400,12 @@ def _zone_projection(rng: np.random.Generator, z_lo: float, par: float, perp: fl
     the points themselves: for the zone axis c and a direction d with
     par = c.d and perp = |c x d|, w.d = par z + perp r cos(2 pi u).
 
-    It reads the uniforms of `_zone_rows` in its order, z ~ U(z_lo, 1)
-    then u ~ U(0, 1), and gets cos(2 pi u) = (t^2 - 1) / (1 + t^2) through
-    the same tangent half-angle t = tan(pi u - pi/2).  Returns the rows
-    (z, w.d), lent by the started `ChunkWorkspace` ``ws``.
+    It reads the uniforms of `_zone_rows` through the same `_zone_draw`.
+    Returns the rows (z, w.d), lent by the started `ChunkWorkspace` ``ws``.
     """
-    z, t = _uniform_into(rng, z_lo, 1.0, ws.row()), ws.row()
-    np.tan(_uniform_into(rng, -HALF_PI, HALF_PI, t), out=t)
-    w = _radius_into(z, ws.row())
-    w *= perp
-    np.multiply(t, t, out=t)
-    t += 1.0
-    w /= t  # perp r / (1 + t^2)
-    t -= 2.0
+    z, t, w = ws.row(), ws.row(), ws.row()
+    _zone_draw(rng, z_lo, z, t, t, w)
+    w *= perp  # perp r / (1 + t^2)
     t *= w
     t += np.multiply(z, par, out=w)
     ws.give(w)

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .geometry import (
     Z, UnitVector3, chsh_optimal_settings, integer, make_rng, member, real, sample_unit_batch,
-    triple,
+    sample_unit_uniform, triple,
 )
 from .models import (
     CapP,
@@ -360,7 +360,7 @@ def _parse_config(doc, task, pm) -> RunConfig:
         if scan is None:
             raise ConfigError("scan task requires a scan block")
         variable, model = scan.variable, doc.get("model", {})
-        _check_scan(scan.inequality, family, variable, config.phi, (scan.start, scan.stop))
+        _check_scan(scan.inequality, config.params, variable, config.phi, (scan.start, scan.stop))
         # a scan's rows come from closed forms, which the response function
         # averages out of
         if unread := [key for key in ("f", "f_b") if key in model]:
@@ -621,7 +621,7 @@ def _random_params(family: ModelFamily, rng: np.random.Generator) -> ModelParams
             return ModelParams.shv(ConstantP(tuple(float(c) for c in p0)))
         return ModelParams.shv(
             CapP(
-                axis=UnitVector3.from_array(sample_unit_batch(rng, 1)[0]),
+                axis=sample_unit_uniform(rng),
                 half_angle=float(rng.uniform(0.0, PI / 2)),
                 magnitude=float(rng.uniform(0.0, 1.0)),
             )

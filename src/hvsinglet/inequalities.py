@@ -16,11 +16,12 @@ from typing import Callable
 import numpy as np
 
 from .geometry import (
-    X, Z, Plane, UnitVector3, check_phi, check_phis, chsh_optimal_settings, dot, integer, member,
-    orthogonal_plane, real, sample_unit_batch, unit_vector, xy_plane,
+    _TRIAD, Plane, UnitVector3, _branciard_companions, _plane_frames, check_phi, check_phis,
+    chsh_optimal_settings, dot, integer, member, orthogonal_plane, real, sample_unit_batch,
+    unit_vector, xy_plane,
 )
 from .models import (
-    ModelFamily, ModelParams, Settings, _check_reads, lhv_feasible_c_range, table_cells,
+    ModelFamily, ModelParams, Settings, lhv_feasible_c_range, table_cells,
 )
 from .correlators import _Columns, _pair_correlator_arrays, analytic_correlator
 
@@ -32,7 +33,10 @@ THRESHOLD_NODES = 65
 DEFAULT_TOL = 1e-9
 
 INEQUALITIES = ("chsh", "leggett", "branciard")
-SCAN_VARIABLES = ("phi", "eta", "zeta", "p_m")
+# The model rebinder of each model-parameter scan variable.
+_REBINDERS = {"eta": ModelParams.with_eta, "zeta": ModelParams.with_zeta,
+              "p_m": ModelParams.with_pm}
+SCAN_VARIABLES = ("phi", *_REBINDERS)
 
 
 # ------------------------------ closed forms -------------------------------
@@ -164,12 +168,20 @@ class ThresholdResult:
 # ``_value_function`` returns a function (phi, which) -> values whose entry i
 # scores ``models[which[i]]`` at ``phi[i]``.  The scalar entry points below are
 # batches of one over that code.  `geometry.check_phi` checks one phi against
-# the inequality's domain, and `check_phis` an array.
+# the inequality's domain, and `check_phis` an array.  The model scores and
+# the bound audits add up their correlators with the same two sums.
 
-# Orthogonal triad a_i (rows) of the Branciard construction and its cyclic
-# successors a_{i+1}.
-_TRIAD = np.eye(3)
-_TRIAD_NEXT = np.roll(_TRIAD, -1, axis=0)
+
+def _chsh_sum(c: np.ndarray) -> np.ndarray:
+    """|C(a,b) + C(a,b') + C(a',b) - C(a',b')| of the four correlators on the
+    last axis of ``c``, in that order."""
+    return np.abs(c[..., 0] + c[..., 1] + c[..., 2] - c[..., 3])
+
+
+def _branciard_sum(c: np.ndarray, c_prime: np.ndarray) -> np.ndarray:
+    """(1/3) sum_i |C(a_i, b_i) + C(a_i, b'_i)| of the correlators C(a_i, b_i)
+    and C(a_i, b'_i) on the last axis of ``c`` and ``c_prime``."""
+    return np.sum(np.abs(c + c_prime), axis=-1) / 3.0
 
 
 def chsh_value(
@@ -180,12 +192,8 @@ def chsh_value(
     b_prime: UnitVector3,
 ) -> float:
     """|C(a,b) + C(a,b') + C(a',b) - C(a',b')| for any correlator function."""
-    return abs(
-        correlator(a, b)
-        + correlator(a, b_prime)
-        + correlator(a_prime, b)
-        - correlator(a_prime, b_prime)
-    )
+    pairs = ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))
+    return float(_chsh_sum(np.array([correlator(x, y) for x, y in pairs])))
 
 
 def chsh_bound() -> float:
@@ -208,16 +216,6 @@ def _leggett_planes(params: ModelParams) -> np.ndarray:
         flipped = Plane.with_normal(-p.n)
         pairs.append((flipped, orthogonal_plane(flipped)))
     return np.array([[_plane_basis(x) for x in pair] for pair in pairs])
-
-
-def _branciard_companions(phi: np.ndarray) -> np.ndarray:
-    """Settings b_i, b'_i of the triad construction for each phi, as a
-    (len(phi), 2, 3, 3) array: [k, 0, i] is b_i and [k, 1, i] is b'_i."""
-    check_phis("branciard", phi)
-    half = phi[:, None, None] / 2.0
-    c, s = np.cos(half), np.sin(half)
-    v = np.stack([c * _TRIAD + s * _TRIAD_NEXT, c * _TRIAD - s * _TRIAD_NEXT], axis=1)
-    return v / np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
 
 
 def _value_function(
@@ -247,8 +245,7 @@ def _value_function(
 
         def value(phi, which):
             rows = np.broadcast_to(right, (len(which), 4, 3))
-            c = _pair_correlator_arrays(cols, left, rows, which)
-            return np.abs(c[:, 0] + c[:, 1] + c[:, 2] - c[:, 3])
+            return _chsh_sum(_pair_correlator_arrays(cols, left, rows, which))
 
     elif name == "leggett":
         if planes is None:  # only shv planes depend on the model
@@ -273,7 +270,7 @@ def _value_function(
 
         def value(phi, which):
             corr = _pair_correlator_arrays(cols, _TRIAD, _branciard_companions(phi), which)
-            return np.sum(np.abs(corr[:, 0] + corr[:, 1]), axis=-1) / 3.0
+            return _branciard_sum(corr[:, 0], corr[:, 1])
 
     return value
 
@@ -379,13 +376,18 @@ def margin(
     return InequalityReport(name, value, bound, m, m > 0.0, config)
 
 
-def _check_scan(name: str, family: ModelFamily, variable: str, phi, xs) -> None:
-    """A scan's argument rules, before any value (``xs``: the points known up front)."""
+def _check_scan(name: str, params: ModelParams, variable: str, phi, xs) -> None:
+    """A scan's argument rules, before any value (``xs``: the points known up
+    front).  A model parameter rebinds ``params`` at the lowest and highest
+    of ``xs``: each rule on eta, zeta and p_m is an interval, so the two ends
+    cover every point between them.  With no point known, it rebinds
+    ``params`` to its own value, which checks only that the family reads it."""
     member(name, "inequality", INEQUALITIES)
     if member(variable, "scan variable", SCAN_VARIABLES) == "phi":
         check_phis(name, xs)
     else:
-        _check_reads(family, variable, "p_spec" if variable == "p_m" else None)
+        for x in (np.min(xs), np.max(xs)) if len(xs) else (getattr(params, variable),):
+            _REBINDERS[variable](params, float(x))
     if phi is not None and variable == "phi":
         raise ValueError("phi is the scan variable; a fixed phi would be ignored")
     if phi is not None:
@@ -405,15 +407,15 @@ def _scan(
     settings; the angle-dependent inequalities at the given phi when
     provided, otherwise at the maximizing phi of each point, all maximized
     in lockstep (seed grid of ``nodes``, tolerance ``tol``).  `_check_scan`
-    checks the arguments first, and every point is a model of its own.
+    checks the arguments first (on the first model: the rules read only the
+    family and the point), and every point is a model of its own.
     """
-    _check_scan(name, models[0].family, variable, phi, xs)
+    _check_scan(name, models[0], variable, phi, xs)
     if variable == "phi":
         value = _value_function(name, models)
         return lambda x, i: (value(x, i), _bound(name, x))
 
-    rebind = {"eta": ModelParams.with_eta, "zeta": ModelParams.with_zeta,
-              "p_m": ModelParams.with_pm}[variable]
+    rebind = _REBINDERS[variable]
 
     def evaluate(x: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         points = [rebind(models[k], v) for k, v in zip(i.tolist(), x.tolist())]
@@ -429,12 +431,12 @@ def _scan(
     return evaluate
 
 
-def _margins(name: str, models, variable: str, *,
-             phi: float | None = None) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def _margins(name: str, models, variable: str, *, phi: float | None = None,
+             xs=()) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Margin f(x, i) of a batch of points, scored as in ``_scan``."""
     # only the max VALUE matters here, and it is flat in phi near the
     # maximizer, so a coarse seed grid and loose tolerance lose nothing
-    evaluate = _scan(name, models, variable, phi=phi, nodes=64, tol=1e-5)
+    evaluate = _scan(name, models, variable, phi=phi, nodes=64, tol=1e-5, xs=xs)
     return lambda x, i: np.subtract(*evaluate(x, i))
 
 
@@ -538,7 +540,7 @@ def _violation_windows(
     scan of every problem (ValueError if its positive points are not one
     run), then one bisection of every end that is not on the domain edge."""
     xs = _seed_grid(domain, nodes, tol)
-    f = _margins(name, models, variable, phi=phi)
+    f = _margins(name, models, variable, phi=phi, xs=xs)
     positive = _grid(f, len(models), xs) > 0.0
     found = positive.any(axis=1)
     # grid index of each (problem, lower or upper) end and of its outer
@@ -629,7 +631,9 @@ def _maximize(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Maximizers and maxima of n problems over one domain: blocked grid
     scan (`_grid`) to seed a bracket, golden-section refinement, then a
-    parabolic vertex fit."""
+    parabolic vertex fit.  Golden-section stops at width max(tol, 1e-6),
+    and the fit sets the last digits, so a ``tol`` below 1e-6 changes
+    nothing."""
     xs = _seed_grid(domain, nodes, tol)
     k = np.argmax(_grid(f, n, xs), axis=1)
     x, fx = _golden_max(f, xs[np.maximum(k - 1, 0)], xs[np.minimum(k + 1, nodes - 1)],
@@ -645,7 +649,7 @@ def _max_violations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """`max_violation` of each model of one family, in lockstep: arrays of
     the maximizers and of the maxima."""
-    f = _margins(name, models, variable)
+    f = _margins(name, models, variable, xs=_seed_grid(domain, MAX_SEED_NODES, tol))
     return _maximize(f, len(models), domain, MAX_SEED_NODES, tol)
 
 
@@ -654,7 +658,9 @@ def max_violation(
     tol: float = 1e-10,
 ) -> tuple[float, float]:
     """Maximizer and value of the margin over the domain: grid scan to seed a
-    bracket, golden-section refinement, then a parabolic vertex fit."""
+    bracket, golden-section refinement, then a parabolic vertex fit.
+    ``tol`` is the golden-section width only down to 1e-6 (`_maximize`):
+    any smaller ``tol``, the default included, gives the same bits."""
     x, fx = _max_violations(name, (params,), variable, domain, tol)
     return float(x[0]), float(fx[0])
 
@@ -720,8 +726,7 @@ def bhv_chsh_search(rng: np.random.Generator, trials: int = 10_000) -> float:
         w = rng.random((m, 1, BHV_ATOMS))
         w /= w.sum(axis=-1, keepdims=True)
         abar, bbar = vals[:, _CHSH_A], vals[:, _CHSH_B]
-        e = _mixture_correlators(abar, bbar, abar * bbar, w)
-        return np.abs(e[:, 0] + e[:, 1] + e[:, 2] - e[:, 3])
+        return _chsh_sum(_mixture_correlators(abar, bbar, abar * bbar, w))
 
     return _block_max(chsh, trials, 0.0)
 
@@ -743,16 +748,14 @@ def lhv_leggett_search(rng: np.random.Generator, trials: int = 200) -> float:
     """Max excess of F(phi) over the Leggett bound across random
     Malus-marginal mixtures; nonpositive up to roundoff when the bound holds.
 
-    The planes are `Plane.with_normal` of a random n and its
-    `orthogonal_plane`.  In complex in-plane coordinates c = x.e1 - i x.e2,
+    The planes are those of `Plane.with_normal` (`_plane_frames`) of a random
+    n and its `orthogonal_plane`.  In complex in-plane coordinates c = x.e1 - i x.e2,
     the average of |u.a +- v.b| over the orientations of a, b in a plane,
     and so of each end of the feasible range, is (2/pi)|cu +- cv e^{i phi}|.
     """
     def excess(m):
         n = sample_unit_batch(rng, m)
-        e1 = np.cross(np.where(np.abs(n[:, 2:]) < 0.9, Z.arr, X.arr), n)
-        e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-        e2 = np.cross(n, e1)
+        e1, e2 = _plane_frames(n)
         planes = np.stack([e1 - 1j * e2, e2 - 1j * n], axis=1)  # (m, plane, 3)
         phi = rng.uniform(0.0, PI, m)
         u, v, w, t = _malus_mixtures(rng, m)
@@ -777,7 +780,6 @@ def lhv_branciard_search(rng: np.random.Generator, trials: int = 2000) -> float:
         vb = np.einsum("mak,mjik->mija", v, _branciard_companions(phi))
         lo, hi = lhv_feasible_c_range(ua, vb)
         e = _mixture_correlators(ua, vb, t * lo + (1.0 - t) * hi, w)
-        g = np.sum(np.abs(e[..., 0] + e[..., 1]), axis=-1) / 3.0
-        return g - branciard_bound(phi)
+        return _branciard_sum(e[..., 0], e[..., 1]) - branciard_bound(phi)
 
     return _block_max(excess, trials, -math.inf)

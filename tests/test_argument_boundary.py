@@ -325,6 +325,11 @@ GAPS = {
                                     "'zeta' is a thv parameter; the fhv model ignores it"),
     "p_m-scan-of-fhv": (lambda: scan_values("chsh", ModelParams.fhv(0.1), "p_m", [0.5]),
                         InvalidModelError, "'p_m' is a shv parameter; the fhv model ignores it"),
+    # a search's domain is checked at its ends before any value is computed
+    "threshold-zeta-domain-end": (lambda: threshold("branciard", ModelParams.thv(0.0), "zeta",
+                                                    (0.0, 3.0), phi=1.0),
+                                  InvalidModelError, r"zeta = 3.0 fails the positivity audit "
+                                  r"\(some joint probability would be negative\)"),
     # a hidden vector the family does not read
     "thv-hidden-v-not-minus-u": (lambda: joint(thv1, HiddenState(u=Z, v=Z), pair),
                                  InvalidModelError,

@@ -12,6 +12,8 @@ from hvsinglet.geometry import (
     X,
     Y,
     Z,
+    _branciard_companions,
+    _plane_frames,
     _zone_projection,
     branciard_settings,
     chsh_optimal_settings,
@@ -186,6 +188,62 @@ class TestSettingConstructors:
     def test_branciard_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             branciard_settings(-0.1)
+
+
+# Normals for the frame kernel: sphere draws, both poles and a row past the
+# |n_z| >= 0.9 switch of helper axis.
+_NORMALS = np.concatenate([sample_unit_batch(make_rng(3), 200),
+                           [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+                           UnitVector3.normalized(0.1, -0.2, 0.95).arr[None]])
+
+
+def _companions(phi):
+    _, b, b_prime = branciard_settings(phi)
+    return [*b, *b_prime]
+
+
+def _companions_reference(phi):
+    """b_i and b'_i as c a_i +- s a_{i+1}, one normalized vector at a time."""
+    c, s = math.cos(phi / 2), math.sin(phi / 2)
+    axes = (X, Y, Z)
+    return [UnitVector3.normalized(*(c * axes[i].arr + sign * s * axes[(i + 1) % 3].arr))
+            for sign in (1.0, -1.0) for i in range(3)]
+
+
+def _frame(n):
+    p = Plane.with_normal(UnitVector3(*n))
+    return [p.e1, p.e2]
+
+
+def _frame_reference(n):
+    """e1 = helper x n and e2 = n x e1, one normalized vector at a time."""
+    n = UnitVector3(*n)
+    e1 = UnitVector3.from_array(np.cross((Z if abs(n.z) < 0.9 else X).arr, n.arr))
+    return [e1, UnitVector3.from_array(np.cross(n.arr, e1.arr))]
+
+
+# Each scalar helper as (its vectors at one input, the same vectors built
+# one at a time as a reference, the array kernel it is a batch of one over,
+# giving one row of vectors per input, the inputs).
+SCALAR_KERNELS = {
+    "branciard_settings": (_companions, _companions_reference,
+                           lambda phis: _branciard_companions(phis).reshape(len(phis), 6, 3),
+                           np.linspace(0.0, math.pi, 101)),
+    "Plane.with_normal": (_frame, _frame_reference,
+                          lambda ns: np.stack(_plane_frames(ns), axis=1), _NORMALS),
+}
+
+
+@pytest.mark.parametrize("key", SCALAR_KERNELS)
+def test_scalar_helper_is_its_kernels_batch_of_one(key):
+    # bit for bit against the kernel's row in a batch of every input, and
+    # against the reference
+    scalar, reference, kernel, inputs = SCALAR_KERNELS[key]
+    if key == "Plane.with_normal":
+        assert 0 < np.sum(np.abs(inputs[:, 2]) >= 0.9) < len(inputs)
+    for x, row in zip(inputs.tolist(), kernel(inputs)):
+        for vectors in (scalar(x), reference(x)):
+            assert np.array([[v.x, v.y, v.z] for v in vectors]).tobytes() == row.tobytes()
 
 
 class TestSampling:

@@ -601,6 +601,8 @@ MOVED_RULES = {
                          lambda: scan_values("leggett", FHV, "eta", [0.1, 0.5], phi=4.0)),
     "scan-variable-unread": (_scan_doc("leggett", "zeta", "fhv", phi=0.3), None,
                              lambda: scan_values("leggett", FHV, "zeta", [0.1, 0.5], phi=0.3)),
+    "scan-range": (_scan_doc("chsh", "eta", "fhv", start=-1.0), None,
+                   lambda: scan_values("chsh", FHV, "eta", [-1.0, 0.5])),
     "pm-unread": ({"task": "chsh", "model": {"family": "fhv"}}, "0.3",
                   lambda: FHV.with_pm(0.3)),
     "model-field-unread": ({"task": "chsh", "model": {"family": "thv", "eta": 0.2}}, None,

@@ -64,7 +64,7 @@ def _ref_zone_projection(rng, z_lo, par, perp, n):
     z = rng.uniform(z_lo, 1.0, n)
     t = np.tan(rng.uniform(-math.pi / 2, math.pi / 2, n))
     q = t * t + 1.0
-    return z, (q - 2.0) * (np.sqrt(np.maximum(1.0 - z * z, 0.0)) * perp / q) + z * par
+    return z, (q - 2.0) * (np.sqrt(np.maximum(1.0 - z * z, 0.0)) / q * perp) + z * par
 
 
 def _ref_f(f, x):

@@ -348,7 +348,8 @@ class TestPositivityAudit:
         audited.clear()
         threshold("branciard", ModelParams.thv(0.0), "zeta", (0.0, 1.0), 1e-6, phi=1.0)
         grid = np.linspace(0.0, 1.0, THRESHOLD_NODES).tolist()
-        assert audited[:THRESHOLD_NODES - 1] == grid[1:]  # zeta = 0 needs no audit
+        # the range check rebinds the domain's ends first; zeta = 0 needs no audit
+        assert audited[:THRESHOLD_NODES] == [1.0, *grid[1:]]
 
 
 # ------------------------- bit-for-bit layout guards -------------------------
