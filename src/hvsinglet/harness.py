@@ -710,7 +710,9 @@ def run_verify(config: RunConfig) -> VerificationReport:
     """Evaluate the full closed-form claim list.
 
     Claims compare numeric results from the generic machinery (quadrature,
-    scans, bisection, Monte-Carlo) against independently known closed forms.
+    scans, the bracketed root search of window ends and thresholds,
+    golden-section maximization, Monte-Carlo) against independently known
+    closed forms.
     Two claims record known-discrepant alternative formulas; they are flagged
     informationally and never fail the suite.
     """

@@ -2,9 +2,11 @@
 violation-window finders, threshold roots, closed forms for cross-checking,
 and randomized audits of the two classical bounds.
 
-Window and threshold searches are numeric (bracketing scan plus bisection or
-golden-section refinement); the known closed forms are kept alongside so every
-numeric result can be compared against an independent expression.
+Window and threshold searches are numeric: a bracketing grid scan, then a
+safeguarded Illinois false-position root search for each window end and
+threshold, or golden-section refinement for a maximizer.  The known closed
+forms are kept alongside so every numeric result can be compared against an
+independent expression.
 """
 
 from __future__ import annotations
@@ -512,24 +514,53 @@ def _grid(f: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int,
         for b in (every[s:s + step] for s in range(0, n, step))])
 
 
-def _bisect_boundary(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, tol: float
+def _boundary(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, tol: float,
+    f_lo=None, f_hi=None,
 ) -> np.ndarray:
     """Boundary of {x : f(x) > 0} inside each bracket [lo[i], hi[i]],
-    assuming the predicate differs at the bracket's ends.  A bracket stops
-    at width ``tol`` or at two adjacent floats, whichever comes first."""
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    positive_lo = f(lo, np.arange(lo.size)) > 0.0
-    active = np.flatnonzero(hi - lo > tol)
+    assuming the predicate differs at the bracket's ends; ``f_lo`` and
+    ``f_hi`` are f there when known (else two more evaluations).
+
+    Illinois false position (Dowell & Jarratt 1971): a step evaluates the
+    secant root of the bracket's ends, kept at least tol/4 inside the
+    bracket so that a converged end is stepped past, and halves the value
+    of an end that two steps in a row have kept, so that end is not kept
+    for ever.  A step that does not halve the bracket makes the next one a
+    bisection, so a bracket takes at most about twice the steps of
+    bisection.  A bracket stops at width ``tol`` or at two adjacent floats,
+    whichever comes first.
+    """
+    ends = np.stack([np.array(lo, dtype=float), np.array(hi, dtype=float)], axis=1)
+    every = np.arange(len(ends))
+    if f_lo is None:
+        f_lo, f_hi = np.split(f(ends.T.ravel(), np.tile(every, 2)), 2)
+    # f at each bracket's (lo, hi), as the Illinois halvings scale it
+    y = np.stack([f_lo, f_hi], axis=1)
+    positive_lo = y[:, 0] > 0.0
+    moved = np.full(len(ends), -1)  # the end the last step moved (0 lo, 1 hi)
+    bisect = np.zeros(len(ends), dtype=bool)
+    active = every[ends[:, 1] - ends[:, 0] > tol]
     while active.size:
-        mid = 0.5 * (lo[active] + hi[active])
-        inside = (lo[active] < mid) & (mid < hi[active])  # else the ends are adjacent
-        same = (f(mid, active) > 0.0) == positive_lo[active]
-        lo[active[same]] = mid[same]
-        hi[active[~same]] = mid[~same]
-        active = active[inside & (hi[active] - lo[active] > tol)]
-    return 0.5 * (lo + hi)
+        (a, b), (ya, yb) = ends[active].T, y[active].T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.clip(a + (b - a) * (ya / (ya - yb)), a + 0.25 * tol, b - 0.25 * tol)
+        x = np.where(bisect[active] | ~((a < x) & (x < b)), 0.5 * (a + b), x)
+        inside = (a < x) & (x < b)  # else the ends are adjacent
+        active, x, width = active[inside], x[inside], (b - a)[inside]
+        if not active.size:
+            break
+        fx = f(x, active)
+        end = ((fx > 0.0) != positive_lo[active]).astype(int)  # the end x replaces
+        ends[active, end] = x
+        y[active, end] = fx
+        again = moved[active] == end
+        y[active[again], 1 - end[again]] *= 0.5
+        moved[active] = end
+        left = ends[active, 1] - ends[active, 0]
+        bisect[active] = ~bisect[active] & (left > 0.5 * width)
+        active = active[left > tol]
+    return 0.5 * (ends[:, 0] + ends[:, 1])
 
 
 def _violation_windows(
@@ -538,10 +569,12 @@ def _violation_windows(
 ) -> list[ViolationWindow]:
     """`violation_window` of each model of one family, in lockstep: one grid
     scan of every problem (ValueError if its positive points are not one
-    run), then one bisection of every end that is not on the domain edge."""
+    run), then one `_boundary` root search of every end that is not on the
+    domain edge, seeded with the grid's margins at its bracket's ends."""
     xs = _seed_grid(domain, nodes, tol)
     f = _margins(name, models, variable, phi=phi, xs=xs)
-    positive = _grid(f, len(models), xs) > 0.0
+    values = _grid(f, len(models), xs)
+    positive = values > 0.0
     found = positive.any(axis=1)
     # grid index of each (problem, lower or upper) end and of its outer
     # neighbour; an end on the domain edge has none and stays put
@@ -553,8 +586,9 @@ def _violation_windows(
     k, e = np.nonzero(found[:, None] & (outer >= 0) & (outer < nodes))
     x = xs[ends]
     if k.size:
-        x[k, e] = _bisect_boundary(lambda y, i: f(y, k[i]), xs[np.minimum(ends, outer)[k, e]],
-                                   xs[np.maximum(ends, outer)[k, e]], tol)
+        lo, hi = np.minimum(ends, outer)[k, e], np.maximum(ends, outer)[k, e]
+        x[k, e] = _boundary(lambda y, i: f(y, k[i]), xs[lo], xs[hi], tol,
+                            values[k, lo], values[k, hi])
     x[~found] = math.nan
     return [ViolationWindow(variable, a, b, not ok)
             for (a, b), ok in zip(x.tolist(), found.tolist())]
@@ -564,9 +598,10 @@ def violation_window(
     name: str, params: ModelParams, variable: str, domain: tuple[float, float],
     tol: float = DEFAULT_TOL, *, phi: float | None = None,
 ) -> ViolationWindow:
-    """Scan on ``SCAN_NODES`` points plus bisection of the positive-margin
-    window, which must be one run of the grid (else ValueError).  Windows
-    narrower than the grid spacing (~0.01 rad on [0, pi]) may be missed."""
+    """Scan on ``SCAN_NODES`` points plus a root search (`_boundary`) of each
+    end of the positive-margin window, which must be one run of the grid
+    (else ValueError).  Windows narrower than the grid spacing (~0.01 rad on
+    [0, pi]) may be missed."""
     return _violation_windows(name, (params,), variable, domain, tol, phi=phi)[0]
 
 

@@ -26,7 +26,9 @@ from hvsinglet.correlators import (
     sphere_moment_oracle,
 )
 from hvsinglet.harness import _mc_trial_failures, parse_config, report_to_json, run_verify
-from hvsinglet.geometry import ChunkWorkspace, UnitVector3, X, Y, Z, sample_unit_batch
+from hvsinglet.geometry import (
+    ChunkWorkspace, UnitVector3, X, Y, Z, _zone_projection, sample_unit_batch,
+)
 from hvsinglet.models import (
     TABLE_TOL,
     CapP,
@@ -166,6 +168,17 @@ class TestEquivalence:
         s = Settings(UnitVector3.normalized(0.3, 0.4, 0.866), UnitVector3.normalized(0.9, -0.1, 0.2))
         est = mc_correlator(params, s, MC_CHUNK, seed=4)
         assert (est.mean, est.stderr, est.n) == _ref_mc(params, s, MC_CHUNK, 4, 1)
+
+    @pytest.mark.parametrize("z_lo", [-1.0, math.cos(0.7)], ids=["thv-sphere", "shv-cap"])
+    def test_zone_projection_rows_match_reference(self, z_lo):
+        # the rows themselves, not only the sign counts built from them, so
+        # the reference holds the kernel's arithmetic order
+        for seed, (par, perp) in enumerate([(0.6, 0.8), (-0.28, 0.96), (0.0, 1.0)]):
+            z, proj = _zone_projection(np.random.default_rng(seed), z_lo, par, perp,
+                                       ChunkWorkspace(MC_CHUNK))
+            ref_z, ref_proj = _ref_zone_projection(np.random.default_rng(seed), z_lo, par,
+                                                   perp, MC_CHUNK)
+            assert np.array_equal(z, ref_z) and np.array_equal(proj, ref_proj)
 
     @given(params_st, st.integers(0, 2**32 - 1), st.integers(1, 50))
     @settings(max_examples=100, deadline=None)

@@ -27,7 +27,7 @@ from hvsinglet.inequalities import (
     MAX_SEED_NODES,
     SCAN_NODES,
     THRESHOLD_NODES,
-    _bisect_boundary,
+    _boundary,
     _golden_max,
     _max_violations,
     _maximize,
@@ -213,6 +213,15 @@ class TestOrientationInvariance:
         assert leggett_value(params, p, q, phi) == pytest.approx(want, rel=0.0, abs=1e-13)
 
 
+# margins of d = root - x, positive below the root, that defeat plain false
+# position: a step, a root of order nine, and a kink at the root
+HARD_MARGINS = {
+    "step": lambda d: 1.0 if d > 0.0 else -1.0,
+    "flat": lambda d: d**9,
+    "kink": lambda d: 1e-4 * d if d > 0.0 else d,
+}
+
+
 def _recording(f):
     calls = []
 
@@ -245,12 +254,38 @@ class TestLockstep:
 
         lo, hi = roots - widths * 0.4, roots + widths * 0.6
         g, calls = _recording(f)
-        batch = _bisect_boundary(g, lo, hi, tol)
+        batch = _boundary(g, lo, hi, tol)
         for k in range(len(roots)):
             gk, solo_calls = _recording(_solo(f, k))
-            alone = _bisect_boundary(gk, lo[k:k + 1], hi[k:k + 1], tol)
+            alone = _boundary(gk, lo[k:k + 1], hi[k:k + 1], tol)
             assert batch[k] == alone[0]
             assert _per_problem(calls, k) == [pt for _, pt in solo_calls]
+
+    @settings(max_examples=60, deadline=None)
+    @given(cases=st.lists(st.tuples(st.sampled_from(sorted(HARD_MARGINS)),
+                                    st.floats(0.05, 0.95), st.floats(0.01, 0.99),
+                                    st.floats(-6.0, 0.0), st.booleans()),
+                          min_size=1, max_size=8),
+           tol=st.sampled_from([1e-6, 1e-10, 1e-13]))
+    def test_hard_margins_take_at_most_twice_bisection(self, cases, tol):
+        # margins on which plain false position stalls: each problem still
+        # stops within 2 evaluations per halving of its bracket, plus four
+        kinds, roots, where, log_width, rising = (np.array(c) for c in zip(*cases))
+        width = 10.0 ** log_width
+        lo = roots - where * width
+        hi = lo + width
+        sign = np.where(rising, -1.0, 1.0)  # rising: positive above the root
+
+        def f(x, i):
+            return sign[i] * np.array([HARD_MARGINS[k](r - y)
+                                       for k, r, y in zip(kinds[i], roots[i], x)])
+
+        g, calls = _recording(f)
+        got = _boundary(g, lo, hi, tol)
+        for k in range(len(roots)):
+            bound = 2 * math.ceil(math.log2((hi[k] - lo[k]) / tol)) + 4
+            assert len(_per_problem(calls, k)) <= bound
+            assert abs(got[k] - roots[k]) <= tol
 
     @settings(max_examples=30, deadline=None)
     @given(peaks=st.lists(st.floats(0.1, 0.9), min_size=1, max_size=8),
@@ -527,6 +562,34 @@ class TestOneBracketingSearch:
             _violation_windows("leggett", family, "phi", (-PI, PI), 1e-9)
 
 
+# value calls of each verify threshold search, grid included: a third of
+# bisection's 703 (Branciard) and 677 (Leggett) for the roots with phi
+# maximized, half of its 30-31 for the others
+MAX_VALUE_CALLS = {"chsh-eta": 15, "chsh-p_m": 15, "leggett-eta": 225,
+                   "leggett-zeta": 15, "branciard-eta": 234, "branciard-zeta": 15}
+
+
+class TestSearchWork:
+    @pytest.mark.parametrize("name, params, variable, domain, phi", VERIFY_THRESHOLDS,
+                             ids=[f"{c[0]}-{c[2]}" for c in VERIFY_THRESHOLDS])
+    def test_value_calls_per_threshold(self, monkeypatch, name, params, variable,
+                                       domain, phi):
+        calls = []
+        value_function = inequalities_module._value_function
+
+        def counted(*args, **kwargs):
+            value = value_function(*args, **kwargs)
+
+            def count(x, i):
+                calls.append(len(x))
+                return value(x, i)
+            return count
+
+        monkeypatch.setattr(inequalities_module, "_value_function", counted)
+        assert threshold(name, params, variable, domain, 1e-10, phi=phi).found
+        assert len(calls) <= MAX_VALUE_CALLS[f"{name}-{variable}"]
+
+
 @pytest.fixture
 def bounded_margins(monkeypatch):
     """Margins that raise after 2,000 evaluation calls, so a bisection that
@@ -559,7 +622,7 @@ class TestBisectionStops:
                 raise AssertionError("bisection did not stop")
             return 0.5 - x
 
-        root = _bisect_boundary(f, [0.0, 0.25], [1.0, 0.75], 1e-300)
+        root = _boundary(f, [0.0, 0.25], [1.0, 0.75], 1e-300)
         assert root.tolist() == [0.5, 0.5]
         assert len(calls) < 100
 
