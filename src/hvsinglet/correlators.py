@@ -22,6 +22,7 @@ from .models import (
     ModelFamily,
     ModelParams,
     Settings,
+    _draw_frame,
     _draw_projections,
     _projection_coeffs,
     draw_outcomes,
@@ -30,8 +31,9 @@ from .models import (
 DEFAULT_PLANE_NODES = 256
 MIN_MC_SAMPLES = 100
 # Largest Monte-Carlo chunk drawn at once from a shard's generator: 1 MB
-# per workspace row, so memory is O(MC_CHUNK) whatever n is.  Part
-# of the (seed, shards) contract once a shard holds more samples than this.
+# per workspace row and at most three rows per running shard, so memory is
+# O(MC_CHUNK) whatever n is.  Part of the (seed, shards) contract once a
+# shard holds more samples than this.
 MC_CHUNK = 2**17
 
 
@@ -151,37 +153,40 @@ def _pool_map(fn, units):
 
 
 def _shard_counts(
-    params: ModelParams, s: Settings, m: int, rng: np.random.Generator
-) -> tuple[int, int]:
+    params: ModelParams, s: Settings, m: int, rng: np.random.Generator, sigma: bool = False
+) -> tuple[int | None, int]:
     """Draw one shard of ``m`` samples from ``rng`` in chunks of at most
     ``MC_CHUNK``: the hidden states' projections onto the settings, then
     each table's coefficients (A, B, C), then the joint outcome.  Returns
-    the counts of sigma = +1 and of sigma*tau = +1.
+    the counts of sigma = +1 (None unless ``sigma``) and of sigma*tau = +1.
 
+    What the settings fix (a.b, and the axis terms of the one zone
+    projection drawn) is formed once per shard, by `models._draw_frame`.
     The hidden draw is `models._draw_projections`: the projections each
     table reads, drawn from their laws in the settings frame, not 3-D
-    hidden vectors.  `models.draw_outcomes` draws each outcome from the
-    table's partial sums, formed straight from (A, B, C) and checked for
-    negative cells, so no chunk forms the four cells.  Every array of a
-    chunk lives in a `ChunkWorkspace` the shard takes from
-    ``_IDLE_WORKSPACES`` and gives back when it ends, so memory is
-    O(MC_CHUNK) per running shard and a warm loop allocates nothing.
+    hidden vectors.  `models.draw_outcomes` decides each outcome with one
+    test of its uniform against the coefficients, checked for negative
+    cells, so no chunk forms a cell or a partial sum.  Every array of a
+    chunk is one of at most three rows of a `ChunkWorkspace` the shard
+    takes from ``_IDLE_WORKSPACES`` and gives back when it ends, so memory
+    is O(MC_CHUNK) per running shard and a warm loop allocates nothing.
     """
-    a, b = s.a.arr, s.b.arr
+    frame = _draw_frame(params, s.a, s.b)
     try:
         ws = _IDLE_WORKSPACES.pop()
     except IndexError:
         ws = ChunkWorkspace()
-    plus = same = 0
+    plus, same = (0 if sigma else None), 0
     try:
         for start in range(0, m, MC_CHUNK):
             k = min(MC_CHUNK, m - start)
             ws.start(k)
-            proj = _draw_projections(params, a, b, rng, ws)
-            sigma, product = draw_outcomes(*_projection_coeffs(params, proj, a, b, ws),
-                                           k, rng, ws)
-            plus += int(np.count_nonzero(sigma))
-            same += int(np.count_nonzero(product))
+            proj = _draw_projections(params, frame, rng, ws)
+            chunk_plus, chunk_same = draw_outcomes(
+                *_projection_coeffs(params, proj, frame[0], ws), k, rng, ws, sigma)
+            same += chunk_same
+            if sigma:
+                plus += chunk_plus
     finally:
         _IDLE_WORKSPACES.append(ws)
     return plus, same

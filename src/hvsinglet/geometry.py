@@ -291,7 +291,9 @@ class ChunkWorkspace:
     The rows form a free list: a row is as long as the longest chunk so far,
     `row()` lends the lowest-numbered free row and allocates a new one only
     when none is free.  A workspace thus holds exactly the most rows any of
-    its chunks had lent at once, in whatever order its chunks came.
+    its chunks had lent at once, in whatever order its chunks came: three
+    for the FHV, THV and cap p-field draws, two for QM and a constant
+    p-field (`correlators._shard_counts`).
     """
 
     def __init__(self, n: int = 0) -> None:

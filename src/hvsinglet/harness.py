@@ -976,7 +976,8 @@ def run_verify(config: RunConfig) -> VerificationReport:
         0.0, np.max(signaling), 1e-12,
     ))
 
-    plus, _ = _shard_counts(ModelParams.fhv(1.0), _random_settings(rng()), v.mc_n, rng())
+    plus, _ = _shard_counts(ModelParams.fhv(1.0), _random_settings(rng()), v.mc_n, rng(),
+                            sigma=True)
     claims.append(_claim(
         "props.fhv_marginal_zero_mean",
         "Zero-mean response keeps the first family's outcome frequency at "

@@ -112,10 +112,6 @@ class ConstantP:
         """n copies of p0 as an (n, 3) array."""
         return np.tile(np.asarray(self.p0, dtype=float), (n, 1))
 
-    def projection(self, rng: np.random.Generator, d: np.ndarray, ws: ChunkWorkspace):
-        """p.d of every draw: one scalar, since the field is constant."""
-        return _dot3_rows(np.asarray(self.p0, dtype=float), d)
-
 
 @dataclass(frozen=True)
 class CapP:
@@ -148,15 +144,6 @@ class CapP:
         p = sample_cap_batch(rng, self.axis, self.half_angle, n)
         p *= self.magnitude
         return p
-
-    def projection(self, rng: np.random.Generator, d: np.ndarray, ws: ChunkWorkspace):
-        """p.d of ``ws.n`` draws, drawn as one projection about the cap
-        axis (`geometry._zone_projection`), not as 3-D points: a row."""
-        c, m = self.axis.arr, self.magnitude
-        z, proj = _zone_projection(rng, math.cos(self.half_angle), m * _dot3_rows(c, d),
-                                   m * float(np.linalg.norm(np.cross(c, d))), ws)
-        ws.give(z)
-        return proj
 
 
 PSpec = ConstantP | CapP
@@ -380,10 +367,10 @@ def coeffs(params: ModelParams, hidden: dict[str, np.ndarray], a, b):
     and a C that depends on fixed settings alone is a scalar too.
 
     Every step is one numpy operation on component rows, in the order of
-    the formulas in the module docstring, with dots summed in component
-    order: u.a and v.b (FHV), u.a and u.b (THV), p.(a x b) (SHV), none
-    (QM).  The projections are rows of a `ChunkWorkspace` made for the
-    call, so the caller's arrays are only read.
+    `_projection_coeffs`, with dots summed in component order: u.a and v.b
+    (FHV), u.a and u.b (THV), p.(a x b) (SHV), none (QM), then a.b.  The
+    projections are rows of a `ChunkWorkspace` made for the call, so the
+    caller's arrays are only read.
     """
     a, b = np.transpose(a), np.transpose(b)  # component rows: (3,) or (3, n)
     ws = ChunkWorkspace(max((len(x) for x in (*hidden.values(), a.T, b.T)
@@ -399,21 +386,51 @@ def coeffs(params: ModelParams, hidden: dict[str, np.ndarray], a, b):
         pairs = ()
     proj = tuple(_dot3_rows(np.reshape(hidden[key], (-1, 3)).T, d, ws.row())
                  for key, d in pairs)
-    return _projection_coeffs(params, proj, a, b, ws)
+    return _projection_coeffs(params, proj, _dot3_rows(a, b), ws)
 
 
-def _draw_projections(params: ModelParams, a: np.ndarray, b: np.ndarray,
-                      rng: np.random.Generator, ws: ChunkWorkspace):
+def _draw_frame(params: ModelParams, a: UnitVector3, b: UnitVector3):
+    """What a shard's draws read of its settings ``a`` and ``b``, formed
+    once per shard with scalar arithmetic: (a.b, z_lo, par, perp), the
+    last three for the one zone projection `_draw_projections` draws
+    (`geometry._zone_projection`), or None where the family draws none:
+
+        THV       about a, z_lo = -1:  par = a.b, perp = |a x b|
+        cap       about the cap axis c, z_lo = cos(half_angle), d = a x b:
+                  par = m c.d, perp = m |c x d|
+        constant  par = p0.d, the one scalar projection of every draw
+        FHV, QM   a.b alone
+
+    Dots are summed in component order and cross products formed as
+    `np.cross` forms them.
+    """
+    a, b = (a.x, a.y, a.z), (b.x, b.y, b.z)
+    ab = _dot3_rows(a, b)
+    fam = params.family
+    if fam is ModelFamily.THV:
+        return ab, -1.0, ab, _norm3(_cross3(a, b))
+    if fam is ModelFamily.SHV:
+        spec, d = params.p_spec, _cross3(a, b)
+        if isinstance(spec, ConstantP):
+            return ab, None, _dot3_rows(spec.p0, d), None
+        c, m = (spec.axis.x, spec.axis.y, spec.axis.z), spec.magnitude
+        return (ab, math.cos(spec.half_angle), m * _dot3_rows(c, d),
+                m * _norm3(_cross3(c, d)))
+    return ab, None, None, None
+
+
+def _draw_projections(params: ModelParams, frame, rng: np.random.Generator,
+                      ws: ChunkWorkspace):
     """The projections `coeffs` forms from hidden vectors, for ``ws.n`` draws,
-    drawn from their laws in the frame of the settings ``a``, ``b``
-    (3-vectors) instead of from 3-D hidden vectors.  The hidden laws are
+    drawn from their laws in the frame of the settings (`_draw_frame`)
+    instead of from 3-D hidden vectors.  The hidden laws are
     rotation-invariant about a known axis, so by Archimedes' hat-box
     theorem:
 
         FHV  u.a, v.b ~ U(-1, 1), two independent rows
         THV  u.a = z ~ U(-1, 1), u.b = z (a.b) + sqrt(1 - z^2) |a x b| cos psi
-        SHV  p.(a x b) about the cap axis (`CapP.projection`), or one
-             scalar for a constant field
+        SHV  p.(a x b) about the cap axis, a row, or one scalar for a
+             constant field
         QM   none
 
     with one uniform azimuth psi (`geometry._zone_projection`).  Only the
@@ -423,47 +440,52 @@ def _draw_projections(params: ModelParams, a: np.ndarray, b: np.ndarray,
     fam = params.family
     if fam is ModelFamily.FHV:
         return tuple(_uniform_into(rng, -1.0, 1.0, ws.row()) for _ in range(2))
+    _, z_lo, par, perp = frame
+    if z_lo is None:  # QM, or the scalar of a constant p-field
+        return () if par is None else (par,)
+    z, proj = _zone_projection(rng, z_lo, par, perp, ws)
     if fam is ModelFamily.THV:
-        return _zone_projection(rng, -1.0, _dot3_rows(a, b),
-                                float(np.linalg.norm(np.cross(a, b))), ws)
-    if fam is ModelFamily.SHV:
-        return (params.p_spec.projection(rng, np.cross(a, b), ws),)
-    return ()
+        return z, proj
+    ws.give(z)
+    return (proj,)
 
 
-def _projection_coeffs(params: ModelParams, proj, a, b, ws: ChunkWorkspace):
+def _projection_coeffs(params: ModelParams, proj, ab, ws: ChunkWorkspace):
     """The family's formula for (A, B, C) from its projection rows ``proj``
-    (`coeffs`, `_draw_projections`) and the settings' component
-    rows ``a``, ``b``, in the order of the module docstring.  The rows of
-    ``proj`` are used up: A, B and C are formed in them and in rows of
-    ``ws``, and the rest are given back."""
+    (`coeffs`, `_draw_projections`) and a.b, a scalar or a row ``ab``:
+
+        FHV  A = (coeff*eps) (u.a)^power, one multiply after the power,
+             B likewise of v.b with f_b, C = -a.b / (1 + eta)
+        SHV  C = (p.(a x b) + a.b) * (-1 / sqrt(1 + p_m^2))
+        THV  C = zeta ((u.a)(u.b))^3 - a.b
+        QM   C = -a.b
+
+    The rows of ``proj`` are used up: A, B and C are formed in them, a cube
+    in a row of ``ws``, and the rest are given back."""
     fam = params.family
-    ab = _dot3_rows(a, b)
     if fam is ModelFamily.QM:
         return 0.0, 0.0, -ab
     if fam is ModelFamily.FHV:
         for x, f in zip(proj, (params.f_spec, params.f_b)):
+            scale = f.coeff * params.epsilon
             if f.power == 3:
                 cube = _cube_into(x, ws.row())
-                np.multiply(cube, f.coeff, out=x)
+                np.multiply(cube, scale, out=x)
                 ws.give(cube)
             else:
-                x *= f.coeff
-            x *= params.epsilon
+                x *= scale
         return proj[0], proj[1], -ab / (1.0 + params.eta)
     if fam is ModelFamily.SHV:
         # a constant p-field gives one scalar p.(a x b) and a scalar C
         (C,) = proj
         out = C if np.ndim(C) else None
-        C = np.negative(np.add(C, ab, out=out), out=out)
-        return 0.0, 0.0, np.divide(C, math.sqrt(1.0 + params.p_m**2), out=out)
+        return 0.0, 0.0, np.multiply(np.add(C, ab, out=out),
+                                     -1.0 / math.sqrt(1.0 + params.p_m**2), out=out)
     ua, ub = proj  # THV
-    C = _cube_into(ua, ws.row())
+    C = _cube_into(np.multiply(ua, ub, out=ua), ub)
     C *= params.zeta
-    C *= _cube_into(ub, ua)
-    np.subtract(ab, C, out=C)
-    np.negative(C, out=C)
-    ws.give(ua, ub)
+    C -= ab
+    ws.give(ua)
     return 0.0, 0.0, C
 
 
@@ -475,6 +497,17 @@ def _dot3_rows(x, y, out: np.ndarray | None = None):
     for k in (1, 2):
         out += x[k] * y[k]
     return out
+
+
+def _cross3(x, y):
+    """x x y of two 3-vectors, component by component as `np.cross` forms it."""
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
+            x[0] * y[1] - x[1] * y[0])
+
+
+def _norm3(x) -> float:
+    """|x| of a 3-vector, the square root of its dot with itself."""
+    return math.sqrt(_dot3_rows(x, x))
 
 
 def _cube_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -607,58 +640,69 @@ def sample_hidden(params: ModelParams, rng: np.random.Generator) -> HiddenState:
     return _hidden_state(sample_hidden_batch(params, 1, rng), 0)
 
 
-def draw_outcomes(A, B, C, n: int, rng: np.random.Generator, ws: ChunkWorkspace):
-    """One joint outcome of the table [1 + sigma*A + tau*B + sigma*tau*C]/4
-    per row, from a single uniform r and the partial sums, formed straight
-    from the coefficients without the four cells:
+def draw_outcomes(A, B, C, n: int, rng: np.random.Generator, ws: ChunkWorkspace,
+                  sigma: bool = False):
+    """Draw one joint outcome of the table [1 + sigma*A + tau*B + sigma*tau*C]/4
+    per row from a single uniform r, and count them: returns the number of
+    rows with sigma = +1 (None unless ``sigma``) and with sigma*tau = +1.
 
-        pp = (1 + A + B + C)/4,  pp+pm = (1 + A)/2,  pp+pm+mp = pp + (1 - C)/2
+    The outcome is the cell r falls in.  The partial sums of the table are
+    pp = (1 + A + B + C)/4, pp+pm = (1 + A)/2 and pp+pm+mp = pp + (1 - C)/2,
+    so sigma*tau = -1 on the interval pp <= r < pp+pm+mp, of centre
+    (2 + A + B)/4 and half-width (1 - C)/4, and one test gives each outcome:
 
-    Returns the boolean rows (sigma == +1, sigma*tau == +1): sigma = +1 iff
-    r < pp+pm, and sigma*tau = +1 iff r < pp or r >= pp+pm+mp.
+        sigma = +1       iff  r < (1 + A)/2
+        sigma*tau = +1   iff  |r - (2 + A + B)/4| >= (1 - C)/4
+
+    the second up to a tie at r = pp; times 4 it reads
+    |4r - 2 - (A + B)| >= 1 - C.  sigma is the sign of (1 + A)/2 - r,
+    formed only when asked for.
 
     The coefficients have the shapes `_projection_coeffs` gives: A and B
     rows with a scalar C (FHV), or A = B = 0.0 with a row C (THV, a cap
-    p-field) or a scalar C (QM, a constant p-field).  Row coefficients are
-    used up: the sums are formed in their rows and in rows of the started
-    `ChunkWorkspace` ``ws`` of ``n`` samples, which also lends r and the
-    flags.
+    p-field) or a scalar C (QM, a constant p-field); rows and scalars take
+    the same path.  Row coefficients are used up: A + B and then the centre
+    are formed in B's row, 1 - C and then the half-width in C's, and A - B
+    in a row of the started `ChunkWorkspace` ``ws`` of ``n`` samples, which
+    is then given back for r; sigma and the flags take A's row, or a row
+    of ``ws`` when A is a scalar.  So a chunk holds at most three rows.
 
-    An implied cell below -TABLE_TOL raises InvalidModelError.  The check
-    reads the extremes of the rows the draw forms: with flat marginals the
-    cells are pp, 1/2 - pp and their mirror images; with FHV's scalar C
-    they are pp, pm = (pp+pm) - pp, mp = (1 - C)/2 - pm and
-    mm = (1 + C)/2 - pp, and rounding is monotone, so each cell's minimum
-    is exact.  A scalar table goes through `table_cells`.
+    An implied cell below -TABLE_TOL raises InvalidModelError.  With
+    S = A + B, D = A - B and T = 1 - C the cells are pp = (2 - T + S)/4,
+    mm = (2 - T - S)/4, pm = (T + D)/4 and mp = (T - D)/4.  At most one of
+    T and (S, D) is a row, so the extremes of the rows formed give each
+    cell's minimum, to within rounding.
     """
-    if np.ndim(A):
-        pp = np.add(1.0, A, out=ws.row())
-        pp += B
-        pp += C
-        pp /= 4.0
-        s1 = np.add(A, 1.0, out=A)
-        s1 /= 2.0
-        pm = np.subtract(s1, pp, out=B)
-        _check_cells(pp.min(), pm.min(), (1.0 + C) / 2.0 - pp.max(),
-                     (1.0 - C) / 2.0 - pm.max())
-        s2 = np.add(pp, (1.0 - C) / 2.0, out=pm)
-    elif np.ndim(C):
-        pp = np.add(1.0, C, out=ws.row())
-        pp /= 4.0
-        _check_cells(pp.min(), 0.5 - pp.max())
-        s1 = 0.5
-        s2 = np.subtract(1.0, C, out=C)
-        s2 /= 2.0
-        s2 += pp
-    else:
-        pp = table_cells(A, B, C)[0]
-        s1, s2 = (1.0 + A) / 2.0, pp + (1.0 - C) / 2.0
+    D = np.subtract(A, B, out=ws.row() if np.ndim(A) else None)
+    # each in-place step below works in the row of a row coefficient, and
+    # makes a new scalar of a scalar one
+    S = B
+    S += A
+    T = np.subtract(1.0, C, out=C if np.ndim(C) else None)
+    (s_lo, s_hi), (d_lo, d_hi), (t_lo, t_hi) = map(_extremes, (S, D, T))
+    _check_cells((2.0 - t_hi + s_lo) / 4.0, (2.0 - t_hi - s_hi) / 4.0,
+                 (t_lo + d_lo) / 4.0, (t_lo - d_hi) / 4.0)
+    if np.ndim(D):
+        ws.give(D)
     r = rng.random(out=ws.row())
-    sigma, same, late = ws.row().view(np.bool_)[:3 * n].reshape(3, n)
-    np.less(r, s1, out=sigma)
-    np.less(r, pp, out=same)
-    same |= np.greater_equal(r, s2, out=late)
-    return sigma, same
+    spare = A if np.ndim(A) else ws.row()
+    plus = None
+    if sigma:
+        # positive, so nonzero after the clip, exactly where r < (1 + A)/2
+        below = np.multiply(np.add(A, 1.0, out=spare), 0.5, out=spare)
+        below -= r
+        plus = int(np.count_nonzero(np.maximum(below, 0.0, out=below)))
+    S += 2.0
+    S *= 0.25
+    r -= S
+    np.abs(r, out=r)
+    T *= 0.25
+    return plus, int(np.count_nonzero(np.greater_equal(r, T, out=spare.view(np.bool_)[:n])))
+
+
+def _extremes(x):
+    """(min, max) of a row, or (x, x) of a scalar."""
+    return (x.min(), x.max()) if np.ndim(x) else (x, x)
 
 
 # -------------------------- comparison model classes ------------------------

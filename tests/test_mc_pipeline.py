@@ -39,6 +39,7 @@ from hvsinglet.models import (
     ModelFamily,
     ModelParams,
     Settings,
+    _draw_frame,
     _draw_projections,
     _projection_coeffs,
     coeffs,
@@ -257,7 +258,7 @@ class TestProjectionLaws:
         params, (a, b) = LAW_FAMILIES[family], LAW_SETTINGS[where]
         ws = ChunkWorkspace(LAW_N)
         drawn = _moments([np.array(x) for x in models_module._draw_projections(
-            params, a.arr, b.arr, np.random.default_rng(1), ws)])
+            params, _draw_frame(params, a, b), np.random.default_rng(1), ws)])
         hidden = sample_hidden_batch(params, LAW_N, np.random.default_rng(2))
         if family == "fhv":
             solid = _moments([hidden["u"] @ a.arr, hidden["v"] @ b.arr])
@@ -289,7 +290,7 @@ class TestShardCounts:
     @given(params_st, unit, unit, st.integers(0, 2**32 - 1), st.integers(1, 4000))
     @settings(max_examples=60, deadline=None)
     def test_counts_match_one_direct_draw(self, params, a, b, seed, n):
-        got = _shard_counts(params, Settings(a, b), n, np.random.default_rng(seed))
+        got = _shard_counts(params, Settings(a, b), n, np.random.default_rng(seed), sigma=True)
         rng = np.random.default_rng(seed)
         A, B, C = _ref_coeffs(params, rng, a.arr, b.arr, n)
         plus, same = _ref_outcomes(A, B, C, rng.random(n))
@@ -297,7 +298,7 @@ class TestShardCounts:
 
     def test_full_chunk_sigma_count_matches_direct_draw(self):
         params, s = ModelParams.fhv(1.0), Settings(X, UnitVector3.normalized(1.0, 2.0, 2.0))
-        plus, _ = _shard_counts(params, s, MC_CHUNK, np.random.default_rng(5))
+        plus, _ = _shard_counts(params, s, MC_CHUNK, np.random.default_rng(5), sigma=True)
         rng = np.random.default_rng(5)
         A, B, C = _ref_coeffs(params, rng, s.a.arr, s.b.arr, MC_CHUNK)
         assert plus == int(np.sum(_ref_outcomes(A, B, C, rng.random(MC_CHUNK))[0]))
@@ -315,20 +316,19 @@ class TestWorkspace:
         # reusing the first's rows, against chunks that each get a fresh
         # workspace
         fresh, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
-        a, b = a.arr, b.arr
+        frame = _draw_frame(params, a, b)
         ws = ChunkWorkspace()
         for k in (n, max(1, n // 3)):
             own = ChunkWorkspace(k)
-            abc = _projection_coeffs(params, _draw_projections(params, a, b, fresh, own),
-                                     a, b, own)
+            abc = _projection_coeffs(params, _draw_projections(params, frame, fresh, own),
+                                     frame[0], own)
             want = [_bits(x, k) for x in abc]
-            outcomes = draw_outcomes(*abc, k, fresh, own)
+            outcomes = draw_outcomes(*abc, k, fresh, own, sigma=True)
             ws.start(k)
-            abc_ws = _projection_coeffs(params, _draw_projections(params, a, b, drawn, ws),
-                                        a, b, ws)
+            abc_ws = _projection_coeffs(params, _draw_projections(params, frame, drawn, ws),
+                                        frame[0], ws)
             assert [_bits(x, k) for x in abc_ws] == want
-            assert [_bits(o, k) for o in draw_outcomes(*abc_ws, k, drawn, ws)] == [
-                _bits(o, k) for o in outcomes]
+            assert draw_outcomes(*abc_ws, k, drawn, ws, sigma=True) == outcomes
 
     def test_storage_does_not_depend_on_the_order_of_chunks(self, idle_workspaces):
         # a pool worker runs verify's shv trials, constant and cap fields mixed,
@@ -459,6 +459,50 @@ class TestDrawCheck:
         self.draw(value, 0.0, 0.0, np.array([0.0, sign * (1.0 - 4.0 * value)]))
 
 
+class _Uniforms:
+    """A stand-in generator whose next uniforms are the given values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, out):
+        out[:] = self.values
+        return out
+
+
+# a valid table's four cells, normalized from four nonnegative weights
+table_cells_st = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
+    lambda w: sum(w) > 1e-3).map(lambda w: [x / sum(w) for x in w])
+
+
+class TestOneOutcomeTest:
+    """The one test of `draw_outcomes` (sigma from 2r - 1 < A, sigma*tau
+    from |4r - 2 - (A + B)| >= 1 - C) against the three comparisons of r
+    with the partial sums in `_ref_outcomes`, on r drawn near each of those
+    thresholds: the two agree whenever r lies more than 4 ulps of 1
+    (4 * 2^-52) from every threshold."""
+
+    FAR = 4 * 2.0**-52
+
+    @given(table_cells_st, st.integers(0, 2), st.integers(-64, 64), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_one_test_matches_three_comparisons(self, cells, which, step, flat):
+        A, B, C = _coeffs_of(*cells)
+        if flat:  # the shape of thv and a cap p-field: A = B = 0, a row C
+            A = B = 0.0
+        pp = (1.0 + A + B + C) / 4.0
+        thresholds = ((1.0 + A) / 2.0, pp, pp + (1.0 - C) / 2.0)
+        r = min(max(thresholds[which] + step * 2.0**-53, 0.0), 1.0 - 2.0**-53)
+        if flat:
+            args = (0.0, 0.0, np.array([C]))
+        else:  # the shape of fhv: A and B rows, a scalar C
+            args = (np.array([A]), np.array([B]), C)
+        got = draw_outcomes(*args, 1, _Uniforms([r]), ChunkWorkspace(1), sigma=True)
+        plus, same = _ref_outcomes(A, B, C, r)
+        if all(abs(r - t) > self.FAR for t in thresholds):
+            assert got == (int(plus), int(same))
+
+
 class TestWitness:
     @pytest.mark.parametrize("params", [
         ModelParams.fhv(1.0), ModelParams.shv(), ModelParams.thv(1.0),
@@ -539,6 +583,17 @@ class TestChunking:
 
         small, large = peak(2 * MC_CHUNK), peak(8 * MC_CHUNK)
         assert large <= 1.5 * small
+
+    @pytest.mark.parametrize("params", [ModelParams.fhv(1.0), ModelParams.fhv(0.7, FSpec(0.4, 3))],
+                             ids=["fhv", "fhv-cube"])
+    def test_sigma_path_peaks_within_three_rows(self, params, idle_workspaces):
+        # the sigma draw over eight chunks peaks at the three rows of its
+        # workspace plus less than one boolean row: no chunk-length array of
+        # any dtype is formed besides them
+        rng = np.random.default_rng(2)
+        peak = _peak(lambda: _shard_counts(params, Settings(X, Y), 8 * MC_CHUNK, rng,
+                                           sigma=True))
+        assert peak < (3 * 8 + 1) * MC_CHUNK
 
     def test_shards_beyond_n_add_neither_output_nor_memory(self, idle_workspaces):
         # only the first n shards draw a sample, so more shards change nothing
@@ -671,17 +726,18 @@ class TestWorkerCount:
         params = POOL_FAMILIES[family]
         pooled = _peak(lambda: mc_correlator(params, POOL_SETTINGS, 2 * MC_CHUNK, 1, 2))
         reference = _peak(lambda: _ref_mc(params, POOL_SETTINGS, 2 * MC_CHUNK, 1, 1))
-        rows = {"fhv": 5, "thv": 4, "shv-cap": 4}[family]
+        rows = {"fhv": 3, "thv": 3, "shv-cap": 3}[family]
         assert pooled <= reference
         assert pooled <= (2 * rows * 8 + 1) * MC_CHUNK
 
     @pytest.mark.parametrize("family,rows", [
-        ("fhv", 5), ("thv", 4), ("shv-cap", 4), ("shv-const", 2), ("qm", 2)])
+        ("fhv", 3), ("thv", 3), ("shv-cap", 3), ("shv-const", 2), ("qm", 2)])
     def test_warm_workspace_holds_the_most_rows_lent_at_once(self, family, rows,
                                                               idle_workspaces):
-        # the most rows one chunk lends at once: for fhv, the rows of A and B
-        # (where pp+pm, pm and then pp+pm+mp are formed), pp, the uniforms r
-        # and the flags; a constant p-field forms scalar sums, as qm does
+        # the most rows one chunk lends at once: for fhv (here with a cube), the
+        # rows of A and B and one more for the cube, then A - B, then the
+        # uniforms r; thv and a cap p-field, the three rows of the zone draw;
+        # a constant p-field has a scalar C, as qm does: r and the flags
         n, params = 10_000, POOL_FAMILIES[family]
         # made before tracing: the first generator imports numpy.random internals
         rngs = [np.random.default_rng(seed) for seed in (0, 1)]
@@ -705,10 +761,10 @@ class TestWorkerCount:
         used, all_holding = [], threading.Barrier(workers, timeout=30)
         draw = correlators_module._draw_projections
 
-        def holding(params, a, b, rng, ws):
+        def holding(params, frame, rng, ws):
             used.append(ws)
             all_holding.wait()
-            return draw(params, a, b, rng, ws)
+            return draw(params, frame, rng, ws)
 
         monkeypatch.setattr(correlators_module, "_draw_projections", holding)
 
@@ -724,3 +780,25 @@ class TestWorkerCount:
         assert set(map(id, idle_workspaces)) == set(map(id, kept))
         assert len(idle_workspaces) <= workers
         assert grown < 8 * MC_CHUNK  # less than one float row of a chunk
+
+
+class TestChunkedStreams:
+    """A shard of more than one chunk draws each chunk's projections, then
+    its uniforms r, as the reference does chunk by chunk, so its counts and
+    the generator's end position are the reference's."""
+
+    @pytest.mark.parametrize("n", [MC_CHUNK - 1, MC_CHUNK + 1, 3 * MC_CHUNK + 7])
+    @pytest.mark.parametrize("family", sorted(POOL_FAMILIES))
+    def test_generator_ends_where_the_reference_does(self, family, n):
+        params, a, b = POOL_FAMILIES[family], POOL_SETTINGS.a.arr, POOL_SETTINGS.b.arr
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        got = _shard_counts(params, POOL_SETTINGS, n, rng, sigma=True)
+        plus = same = 0
+        for start in range(0, n, MC_CHUNK):
+            k = min(MC_CHUNK, n - start)
+            A, B, C = _ref_coeffs(params, ref, a, b, k)
+            chunk_plus, chunk_same = _ref_outcomes(A, B, C, ref.random(k))
+            plus += int(np.sum(chunk_plus))
+            same += int(np.sum(chunk_same))
+        assert got == (plus, same)
+        assert rng.random() == ref.random()

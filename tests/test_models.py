@@ -443,25 +443,24 @@ class TestHiddenVectors:
 
 
 class TestSampleOutcomes:
-    # the flags of `draw_outcomes` (sigma == +1, sigma*tau == +1) name the
-    # outcome (sigma, tau) of the table with coefficients (A, B, C); the
-    # degenerate and zero-cell tests draw batches of one
+    # the counts of `draw_outcomes` (sigma == +1, sigma*tau == +1) over a
+    # batch of one name the outcome (sigma, tau) drawn from the table with
+    # coefficients (A, B, C)
     def test_degenerate_table(self):
         # (A, B, C) = (1, 1, 1): pp = 1, every other cell 0
         rng, ws = make_rng(0), ChunkWorkspace(1)
         for _ in range(100):
-            plus, same = draw_outcomes(1.0, 1.0, 1.0, 1, rng, ws)
-            assert plus[0] and same[0]  # (sigma, tau) == (1, 1)
+            assert draw_outcomes(1.0, 1.0, 1.0, 1, rng, ws, sigma=True) == (1, 1)
 
     def test_uniform_frequencies(self):
-        rng = make_rng(4)
-        n = 100_000
+        rng, ws = make_rng(4), ChunkWorkspace(1)
+        n = 10_000
         # (A, B, C) = (0, 0, 0) as fhv-shaped rows: every cell 1/4
-        plus, same = draw_outcomes(np.zeros(n), np.zeros(n), 0.0, n, rng, ChunkWorkspace(n))
+        drawn = [draw_outcomes(np.zeros(1), np.zeros(1), 0.0, 1, rng, ws, sigma=True)
+                 for _ in range(n)]
         stderr = math.sqrt(0.25 * 0.75 / n)
-        for key in ((True, True), (True, False), (False, True), (False, False)):
-            count = np.count_nonzero((plus == key[0]) & (same == key[1]))
-            assert abs(count / n - 0.25) <= 4 * stderr
+        for key in ((1, 1), (1, 0), (0, 1), (0, 0)):
+            assert abs(drawn.count(key) / n - 0.25) <= 4 * stderr
 
     def test_zero_cells_never_drawn(self):
         # the qm table at a = b: pp = mm = 0
@@ -469,7 +468,7 @@ class TestSampleOutcomes:
         rng, ws = make_rng(8), ChunkWorkspace(1)
         for _ in range(10_000):
             _, same = draw_outcomes(A, B, C, 1, rng, ws)
-            assert not same[0]  # sigma != tau
+            assert same == 0  # sigma != tau
 
 
 class TestComparisonClasses:
