@@ -446,18 +446,28 @@ class TestSampleOutcomes:
     # the counts of `draw_outcomes` (sigma == +1, sigma*tau == +1) over a
     # batch of one name the outcome (sigma, tau) drawn from the table with
     # coefficients (A, B, C)
+    @staticmethod
+    def draw_one(A, B, C, rng, ws):
+        ws.start(1)
+        return draw_outcomes(A, B, C, 1, rng, ws, sigma=True)
+
     def test_degenerate_table(self):
         # (A, B, C) = (1, 1, 1): pp = 1, every other cell 0
         rng, ws = make_rng(0), ChunkWorkspace(1)
         for _ in range(100):
-            assert draw_outcomes(1.0, 1.0, 1.0, 1, rng, ws, sigma=True) == (1, 1)
+            assert self.draw_one(1.0, 1.0, 1.0, rng, ws) == (1, 1)
 
     def test_uniform_frequencies(self):
-        rng, ws = make_rng(4), ChunkWorkspace(1)
-        n = 10_000
-        # (A, B, C) = (0, 0, 0) as fhv-shaped rows: every cell 1/4
-        drawn = [draw_outcomes(np.zeros(1), np.zeros(1), 0.0, 1, rng, ws, sigma=True)
-                 for _ in range(n)]
+        # (A, B, C) = (0, 0, 0) as fhv-shaped rows: every cell 1/4, so sigma
+        # and sigma*tau are each +1 half the time in one batch of 100,000, and
+        # each (sigma, sigma*tau) a quarter of 10,000 batches of one
+        rng, n = make_rng(4), 100_000
+        plus, same = draw_outcomes(np.zeros(n), np.zeros(n), 0.0, n, rng, ChunkWorkspace(n),
+                                   sigma=True)
+        for count in (plus, same):
+            assert abs(count / n - 0.5) <= 4 * math.sqrt(0.25 / n)
+        ws, n = ChunkWorkspace(1), 10_000
+        drawn = [self.draw_one(np.zeros(1), np.zeros(1), 0.0, rng, ws) for _ in range(n)]
         stderr = math.sqrt(0.25 * 0.75 / n)
         for key in ((1, 1), (1, 0), (0, 1), (0, 0)):
             assert abs(drawn.count(key) / n - 0.25) <= 4 * stderr
@@ -467,8 +477,7 @@ class TestSampleOutcomes:
         A, B, C = coeffs(QM, {}, Z.arr, Z.arr)
         rng, ws = make_rng(8), ChunkWorkspace(1)
         for _ in range(10_000):
-            _, same = draw_outcomes(A, B, C, 1, rng, ws)
-            assert same == 0  # sigma != tau
+            assert self.draw_one(A, B, C, rng, ws)[1] == 0  # sigma != tau
 
 
 class TestComparisonClasses:
